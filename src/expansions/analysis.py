@@ -131,9 +131,11 @@ def _abs_distance(y: Any, approximant: Any) -> Any:
 
 
 def _coeff_head_distance(
-    system: ExpansionSystem, y: Any, approximant: Any, probe_depth: int
+    system: ExpansionSystem, mine: Sequence[Any], approximant: Any
 ) -> Fraction:
-    mine = coefficient_code(system, y, probe_depth)
+    """Distance ``2^-k`` from the first coefficient ``k`` at which the
+    approximant's code leaves ``mine``, the element's own code."""
+    probe_depth = len(mine)
     theirs = coefficient_code(system, approximant, probe_depth)
     for k in range(probe_depth):
         if not system.coefficients_equal(k, mine[k], theirs[k]):
@@ -183,7 +185,8 @@ def convergence_report(
         )
     if n_max < 0:
         raise DomainError(f"negative n_max {n_max}")
-    code = coefficient_code(system, y, n_max)
+    # coeff-head compares codes 8 coefficients past the deepest convergent
+    code = coefficient_code(system, y, n_max + 8 if metric == "coeff-head" else n_max)
     if grid is None:
         grid = [j / 16 for j in range(9)]
     rows: List[ReportRow] = []
@@ -196,7 +199,7 @@ def convergence_report(
         if metric == "abs":
             distance: Any = _abs_distance(y, trace.value)
         elif metric == "coeff-head":
-            distance = _coeff_head_distance(system, y, trace.value, n_max + 8)
+            distance = _coeff_head_distance(system, code, trace.value)
         else:
             distance = _grid_sup_distance(system, y, code[:n], grid, tol)  # type: ignore[arg-type]
         rows.append(ReportRow(n=n, proper=True, distance=distance, coeffs=head))

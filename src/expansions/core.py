@@ -150,6 +150,8 @@ def trajectory(system: ExpansionSystem, y: Any, n: int) -> List[Any]:
 
 def coefficient_code(system: ExpansionSystem, y: Any, n: int) -> List[Any]:
     """First ``n`` coefficients ``[c_0, ..., c_{n-1}]`` of ``y``."""
+    if n < 0:
+        raise DomainError(f"negative depth {n}")
     stages = trajectory(system, y, max(n - 1, 0)) if n > 0 else []
     return [system.project(i, stages[i]) for i in range(n)]
 

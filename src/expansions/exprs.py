@@ -8,7 +8,7 @@ what names mean and which operations the parsed values support:
 * ``series``/``germ``: power-series germs about a base point (``... at c``
   suffix), with ``exp``/``log``/``sqrt`` usable on composite arguments and
   ``sin``/``cos``/``tan``/``cosh``/``pow(a)`` on the variable itself;
-* ``polynomial``: exact polynomials in ``x``;
+* ``polynomial``: exact polynomials in ``x`` (exact series at center 0);
 * ``trig``: trigonometric polynomials built from the basis ``E(k)`` and the
   imaginary unit ``i``.
 
@@ -20,7 +20,8 @@ Grammar::
     power  := atom ('^' '-'? INTEGER)?
     atom   := NUMBER | NAME ('(' expr (',' expr)* ')')? | '(' expr ')'
 
-Parse errors carry the offending position.
+Parse errors carry the offending position.  Parentheses, call arguments and
+prefix signs nest at most ``MAX_NESTING`` levels deep.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Any, Callable, List, Optional, Sequence
 from .certified import Interval, e_interval, pi_interval, sqrt_interval
 from .coefficients import CONE, ComplexRational
 from .errors import DomainError, ParseError, UnsupportedInContext
-from .polynomials import Polynomial
 from .series import PowerSeries
 from .trig import TrigPolynomial
 
@@ -88,11 +88,15 @@ def tokenize(text: str) -> List[Token]:
 
 # -- parser ------------------------------------------------------------------
 
+#: deepest nesting of parentheses, call arguments and prefix signs accepted
+MAX_NESTING = 64
+
 
 class _Parser:
     def __init__(self, tokens: Sequence[Token]) -> None:
         self.tokens = tokens
         self.k = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.k]
@@ -111,6 +115,21 @@ class _Parser:
             tok = self.peek()
             raise ParseError(f"expected {text!r}, found {tok.text or 'end'!r}", tok.pos)
         return self.advance()
+
+    def nested(self, parse: Callable[["_Env"], Any], env: "_Env") -> Any:
+        """``parse(env)`` one nesting level deeper.
+
+        Nesting recurses, so the depth is bounded to turn hostile input into
+        a ``ParseError`` before it can exhaust the interpreter stack.
+        """
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels", self.peek().pos
+            )
+        self.depth += 1
+        value = parse(env)
+        self.depth -= 1
+        return value
 
     def parse_expr(self, env: "_Env") -> Any:
         value = self.parse_term(env)
@@ -131,10 +150,10 @@ class _Parser:
     def parse_unary(self, env: "_Env") -> Any:
         if self.at_punct("-"):
             self.advance()
-            return env.neg(self.parse_unary(env))
+            return env.neg(self.nested(self.parse_unary, env))
         if self.at_punct("+"):
             self.advance()
-            return self.parse_unary(env)
+            return self.nested(self.parse_unary, env)
         return self.parse_power(env)
 
     def parse_power(self, env: "_Env") -> Any:
@@ -162,7 +181,7 @@ class _Parser:
             return env.name(self, tok)
         if self.at_punct("("):
             self.advance()
-            value = self.parse_expr(env)
+            value = self.nested(self.parse_expr, env)
             self.expect_punct(")")
             return value
         raise ParseError(f"expected a value, found {tok.text or 'end'!r}", tok.pos)
@@ -207,7 +226,7 @@ class _Env:
 
     def _parse_paren_arg(self, parser: _Parser, env: "_Env") -> Any:
         parser.expect_punct("(")
-        value = parser.parse_expr(env)
+        value = parser.nested(parser.parse_expr, env)
         parser.expect_punct(")")
         return value
 
@@ -395,15 +414,15 @@ _TABLES = {"sin": _fill_sin, "cos": _fill_cos, "cosh": _fill_cosh, "tan": _fill_
 
 
 class _PolyEnv(_Env):
-    def number(self, value: Fraction) -> Polynomial:
-        return Polynomial.of(value)
+    def number(self, value: Fraction) -> PowerSeries:
+        return PowerSeries.of(value)
 
-    def name(self, parser: _Parser, tok: Token) -> Polynomial:
+    def name(self, parser: _Parser, tok: Token) -> PowerSeries:
         if tok.text == "x":
-            return Polynomial.x()
+            return PowerSeries.x()
         raise ParseError(f"unknown name {tok.text!r}", tok.pos)
 
-    def div(self, a: Polynomial, b: Polynomial) -> Polynomial:
+    def div(self, a: PowerSeries, b: PowerSeries) -> PowerSeries:
         if b.degree > 0:
             raise DomainError("polynomial division only by constants")
         constant = b.coefficient(0)
@@ -411,10 +430,10 @@ class _PolyEnv(_Env):
             raise DomainError("division by zero")
         return a * (1 / constant)
 
-    def pow(self, a: Polynomial, k: int) -> Polynomial:
+    def pow(self, a: PowerSeries, k: int) -> PowerSeries:
         if k < 0:
             raise DomainError("negative powers are not polynomials")
-        acc = Polynomial.of(1)
+        acc = PowerSeries.of(1)
         for _ in range(k):
             acc = acc * a
         return acc

@@ -1,143 +1,44 @@
-"""Exact univariate polynomials over the rationals.
+"""Certified decisions about exact univariate polynomials over the rationals.
 
-Beyond the usual ring operations this module provides certified decisions
-about polynomial ranges on ``[0, 1]`` — ``is_nonneg_on_01`` and
-``sup_norm_le`` — via square-free reduction and Sturm-chain root isolation,
-all in ``Fraction`` arithmetic.  These back the norm-restricted system's
-membership test, which must be exact: a convergent is declared proper or
-improper, never "probably proper".
+A polynomial is an exact :class:`~expansions.series.PowerSeries` at center 0,
+which carries the ring operations.  This module adds the Euclidean structure
+and certified decisions about polynomial ranges on ``[0, 1]`` —
+``is_nonneg_on_01`` and ``sup_norm_le`` — via square-free reduction and
+Sturm-chain root isolation, all in ``Fraction`` arithmetic.  These back the
+norm-restricted system's membership test, which must be exact: a convergent
+is declared proper or improper, never "probably proper".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .certified import Interval
 from .errors import DomainError
+from .series import PowerSeries
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Polynomial with ascending rational coefficients, trailing zeros stripped."""
-
-    coeffs: Tuple[Fraction, ...]
-
-    @staticmethod
-    def of(*coeffs: object) -> "Polynomial":
-        """Build from ascending coefficients (``of(1, 0, -2)`` is ``1 - 2x^2``)."""
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Polynomial(tuple(cs))
-
-    @staticmethod
-    def x() -> "Polynomial":
-        return Polynomial.of(0, 1)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, x: object) -> Fraction:
-        acc: Fraction = _ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.of(
-            *(self.coefficient(k) + other.coefficient(k) for k in range(n))
-        )
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.of(
-            *(self.coefficient(k) - other.coefficient(k) for k in range(n))
-        )
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: object) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.of(*(c * other for c in self.coeffs))
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial(())
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial.of(*out)
-
-    __rmul__ = __mul__
-
-    # -- calculus / substitution -------------------------------------------
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial.of(*(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
-    def shift(self, a: object) -> "Polynomial":
-        """Substitute ``x + a`` for ``x``."""
-        a = Fraction(a)
-        xa = Polynomial.of(a, 1)
-        acc = Polynomial(())
-        for c in reversed(self.coeffs):
-            acc = acc * xa + Polynomial.of(c)
-        return acc
-
-    def reflect(self) -> "Polynomial":
-        """The polynomial ``-p(-x)``."""
-        return Polynomial(
-            tuple(c if k % 2 == 1 else -c for k, c in enumerate(self.coeffs))
-        )
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts: List[str] = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "x" if k == 1 else f"x^{k}"
-                body = var if mag == 1 else f"{mag} {var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+#: Polynomials are the exact series at center 0; see :class:`PowerSeries`.
+Polynomial = PowerSeries
 
 
 # -- euclidean structure -------------------------------------------------
 
 
 def divmod_poly(a: Polynomial, b: Polynomial) -> Tuple[Polynomial, Polynomial]:
+    # Root isolation and the norm bounds read coefficients as powers of x.
+    if a.center or b.center:
+        raise DomainError("polynomial division needs series centered at 0")
     if b.is_zero():
         raise DomainError("polynomial division by zero")
-    q: List[Fraction] = [_ZERO] * max(len(a.coeffs) - len(b.coeffs) + 1, 0)
+    db = b.degree
+    q: List[Fraction] = [_ZERO] * max(a.degree - db + 1, 0)
     rem = list(a.coeffs)
     lead = b.coeffs[-1]
-    db = b.degree
     while len(rem) - 1 >= db and rem:
         k = len(rem) - 1 - db
         factor = rem[-1] / lead
@@ -180,7 +81,7 @@ def _sturm_chain(p: Polynomial) -> List[Polynomial]:
 
 
 def _sign_variations(chain: Sequence[Polynomial], x: Fraction) -> int:
-    signs = [v for v in ((1 if q(x) > 0 else -1 if q(x) < 0 else 0) for q in chain) if v]
+    signs = [v > 0 for v in (q(x) for q in chain) if v]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
 from .certified import Interval
-from .coefficients import INF, NEG_INF, ExtendedInt, is_infinite
+from .coefficients import INF, ExtendedInt, is_infinite
 from .core import ORDER_REVERSED, ORDER_STANDARD, ExpansionSystem
 from .errors import DomainError, PrecisionExhausted
 
@@ -87,11 +87,6 @@ class _UnitIntervalSystem(ExpansionSystem):
             # Enclosures cannot certify equality; report non-separation.
             return _overlap(a, b)
         return a == b
-
-    def termination_magnitude(self, y: Fraction) -> Optional[int]:
-        """Strictly decreasing positive certificate along rational expansion,
-        where the system has one (``None`` otherwise)."""
-        return None
 
 
 class BaseSystem(_UnitIntervalSystem):
@@ -184,9 +179,6 @@ class ContinuedFractionSystem(_UnitIntervalSystem):
             return None  # preimage would be 1, outside [0, 1)
         return 1 / (c + tail)
 
-    def termination_magnitude(self, y: Fraction) -> Optional[int]:
-        return y.numerator + y.denominator
-
 
 class _ReciprocalCeilingSystem(_UnitIntervalSystem):
     """Shared coefficient map of the unit-fraction systems.
@@ -203,9 +195,6 @@ class _ReciprocalCeilingSystem(_UnitIntervalSystem):
         if certainly_zero(y):
             return INF
         return rceil(1 / y)
-
-    def termination_magnitude(self, y: Fraction) -> Optional[int]:
-        return y.numerator
 
     def _check_coeff(self, c: ExtendedInt) -> None:
         if not isinstance(c, int) or c < 2:

@@ -25,7 +25,6 @@ from .approx import (
 from .coefficients import ComplexRational
 from .core import ExpansionSystem
 from .errors import DomainError
-from .polynomials import Polynomial
 from .realsys import (
     BaseSystem,
     ContinuedFractionSystem,
@@ -61,12 +60,12 @@ def _sample_unit_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(0, den - 1), den)
 
 
-def _sample_polynomial(rng: random.Random) -> Polynomial:
+def _sample_polynomial(rng: random.Random) -> PowerSeries:
     degree = rng.randint(0, 8)
     coeffs = [
         Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree + 1)
     ]
-    return Polynomial.of(*coeffs)
+    return PowerSeries.of(*coeffs)
 
 
 def _sample_taylor_germ(rng: random.Random) -> PowerSeries:
@@ -88,16 +87,16 @@ def _sample_trig(rng: random.Random) -> TrigPolynomial:
     return TrigPolynomial.of(amplitudes)
 
 
-def _sample_bounded_polynomial(rng: random.Random) -> Polynomial:
+def _sample_bounded_polynomial(rng: random.Random) -> PowerSeries:
     degree = rng.randint(0, 6)
     coeffs = [
         Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree + 1)
     ]
     total = sum(abs(c) for c in coeffs)
     if total == 0:
-        return Polynomial.of(0)
+        return PowerSeries.of(0)
     budget = Fraction(rng.randint(1, 99), 100)
-    return Polynomial.of(*[c * budget / total for c in coeffs])
+    return PowerSeries.of(*[c * budget / total for c in coeffs])
 
 
 def _sample_germ(

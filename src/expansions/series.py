@@ -8,6 +8,10 @@ to its stored order only, so operations shrink the known order rather than
 invent coefficients, and questions beyond it raise
 :class:`~expansions.errors.TruncationInconclusive`.
 
+Exact polynomials are exact series: ``PowerSeries.of(1, 0, -2)`` is
+``1 - 2x^2`` at center 0, and the polynomial-only operations (``degree``,
+evaluation, the Taylor ``shift``) refuse a truncated series.
+
 The analytic kernels (``power``, ``log``, ``exp``) are coefficient recurrences
 driven by the derivative identities; each takes an explicit output order when
 the input is exact, because their results are in general not polynomial.
@@ -80,10 +84,24 @@ class PowerSeries:
 
     @staticmethod
     def exact_poly(center: object, coeffs: object) -> "PowerSeries":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        return PowerSeries._stripped(Fraction(center), [Fraction(c) for c in coeffs])
+
+    @staticmethod
+    def of(*coeffs: object) -> "PowerSeries":
+        """Exact polynomial at center 0 from ascending coefficients
+        (``of(1, 0, -2)`` is ``1 - 2x^2``)."""
+        return PowerSeries.exact_poly(_ZERO, coeffs)
+
+    @staticmethod
+    def x() -> "PowerSeries":
+        return PowerSeries(_ZERO, (_ZERO, _ONE), exact=True)
+
+    @staticmethod
+    def _stripped(center: Fraction, cs: List[Fraction]) -> "PowerSeries":
+        """Exact series from a list of ``Fraction`` values, stripped in place."""
+        while cs and not cs[-1]:
             cs.pop()
-        return PowerSeries(Fraction(center), tuple(cs), exact=True)
+        return PowerSeries(center, tuple(cs), exact=True)
 
     @staticmethod
     def truncated(center: object, coeffs: object) -> "PowerSeries":
@@ -105,10 +123,17 @@ class PowerSeries:
         """Highest reliable coefficient index; ``None`` when exact."""
         return None if self.exact else len(self.coeffs) - 1
 
+    @property
+    def degree(self) -> int:
+        """Degree of an exact series, with -1 for zero."""
+        self._require_exact("degree")
+        return len(self.coeffs) - 1
+
     def coefficient(self, k: int) -> Fraction:
-        if k < len(self.coeffs):
+        """Coefficient of ``(x - center)**k``; zero for negative ``k``."""
+        if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        if self.exact:
+        if self.exact or k < 0:
             return _ZERO
         raise TruncationInconclusive(
             f"coefficient {k} beyond known order {len(self.coeffs) - 1}"
@@ -121,6 +146,8 @@ class PowerSeries:
         cannot distinguish 0 from a flat-looking nonzero function, which is
         the caller's problem (see multiplicity handling).
         """
+        if self.exact:
+            return not self.coeffs
         return all(c == 0 for c in self.coeffs)
 
     # equality/hashing ignore the exactness flag: an exact polynomial and its
@@ -135,6 +162,12 @@ class PowerSeries:
         return hash((self.center, self.coeffs))
 
     # -- helpers -------------------------------------------------------------
+
+    def _require_exact(self, what: str) -> None:
+        if not self.exact:
+            raise TruncationInconclusive(
+                f"{what} needs an exact series, not one known to order {len(self.coeffs) - 1}"
+            )
 
     def _require_same_center(self, other: "PowerSeries") -> None:
         if self.center != other.center:
@@ -158,20 +191,24 @@ class PowerSeries:
 
     def _rebuild(self, coeffs: List[Fraction], known: Optional[int]) -> "PowerSeries":
         if known is None:
-            return PowerSeries.exact_poly(self.center, coeffs)
+            return PowerSeries._stripped(self.center, coeffs)
         return PowerSeries.truncated(self.center, coeffs[: known + 1] + [_ZERO] * max(0, known + 1 - len(coeffs)))
 
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         self._require_same_center(other)
-        known = self._merge_known(self, other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [a + b for a, b in zip(self._pad(n), other._pad(n))]
-        return self._rebuild(out, known)
+        a, b = self.coeffs, other.coeffs
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):] or b[len(a):])
+        return self._rebuild(out, self._merge_known(self, other))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        return self + (-other)
+        self._require_same_center(other)
+        a, b = self.coeffs, other.coeffs
+        out = [x - y for x, y in zip(a, b)]
+        out.extend(a[len(b):] or [-y for y in b[len(a):]])
+        return self._rebuild(out, self._merge_known(self, other))
 
     def __neg__(self) -> "PowerSeries":
         return PowerSeries(self.center, tuple(-c for c in self.coeffs), self.exact)
@@ -186,7 +223,11 @@ class PowerSeries:
             self.center, tuple(factor * c for c in self.coeffs), self.exact
         )
 
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+    def __mul__(self, other: object) -> "PowerSeries":
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
         self._require_same_center(other)
         known = self._merge_known(self, other)
         if known is None:
@@ -205,6 +246,8 @@ class PowerSeries:
                 out[i + j] += a * b
         return self._rebuild(out, known)
 
+    __rmul__ = __mul__
+
     # -- order manipulation ------------------------------------------------------
 
     def truncate(self, order: int) -> "PowerSeries":
@@ -218,7 +261,7 @@ class PowerSeries:
     def shift_down(self) -> "PowerSeries":
         """Drop the constant term and divide by ``(x - center)``."""
         if self.exact:
-            return PowerSeries.exact_poly(self.center, self.coeffs[1:])
+            return PowerSeries(self.center, self.coeffs[1:], exact=True)
         if len(self.coeffs) == 1:
             raise TruncationInconclusive(
                 "shifting down an order-0 germ leaves no known coefficients"
@@ -229,7 +272,7 @@ class PowerSeries:
         """Multiply by ``(x - center)`` and prepend a constant term."""
         out = [Fraction(constant)] + list(self.coeffs)
         if self.exact:
-            return PowerSeries.exact_poly(self.center, out)
+            return PowerSeries._stripped(self.center, out)
         return PowerSeries.truncated(self.center, out)
 
     # -- calculus -----------------------------------------------------------------
@@ -237,18 +280,56 @@ class PowerSeries:
     def differentiate(self) -> "PowerSeries":
         out = [k * c for k, c in enumerate(self.coeffs) if k > 0]
         if self.exact:
-            return PowerSeries.exact_poly(self.center, out)
+            return PowerSeries._stripped(self.center, out)
         if not out:
             raise TruncationInconclusive(
                 "differentiating an order-0 germ leaves no known coefficients"
             )
         return PowerSeries.truncated(self.center, out)
 
+    derivative = differentiate
+
     def integrate(self, constant: object = 0) -> "PowerSeries":
         out = [Fraction(constant)] + [c / (k + 1) for k, c in enumerate(self.coeffs)]
         if self.exact:
             return PowerSeries.exact_poly(self.center, out)
         return PowerSeries.truncated(self.center, out)
+
+    # -- polynomial evaluation and substitution ----------------------------------
+
+    def __call__(self, x: object) -> Fraction:
+        """Horner evaluation of an exact series at ``x``."""
+        self._require_exact("evaluation")
+        if self.center:
+            x = x - self.center
+        acc: Fraction = _ZERO
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def shift(self, a: object) -> "PowerSeries":
+        """Substitute ``x + a`` for ``x``, re-expanded about the same center.
+
+        The Taylor shift, by repeated synthetic division in place on the
+        coefficient list.
+        """
+        self._require_exact("shift")
+        a = Fraction(a)
+        cs = list(self.coeffs)
+        if a:
+            top = len(cs) - 1
+            for i in range(top):
+                for j in range(top - 1, i - 1, -1):
+                    cs[j] += a * cs[j + 1]
+        return PowerSeries(self.center, tuple(cs), exact=True)
+
+    def reflect(self) -> "PowerSeries":
+        """The series ``-p(-x)``, which is centered at ``-center``."""
+        return PowerSeries(
+            -self.center,
+            tuple(c if k % 2 == 1 else -c for k, c in enumerate(self.coeffs)),
+            self.exact,
+        )
 
     # -- analytic kernels -----------------------------------------------------------
 

@@ -3,8 +3,9 @@
 Four families live here:
 
 * the Taylor system on power series germs (coefficient peel-off),
-* Newton systems on polynomials driven by the forward, backward and reflected
-  difference operators, reconstructing through the matching factorial bases,
+* Newton systems on polynomials (exact series at center 0) driven by the
+  forward, backward and reflected difference operators, reconstructing
+  through the matching factorial bases,
 * the Fourier system on trigonometric polynomials, peeling mode pairs
   ``+-i`` at level ``i``,
 * a norm-restricted Taylor system on polynomials whose reconstruction is
@@ -13,15 +14,18 @@ Four families live here:
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from .coefficients import ComplexRational
 from .core import ORDER_NONE, ORDER_STANDARD, ExpansionSystem
 from .errors import DomainError, TruncationInconclusive
-from .polynomials import Polynomial, sup_norm_le
+from .polynomials import sup_norm_le
 from .series import PowerSeries
 from .trig import TrigPolynomial
+
+_ZERO = Fraction(0)
 
 
 class TaylorSystem(ExpansionSystem):
@@ -52,7 +56,7 @@ class TaylorSystem(ExpansionSystem):
         return y.coefficient(0)
 
     def expand(self, i: int, y: PowerSeries) -> PowerSeries:
-        return (y - PowerSeries.constant(self.center, y.coefficient(0))).shift_down()
+        return y.shift_down()
 
     def reconstruct(
         self, i: int, c: Fraction, tail: PowerSeries
@@ -69,42 +73,66 @@ class TaylorSystem(ExpansionSystem):
         return True
 
 
-def binomial_basis(k: int) -> Polynomial:
+def _validate_polynomial(y: Any) -> None:
+    """Polynomial systems take exact series at center 0 only."""
+    if not isinstance(y, PowerSeries):
+        raise DomainError(f"expected a polynomial, got {type(y).__name__}")
+    if not y.exact:
+        raise DomainError(f"{y} is truncated, not a polynomial")
+    if y.center != 0:
+        raise DomainError(f"polynomial centered at {y.center}, not at 0")
+
+
+def _factorial_basis(k: int, step: int) -> PowerSeries:
+    """``x(x - step)...(x - (k-1) step) / k!``."""
+    acc = PowerSeries.of(1)
+    for j in range(k):
+        acc = acc * PowerSeries.of(-j * step, 1)
+    return acc * Fraction(1, math.factorial(k))
+
+
+def binomial_basis(k: int) -> PowerSeries:
     """``x(x-1)...(x-k+1) / k!`` — forward-difference antiderivative basis."""
-    acc = Polynomial.of(1)
-    for j in range(k):
-        acc = acc * Polynomial.of(-j, 1)
-    return acc * Fraction(1, _factorial(k))
+    return _factorial_basis(k, 1)
 
 
-def rising_basis(k: int) -> Polynomial:
+def rising_basis(k: int) -> PowerSeries:
     """``x(x+1)...(x+k-1) / k!`` — backward-difference antiderivative basis."""
-    acc = Polynomial.of(1)
-    for j in range(k):
-        acc = acc * Polynomial.of(j, 1)
-    return acc * Fraction(1, _factorial(k))
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
+    return _factorial_basis(k, -1)
 
 
 class _NewtonBase(ExpansionSystem):
+    """Value at 0, then a difference operator (the system's ``expand``).
+
+    Reconstruction is Newton interpolation: with a basis ``B_k`` that
+    vanishes at 0 for ``k > 0`` and whose difference is ``B_{k-1}``, the
+    preimage of ``(c, tail)`` is ``c + sum_k B_k * (diff^(k-1) tail)(0)``.
+    """
+
     kind = "polynomial"
     coefficient_order_kind = ORDER_STANDARD
 
-    def neutral(self, i: int) -> Polynomial:
-        return Polynomial(())
+    def basis(self, k: int) -> PowerSeries:
+        raise NotImplementedError
+
+    def neutral(self, i: int) -> PowerSeries:
+        return PowerSeries.zero()
 
     def validate(self, i: int, y: Any) -> None:
-        if not isinstance(y, Polynomial):
-            raise DomainError(f"expected Polynomial, got {type(y).__name__}")
+        _validate_polynomial(y)
 
-    def project(self, i: int, y: Polynomial) -> Fraction:
-        return y(Fraction(0))
+    def project(self, i: int, y: PowerSeries) -> Fraction:
+        return y(_ZERO)
+
+    def reconstruct(self, i: int, c: Fraction, tail: PowerSeries) -> PowerSeries:
+        out = PowerSeries.of(c)
+        stage = tail
+        k = 1
+        while not stage.is_zero():
+            out = out + self.basis(k) * stage(_ZERO)
+            stage = self.expand(i, stage)
+            k += 1
+        return out
 
 
 class NewtonForwardSystem(_NewtonBase):
@@ -116,18 +144,11 @@ class NewtonForwardSystem(_NewtonBase):
 
     name = "newton-forward"
 
-    def expand(self, i: int, y: Polynomial) -> Polynomial:
-        return y.shift(1) - y
+    def basis(self, k: int) -> PowerSeries:
+        return binomial_basis(k)
 
-    def reconstruct(self, i: int, c: Fraction, tail: Polynomial) -> Polynomial:
-        out = Polynomial.of(c)
-        stage = tail
-        k = 1
-        while not stage.is_zero():
-            out = out + binomial_basis(k) * stage(Fraction(0))
-            stage = stage.shift(1) - stage
-            k += 1
-        return out
+    def expand(self, i: int, y: PowerSeries) -> PowerSeries:
+        return y.shift(1) - y
 
 
 class NewtonBackwardSystem(_NewtonBase):
@@ -139,41 +160,27 @@ class NewtonBackwardSystem(_NewtonBase):
 
     name = "newton-backward"
 
-    def expand(self, i: int, y: Polynomial) -> Polynomial:
-        return y - y.shift(-1)
+    def basis(self, k: int) -> PowerSeries:
+        return rising_basis(k)
 
-    def reconstruct(self, i: int, c: Fraction, tail: Polynomial) -> Polynomial:
-        out = Polynomial.of(c)
-        stage = tail
-        k = 1
-        while not stage.is_zero():
-            out = out + rising_basis(k) * stage(Fraction(0))
-            stage = stage - stage.shift(-1)
-            k += 1
-        return out
+    def expand(self, i: int, y: PowerSeries) -> PowerSeries:
+        return y - y.shift(-1)
 
 
 class NewtonReflectedSystem(_NewtonBase):
     """Conjugate of the forward system under ``y(x) -> -y(-x)``, ``c -> -c``.
 
-    Its expansion step is ``p(x-1) - p(x)`` (the negated backward difference);
-    reconstruction is delegated to the forward system through the conjugation.
+    Its expansion step is ``p(x-1) - p(x)`` (the negated backward difference),
+    and its basis is the conjugated binomial basis ``(-1)^k x(x+1)..(x+k-1)/k!``.
     """
 
     name = "newton-reflected"
 
-    _forward = NewtonForwardSystem()
+    def basis(self, k: int) -> PowerSeries:
+        return rising_basis(k) * (-1) ** k
 
-    @staticmethod
-    def _conj(y: Polynomial) -> Polynomial:
-        return y.reflect()
-
-    def expand(self, i: int, y: Polynomial) -> Polynomial:
+    def expand(self, i: int, y: PowerSeries) -> PowerSeries:
         return y.shift(-1) - y
-
-    def reconstruct(self, i: int, c: Fraction, tail: Polynomial) -> Polynomial:
-        inner = self._forward.reconstruct(i, -c, self._conj(tail))
-        return self._conj(inner)
 
 
 class FourierSystem(ExpansionSystem):
@@ -227,66 +234,41 @@ class FourierSystem(ExpansionSystem):
         return tail + TrigPolynomial.of({-i: lo, i: hi})
 
 
-class NormTaylorSystem(ExpansionSystem):
+class NormTaylorSystem(TaylorSystem):
     """Taylor peel-off on polynomials restricted by a sup-norm bound.
 
     A polynomial belongs to the system iff every stage of its coefficient
     peel-off has sup-norm at most 1 on ``[0, 1]`` (the largest subset of that
     norm ball carried into itself by the expansion step).  Projection and
-    expansion look like the Taylor system's; reconstruction must *decide*
-    whether the rebuilt polynomial still satisfies the bound at every stage,
-    and returns ``None`` when it does not — the reference source of improper
-    convergents.
+    expansion are the Taylor system's at center 0; reconstruction must
+    *decide* whether the rebuilt polynomial still satisfies the bound at
+    every stage, and returns ``None`` when it does not — the reference source
+    of improper convergents.
     """
 
     name = "norm-taylor"
     kind = "polynomial"
-    coefficient_order_kind = ORDER_STANDARD
 
     bound = Fraction(1)
 
-    @staticmethod
-    def _stage_down(y: Polynomial) -> Polynomial:
-        return Polynomial(y.coeffs[1:])
-
-    def _member(self, y: Polynomial) -> bool:
+    def _member(self, y: PowerSeries) -> bool:
         stage = y
         while True:
             if not sup_norm_le(stage, self.bound):
                 return False
             if stage.is_zero():
                 return True
-            stage = self._stage_down(stage)
-
-    def neutral(self, i: int) -> Polynomial:
-        return Polynomial(())
+            stage = stage.shift_down()
 
     def validate(self, i: int, y: Any) -> None:
-        if not isinstance(y, Polynomial):
-            raise DomainError(f"expected Polynomial, got {type(y).__name__}")
+        _validate_polynomial(y)
         if not self._member(y):
             raise DomainError(
                 f"{y} has a peel-off stage with sup-norm above {self.bound} on [0, 1]"
             )
 
-    def project(self, i: int, y: Polynomial) -> Fraction:
-        return y.coefficient(0)
-
-    def expand(self, i: int, y: Polynomial) -> Polynomial:
-        return self._stage_down(y)
-
     def reconstruct(
-        self, i: int, c: Fraction, tail: Polynomial
-    ) -> Optional[Polynomial]:
-        candidate = Polynomial.of(c, *tail.coeffs)
-        if not self._member(candidate):
-            return None
-        return candidate
-
-
-def taylor_stages(y: Polynomial) -> List[Polynomial]:
-    """All coefficient peel-off stages of a polynomial, down to zero."""
-    out = [y]
-    while not out[-1].is_zero():
-        out.append(Polynomial(out[-1].coeffs[1:]))
-    return out
+        self, i: int, c: Fraction, tail: PowerSeries
+    ) -> Optional[PowerSeries]:
+        candidate = super().reconstruct(i, c, tail)
+        return candidate if self._member(candidate) else None

@@ -288,3 +288,20 @@ def test_repeated_invocations_are_byte_identical():
     second = run_cli("expand", "--system", "engel", "--input", "3/8", "--depth", "5")
     assert first == second
     assert first[0] == 0
+
+
+def test_exit_code_negative_depth():
+    code, out, err = run_cli(
+        "expand", "--system", "cf", "--input", "7/10", "--depth", "-1"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: DomainError:")
+
+
+def test_exit_code_deep_nesting():
+    text = "(" * 3000 + "7/10" + ")" * 3000
+    code, out, err = run_cli(
+        "expand", "--system", "cf", "--input", text, "--depth", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ParseError:")

@@ -128,3 +128,9 @@ def test_head_coincidence_on_decimal():
         y = Fraction(rng.randint(0, den - 1), den)
         for n in range(7):
             assert head_coincidence(dec, y, n)
+
+
+def test_coefficient_code_rejects_negative_depth():
+    with pytest.raises(DomainError):
+        coefficient_code(BaseSystem(10), Fraction(1, 2), -1)
+    assert coefficient_code(BaseSystem(10), Fraction(1, 2), 0) == []

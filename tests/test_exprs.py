@@ -206,3 +206,16 @@ def test_parse_path_rejects_bad_points():
     for text in ("", ";", "1;;2", "1;1,2,3", "a", "1,b"):
         with pytest.raises(ParseError):
             parse_path(text)
+
+
+def test_nesting_depth_is_bounded():
+    from expansions.exprs import MAX_NESTING
+
+    inner = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_expression(inner, "polynomial") == Polynomial.x()
+    assert parse_expression("-" * MAX_NESTING + "1/2", "real") == F(1, 2)
+    for text in ("(" + inner + ")", "-" * 3000 + "1", "sqrt(" * 3000 + "4"):
+        with pytest.raises(ParseError) as info:
+            parse_expression(text, "real")
+        # reported where the limit is crossed, not at the end of the input
+        assert info.value.position <= 5 * (MAX_NESTING + 1)
