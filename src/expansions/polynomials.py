@@ -26,13 +26,17 @@ _ONE = Fraction(1)
 Polynomial = PowerSeries
 
 
+def _require_centered(*ps: Polynomial) -> None:
+    # Root isolation and the norm bounds read coefficients as powers of x.
+    if any(p.center for p in ps):
+        raise DomainError("polynomial decisions need series centered at 0")
+
+
 # -- euclidean structure -------------------------------------------------
 
 
 def divmod_poly(a: Polynomial, b: Polynomial) -> Tuple[Polynomial, Polynomial]:
-    # Root isolation and the norm bounds read coefficients as powers of x.
-    if a.center or b.center:
-        raise DomainError("polynomial division needs series centered at 0")
+    _require_centered(a, b)
     if b.is_zero():
         raise DomainError("polynomial division by zero")
     db = b.degree
@@ -93,6 +97,7 @@ def isolate_roots_01(p: Polynomial) -> List[Tuple[Fraction, Fraction]]:
     degenerate interval ``(r, r)``; all other returned endpoints are
     non-roots.  Intervals are sorted and pairwise strictly separated.
     """
+    _require_centered(p)
     if p.degree < 1:
         return []
     chain = _sturm_chain(p)
@@ -166,6 +171,7 @@ def refine_root(
 
 def is_nonneg_on_01(q: Polynomial) -> bool:
     """Exact decision of ``q(x) >= 0`` for all ``x`` in ``[0, 1]``."""
+    _require_centered(q)
     if q.is_zero():
         return True
     if q(_ZERO) < 0 or q(_ONE) < 0:
@@ -182,6 +188,7 @@ def is_nonneg_on_01(q: Polynomial) -> bool:
 
 def sup_norm_le(p: Polynomial, bound: object) -> bool:
     """Exact decision of ``max |p|  <= bound`` on ``[0, 1]``."""
+    _require_centered(p)
     bound = Fraction(bound)
     if bound < 0:
         return False
@@ -191,6 +198,7 @@ def sup_norm_le(p: Polynomial, bound: object) -> bool:
 
 def sup_norm_enclosure(p: Polynomial, width: object = Fraction(1, 10**6)) -> Interval:
     """Enclosure of ``max |p|`` on ``[0, 1]`` of at most the given width."""
+    _require_centered(p)
     width = Fraction(width)
     if p.is_zero():
         return Interval.exact(0)

@@ -68,14 +68,6 @@ def _sample_polynomial(rng: random.Random) -> PowerSeries:
     return PowerSeries.of(*coeffs)
 
 
-def _sample_taylor_germ(rng: random.Random) -> PowerSeries:
-    degree = rng.randint(0, 8)
-    coeffs = [
-        Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree + 1)
-    ]
-    return PowerSeries.exact_poly(0, coeffs)
-
-
 def _sample_trig(rng: random.Random) -> TrigPolynomial:
     amplitudes: Dict[int, ComplexRational] = {}
     for _ in range(rng.randint(1, 5)):
@@ -163,7 +155,7 @@ _ENTRIES: List[RegistryEntry] = [
     ),
     RegistryEntry(
         "taylor", "series", "Taylor coefficients of a germ",
-        TaylorSystem, _sample_taylor_germ,
+        TaylorSystem, _sample_polynomial,
     ),
     RegistryEntry(
         "newton-forward", "polynomial", "forward-difference coefficients",

@@ -251,6 +251,9 @@ class NormTaylorSystem(TaylorSystem):
 
     bound = Fraction(1)
 
+    def __init__(self) -> None:
+        super().__init__()
+
     def _member(self, y: PowerSeries) -> bool:
         stage = y
         while True:
