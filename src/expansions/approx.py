@@ -179,10 +179,6 @@ class ApproximationSystem(ExpansionSystem):
         b = d.coefficient(0)
         return b, d - PowerSeries.constant(c.center, b)
 
-    def _unary(self, series: PowerSeries, exponent: Fraction) -> PowerSeries:
-        """Apply the nonlinearity direction given by ``exponent`` semantics."""
-        return series.power(exponent, self.config.order)
-
     # -- system maps ----------------------------------------------------------
 
     def project(self, i: int, y: PowerSeries) -> ASCoefficient:

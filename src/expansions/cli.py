@@ -84,20 +84,17 @@ def _get(args: argparse.Namespace, attr: str, default: Any) -> Any:
 
 
 def _parse_element(system: ExpansionSystem, text: str, args: argparse.Namespace) -> Any:
-    bits = int(_get(args, "bits", DEFAULT_BITS))
-    order = int(_get(args, "series_order", DEFAULT_SERIES_ORDER))
-    kind = system.kind
-    if kind == "real":
-        return parse_expression(text, "real", bits=bits)
-    if kind in ("series", "germ"):
-        if isinstance(system, ApproximationSystem):
-            center = system.config.center
-        else:
-            center = Fraction(getattr(system, "center", 0))
-        return parse_expression(text, "series", order=order, bits=bits, center=center)
-    if kind == "polynomial":
-        return parse_expression(text, "polynomial")
-    return parse_expression(text, "trig")
+    if isinstance(system, ApproximationSystem):
+        center = system.config.center
+    else:
+        center = Fraction(getattr(system, "center", 0))
+    return parse_expression(
+        text,
+        system.kind,
+        order=int(_get(args, "series_order", DEFAULT_SERIES_ORDER)),
+        bits=int(_get(args, "bits", DEFAULT_BITS)),
+        center=center,
+    )
 
 
 # -- subcommand handlers -----------------------------------------------------

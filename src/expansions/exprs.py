@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence
 
+from .approx import alpha_list
 from .certified import Interval, e_interval, pi_interval, sqrt_interval
 from .coefficients import CONE, ComplexRational
 from .errors import DomainError, ParseError, UnsupportedInContext
@@ -222,22 +223,13 @@ class _Env:
         return a / b
 
     def pow(self, a: Any, k: int) -> Any:
-        raise NotImplementedError
+        return a ** k
 
     def _parse_paren_arg(self, parser: _Parser, env: "_Env") -> Any:
         parser.expect_punct("(")
         value = parser.nested(parser.parse_expr, env)
         parser.expect_punct(")")
         return value
-
-
-def _sqrt_exact(value: Fraction) -> Optional[Fraction]:
-    if value < 0:
-        raise DomainError(f"sqrt of negative value {value}")
-    rn, rd = math.isqrt(value.numerator), math.isqrt(value.denominator)
-    if rn * rn == value.numerator and rd * rd == value.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 class _ScalarEnv(_Env):
@@ -266,16 +258,16 @@ class _ScalarEnv(_Env):
         if tok.text == "sqrt":
             arg = self._parse_paren_arg(parser, self)
             if isinstance(arg, Fraction):
-                exact = _sqrt_exact(arg)
-                if exact is not None:
-                    return exact
-                self._inexact(tok)
-                return sqrt_interval(arg, self.bits)
+                root = sqrt_interval(arg, self.bits)
+                if root.is_point():
+                    return root.lo
+            else:
+                root = Interval(
+                    sqrt_interval(arg.lo, self.bits).lo,
+                    sqrt_interval(arg.hi, self.bits).hi,
+                )
             self._inexact(tok)
-            return Interval(
-                sqrt_interval(arg.lo, self.bits).lo,
-                sqrt_interval(arg.hi, self.bits).hi,
-            )
+            return root
         raise ParseError(f"unknown name {tok.text!r}", tok.pos)
 
     def div(self, a: Any, b: Any) -> Any:
@@ -284,19 +276,18 @@ class _ScalarEnv(_Env):
         except ZeroDivisionError:
             raise DomainError("division by zero") from None
 
-    def pow(self, a: Any, k: int) -> Any:
-        if k >= 0:
-            return a ** k
-        if isinstance(a, Interval):
-            return (a ** (-k)).reciprocal()
-        return a ** k
-
 
 class _SeriesEnv(_Env):
-    def __init__(self, center: Fraction, order: int, bits: int = 256) -> None:
+    """Series about ``center``.
+
+    ``order`` bounds the knowledge of inexact results.  With ``order=None``
+    every value must stay an exact polynomial: only ``x``, numbers and ring
+    operations are accepted, and division only by nonzero constants.
+    """
+
+    def __init__(self, center: Fraction, order: Optional[int]) -> None:
         self.center = center
         self.order = order
-        self.bits = bits
 
     def number(self, value: Fraction) -> PowerSeries:
         return PowerSeries.constant(self.center, value)
@@ -319,15 +310,15 @@ class _SeriesEnv(_Env):
         text = tok.text
         if text == "x":
             return self._x()
+        if self.order is None:
+            raise ParseError(f"unknown name {tok.text!r}", tok.pos)
         if text in ("series", "poly"):
             coeffs = self._coeff_list(parser)
             if text == "poly":
                 return PowerSeries.exact_poly(self.center, coeffs)
             return PowerSeries.truncated(self.center, coeffs)
         if text == "pow":
-            exponent = self._parse_paren_arg(
-                parser, _ScalarEnv(self.bits, exact_only=True)
-            )
+            exponent = self._parse_paren_arg(parser, _ScalarEnv(exact_only=True))
             if not isinstance(exponent, Fraction):
                 raise ParseError("pow needs an exact rational exponent", tok.pos)
             return self._x().power(exponent, self.order)
@@ -351,7 +342,7 @@ class _SeriesEnv(_Env):
         raise ParseError(f"unknown name {tok.text!r}", tok.pos)
 
     def _coeff_list(self, parser: _Parser) -> List[Fraction]:
-        scalar = _ScalarEnv(self.bits, exact_only=True)
+        scalar = _ScalarEnv(exact_only=True)
         parser.expect_punct("(")
         coeffs = [parser.parse_expr(scalar)]
         while parser.at_punct(","):
@@ -366,6 +357,8 @@ class _SeriesEnv(_Env):
             if constant == 0:
                 raise DomainError("division by zero")
             return a.scale(1 / constant)
+        if self.order is None:
+            raise DomainError("polynomial division only by constants")
         return a.divide(b, self.order)
 
     def pow(self, a: PowerSeries, k: int) -> PowerSeries:
@@ -374,29 +367,20 @@ class _SeriesEnv(_Env):
             for _ in range(k):
                 acc = acc * a
             return acc
+        if self.order is None:
+            raise DomainError("negative powers are not polynomials")
         positive = self.pow(a, -k)
         return PowerSeries.constant(self.center, 1).divide(positive, self.order)
 
 
-def _fill_sin(coeffs: List[Fraction]) -> None:
-    for j in range(len(coeffs)):
-        if 2 * j + 1 >= len(coeffs):
-            break
-        coeffs[2 * j + 1] = Fraction((-1) ** j, math.factorial(2 * j + 1))
+def _fill_parity(start: int, sign: int) -> Callable[[List[Fraction]], None]:
+    """Filler of ``sum_j sign^j x^(2j+start) / (2j+start)!``: sin, cos, cosh."""
 
+    def fill(coeffs: List[Fraction]) -> None:
+        for k in range(start, len(coeffs), 2):
+            coeffs[k] = Fraction(sign ** (k // 2), math.factorial(k))
 
-def _fill_cos(coeffs: List[Fraction]) -> None:
-    for j in range(len(coeffs)):
-        if 2 * j >= len(coeffs):
-            break
-        coeffs[2 * j] = Fraction((-1) ** j, math.factorial(2 * j))
-
-
-def _fill_cosh(coeffs: List[Fraction]) -> None:
-    for j in range(len(coeffs)):
-        if 2 * j >= len(coeffs):
-            break
-        coeffs[2 * j] = Fraction(1, math.factorial(2 * j))
+    return fill
 
 
 def _fill_tan(coeffs: List[Fraction]) -> None:
@@ -410,33 +394,12 @@ def _fill_tan(coeffs: List[Fraction]) -> None:
         coeffs[k + 1] = (Fraction(1 if k == 0 else 0) + square) / (k + 1)
 
 
-_TABLES = {"sin": _fill_sin, "cos": _fill_cos, "cosh": _fill_cosh, "tan": _fill_tan}
-
-
-class _PolyEnv(_Env):
-    def number(self, value: Fraction) -> PowerSeries:
-        return PowerSeries.of(value)
-
-    def name(self, parser: _Parser, tok: Token) -> PowerSeries:
-        if tok.text == "x":
-            return PowerSeries.x()
-        raise ParseError(f"unknown name {tok.text!r}", tok.pos)
-
-    def div(self, a: PowerSeries, b: PowerSeries) -> PowerSeries:
-        if b.degree > 0:
-            raise DomainError("polynomial division only by constants")
-        constant = b.coefficient(0)
-        if constant == 0:
-            raise DomainError("division by zero")
-        return a * (1 / constant)
-
-    def pow(self, a: PowerSeries, k: int) -> PowerSeries:
-        if k < 0:
-            raise DomainError("negative powers are not polynomials")
-        acc = PowerSeries.of(1)
-        for _ in range(k):
-            acc = acc * a
-        return acc
+_TABLES = {
+    "sin": _fill_parity(1, -1),
+    "cos": _fill_parity(0, -1),
+    "cosh": _fill_parity(0, 1),
+    "tan": _fill_tan,
+}
 
 
 class _TrigEnv(_Env):
@@ -478,9 +441,6 @@ class _TrigEnv(_Env):
 
     def sub(self, a: Any, b: Any) -> Any:
         return self.add(a, self.neg(b))
-
-    def neg(self, a: Any) -> Any:
-        return -a
 
     def mul(self, a: Any, b: Any) -> Any:
         if isinstance(a, ComplexRational) and isinstance(b, ComplexRational):
@@ -545,24 +505,29 @@ def parse_expression(
 ) -> Any:
     """Parse ``text`` as an element of the given kind.
 
-    ``order`` bounds inexact series knowledge; ``bits`` sets certified-real
-    precision; ``center`` is the series base point unless the expression
-    carries an ``at c`` suffix.
+    ``order`` bounds inexact series knowledge; ``bits`` sets the precision of
+    certified reals, which only the ``real`` context produces; ``center`` is
+    the series base point unless the expression carries an ``at c`` suffix.
+    The ``polynomial`` context parses exact series at center 0 and uses none
+    of the three.
     """
     if context not in CONTEXTS:
         raise DomainError(f"unknown parse context {context!r}")
     tokens = tokenize(text)
-    if context in ("series", "germ"):
-        head, tail = _split_at_clause(tokens)
-        if tail is not None:
-            at_value = _Parser(tail).parse_full(_ScalarEnv(bits, exact_only=True))
-            center = Fraction(at_value)
-        return _Parser(head).parse_full(_SeriesEnv(center, order, bits))
+    env: _Env
     if context == "real":
-        return _Parser(tokens).parse_full(_ScalarEnv(bits))
-    if context == "polynomial":
-        return _Parser(tokens).parse_full(_PolyEnv())
-    return _Parser(tokens).parse_full(_TrigEnv())
+        env = _ScalarEnv(bits)
+    elif context == "polynomial":
+        env = _SeriesEnv(Fraction(0), order=None)
+    elif context == "trig":
+        env = _TrigEnv()
+    else:
+        tokens, tail = _split_at_clause(tokens)
+        if tail is not None:
+            at_value = _Parser(tail).parse_full(_ScalarEnv(exact_only=True))
+            center = Fraction(at_value)
+        env = _SeriesEnv(center, order)
+    return _Parser(tokens).parse_full(env)
 
 
 def parse_scalar(text: str, bits: int = 256) -> Any:
@@ -583,45 +548,25 @@ def parse_alpha_schedule(text: str) -> Callable[[int], Fraction]:
 
         schedule(0)  # validate eagerly so bad schedules fail at parse time
         return schedule
-    parts = text.split(",")
     env = _ScalarEnv(exact_only=True)
-    values = [Fraction(_Parser(tokenize(p)).parse_full(env)) for p in parts]
-    if not values:
-        raise ParseError("empty alpha schedule", 0)
-
-    def listed(index: int) -> Fraction:
-        return values[index] if index < len(values) else values[-1]
-
-    return listed
+    values = [_Parser(tokenize(part)).parse_full(env) for part in text.split(",")]
+    return alpha_list(values)
 
 
 def parse_path(text: str) -> List[complex]:
     """Parse a path: ``;``-separated points, each ``re`` or ``re,im``; a
     string without ``;`` is a comma list of real points."""
+    pairs = ";" in text
     points: List[complex] = []
-    if ";" in text:
-        offset = 0
-        for group in text.split(";"):
-            parts = group.split(",")
-            if len(parts) not in (1, 2) or not group.strip():
-                raise ParseError("path points are 're' or 're,im'", offset)
-            try:
-                re = float(parts[0])
-                im = float(parts[1]) if len(parts) == 2 else 0.0
-            except ValueError:
-                raise ParseError(f"bad path point {group.strip()!r}", offset)
-            points.append(complex(re, im))
-            offset += len(group) + 1
-    else:
-        offset = 0
-        for part in text.split(","):
-            if not part.strip():
-                raise ParseError("empty path point", offset)
-            try:
-                points.append(complex(float(part), 0.0))
-            except ValueError:
-                raise ParseError(f"bad path point {part.strip()!r}", offset)
-            offset += len(part) + 1
-    if len(points) < 1:
-        raise ParseError("empty path", 0)
+    offset = 0
+    for group in text.split(";" if pairs else ","):
+        parts = group.split(",") if pairs else [group]
+        if not group.strip() or len(parts) > 2:
+            message = "path points are 're' or 're,im'" if pairs else "empty path point"
+            raise ParseError(message, offset)
+        try:
+            points.append(complex(*(float(part) for part in parts)))
+        except ValueError:
+            raise ParseError(f"bad path point {group.strip()!r}", offset)
+        offset += len(group) + 1
     return points

@@ -24,7 +24,7 @@ from .approx import ApproximationSystem
 from .coefficients import INF, is_infinite
 from .core import ConvergentTrace, ExpansionSystem, convergent, trajectory
 from .errors import DomainError, UnsupportedInContext
-from .realsys import BaseSystem, ContinuedFractionSystem, certainly_zero, rfloor, _zero_like
+from .realsys import BaseSystem, ContinuedFractionSystem, certainly_zero, rfloor
 from .seriessys import NewtonForwardSystem, NewtonReflectedSystem
 
 LevelMap = Callable[[int, Any], Any]

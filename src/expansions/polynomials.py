@@ -51,7 +51,11 @@ def divmod_poly(a: Polynomial, b: Polynomial) -> Tuple[Polynomial, Polynomial]:
             rem[k + j] -= factor * bc
         while rem and rem[-1] == 0:
             rem.pop()
-    return Polynomial.of(*q), Polynomial.of(*rem)
+    # Both lists hold Fractions without trailing zeros already: the top
+    # quotient entry is a's leading coefficient over lead, and rem is stripped
+    # after every step.
+    quotient = Polynomial(_ZERO, tuple(q), exact=True)
+    return quotient, Polynomial(_ZERO, tuple(rem), exact=True)
 
 
 def gcd_poly(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -54,14 +54,15 @@ def rceil(value: Real) -> int:
     return value.ceil() if isinstance(value, Interval) else math.ceil(value)
 
 
-def _overlap(a: Real, b: Real) -> bool:
-    ia = a if isinstance(a, Interval) else Interval.exact(a)
-    ib = b if isinstance(b, Interval) else Interval.exact(b)
-    return ia.lo <= ib.hi and ib.lo <= ia.hi
-
-
 class _UnitIntervalSystem(ExpansionSystem):
-    """Shared behaviour of systems whose every level is ``[0, 1)``."""
+    """Shared behaviour of systems whose every level is ``[0, 1)``.
+
+    ``expand`` and ``reconstruct`` here carry the neutral branch of the
+    reciprocal systems (cf, Egyptian, Engel): 0 expands to itself and is the
+    only preimage of ``(INF, 0)``.  Those systems supply the rest as
+    ``_expand_nonzero(y, 1/y)`` and ``_reconstruct_finite(c, tail)``; the
+    base and f-expansion systems override both maps.
+    """
 
     kind = "real"
 
@@ -83,10 +84,19 @@ class _UnitIntervalSystem(ExpansionSystem):
         return certainly_zero(y)
 
     def elements_equal(self, i: int, a: Any, b: Any) -> bool:
-        if isinstance(a, Interval) or isinstance(b, Interval):
-            # Enclosures cannot certify equality; report non-separation.
-            return _overlap(a, b)
-        return a == b
+        """Certified equality: enclosures decide it only as equal points or
+        as disjoint sets, and raise ``PrecisionExhausted`` otherwise."""
+        return certainly_zero(a - b)
+
+    def expand(self, i: int, y: Any) -> Any:
+        if certainly_zero(y):
+            return _zero_like(y)
+        return self._expand_nonzero(y, 1 / y)
+
+    def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
+        if c is INF:
+            return _zero_like(tail) if certainly_zero(tail) else None
+        return self._reconstruct_finite(c, tail)
 
 
 class BaseSystem(_UnitIntervalSystem):
@@ -162,17 +172,10 @@ class ContinuedFractionSystem(_UnitIntervalSystem):
             return INF
         return rfloor(1 / y)
 
-    def expand(self, i: int, y: Any) -> Any:
-        if certainly_zero(y):
-            return _zero_like(y)
-        q = 1 / y
-        return q - rfloor(q)
+    def _expand_nonzero(self, y: Any, reciprocal: Any) -> Any:
+        return reciprocal - rfloor(reciprocal)
 
-    def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
-        if c is INF:
-            if certainly_zero(tail):
-                return _zero_like(tail)
-            return None
+    def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
         if not isinstance(c, int) or c < 1:
             raise DomainError(f"coefficient {c!r} is not a partial quotient")
         if c == 1 and certainly_zero(tail):
@@ -207,16 +210,10 @@ class EgyptianSystem(_ReciprocalCeilingSystem):
 
     name = "egyptian"
 
-    def expand(self, i: int, y: Any) -> Any:
-        if certainly_zero(y):
-            return _zero_like(y)
-        return y - Fraction(1, rceil(1 / y))
+    def _expand_nonzero(self, y: Any, reciprocal: Any) -> Any:
+        return y - Fraction(1, rceil(reciprocal))
 
-    def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
-        if c is INF:
-            if certainly_zero(tail):
-                return _zero_like(tail)
-            return None
+    def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
         self._check_coeff(c)
         # ceil(1/y) == c exactly when 1/c <= y < 1/(c-1), i.e. the remainder
         # lies below 1/(c(c-1)).
@@ -232,16 +229,10 @@ class EngelSystem(_ReciprocalCeilingSystem):
 
     name = "engel"
 
-    def expand(self, i: int, y: Any) -> Any:
-        if certainly_zero(y):
-            return _zero_like(y)
-        return y * rceil(1 / y) - 1
+    def _expand_nonzero(self, y: Any, reciprocal: Any) -> Any:
+        return y * rceil(reciprocal) - 1
 
-    def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
-        if c is INF:
-            if certainly_zero(tail):
-                return _zero_like(tail)
-            return None
+    def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
         self._check_coeff(c)
         # 1/c <= (1 + tail)/c < 1/(c-1) exactly when tail < 1/(c-1).
         if not certified_lt(tail, Fraction(1, c - 1)):

@@ -241,9 +241,9 @@ class NormTaylorSystem(TaylorSystem):
     peel-off has sup-norm at most 1 on ``[0, 1]`` (the largest subset of that
     norm ball carried into itself by the expansion step).  Projection and
     expansion are the Taylor system's at center 0; reconstruction must
-    *decide* whether the rebuilt polynomial still satisfies the bound at
-    every stage, and returns ``None`` when it does not — the reference source
-    of improper convergents.
+    *decide* whether the rebuilt polynomial still satisfies the bound, and
+    returns ``None`` when it does not — the reference source of improper
+    convergents.
     """
 
     name = "norm-taylor"
@@ -273,5 +273,11 @@ class NormTaylorSystem(TaylorSystem):
     def reconstruct(
         self, i: int, c: Fraction, tail: PowerSeries
     ) -> Optional[PowerSeries]:
+        """``c + x * tail`` when its sup-norm is within the bound, else ``None``.
+
+        ``tail`` is a level-``i + 1`` element, hence a member: every later
+        stage of the candidate is a stage of ``tail`` and already within the
+        bound, so only the candidate itself is decided.
+        """
         candidate = super().reconstruct(i, c, tail)
-        return candidate if self._member(candidate) else None
+        return candidate if sup_norm_le(candidate, self.bound) else None

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import expansions.seriessys as seriessys
 from expansions import (
     DomainError,
     NormTaylorSystem,
@@ -76,3 +77,20 @@ def test_membership_validation() -> None:
     with pytest.raises(DomainError):
         trajectory(NormTaylorSystem(), Polynomial.of(F(1, 2), 1), 1)
     trajectory(NormTaylorSystem(), Polynomial.of(F(1, 2), F(1, 2)), 1)
+
+
+def test_reconstruct_decides_only_the_new_stage(monkeypatch) -> None:
+    # Validation walks the 10 nonzero stages of the degree-9 input and its
+    # zero stage; each of the 9 backward steps then decides one new stage.
+    decide = seriessys.sup_norm_le
+    calls = []
+
+    def counted(p, bound):
+        calls.append(p)
+        return decide(p, bound)
+
+    monkeypatch.setattr(seriessys, "sup_norm_le", counted)
+    y = Polynomial.of(*[F((-1) ** k, 10) for k in range(10)])
+    trace = convergent(NormTaylorSystem(), y, 9)
+    assert trace.proper
+    assert len(calls) == 20

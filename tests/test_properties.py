@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 import expansions
 from expansions import (
     DomainError,
+    Interval,
     Polynomial,
     PowerSeries,
     TruncationInconclusive,
     build_system,
     head_coincidence,
     isolate_roots_01,
+    parse_expression,
     roundtrip_check,
     sample_element,
     sup_norm_le,
@@ -109,3 +111,48 @@ def test_polynomial_systems_reject_non_polynomials(system_id, cs):
     for y in (PowerSeries.truncated(0, cs), PowerSeries.exact_poly(Fraction(1, 2), cs)):
         with pytest.raises(DomainError):
             trajectory(system, y, 1)
+
+
+REAL_SYSTEMS = ("base10", "base10-shuffled", "cf", "egyptian", "engel")
+
+
+@bounded
+@given(st.sampled_from(REAL_SYSTEMS + ("fourier",)), st.integers(0, 2**32 - 1))
+def test_registry_samples_roundtrip_reals_and_trig(system_id, seed):
+    system = build_system(system_id)
+    y = sample_element(system_id, random.Random(seed))
+    assert roundtrip_check(system, y, 8)
+    assert head_coincidence(system, y, 8)
+    if system_id in REAL_SYSTEMS:
+        assert roundtrip_check(system, Interval.exact(y), 8)
+
+
+@bounded
+@given(st.integers(0, 2**32 - 1), st.fractions(min_value=-2, max_value=2, max_denominator=4))
+def test_norm_taylor_reconstruct_keeps_membership(seed, c):
+    # The tail is a member, so deciding the new stage alone decides the walk.
+    system = NormTaylorSystem()
+    tail = sample_element("norm-taylor", random.Random(seed))
+    assert system._member(tail)
+    rebuilt = system.reconstruct(0, c, tail)
+    assert (rebuilt is not None) == system._member(tail.shift_up(c))
+    if rebuilt is not None:
+        assert system._member(rebuilt)
+
+
+@bounded
+@given(coeff_lists)
+def test_polynomial_text_parses_to_its_coefficients(cs):
+    text = " + ".join(f"({c})*x^{k}" for k, c in enumerate(cs)) or "0"
+    p = parse_expression(text, "polynomial")
+    assert p == Polynomial.of(*cs) and p.exact
+    assert parse_expression(text, "series") == p
+
+
+@bounded
+@given(rationals.filter(bool), st.integers(1, 6))
+def test_negative_power_is_reciprocal_power(a, k):
+    for base, kind in ((f"({a})", Fraction), (f"(sqrt(2)*({a}))", Interval)):
+        value = parse_expression(f"{base}^-{k}", "real")
+        assert isinstance(value, kind)
+        assert value == parse_expression(f"1/{base}^{k}", "real")

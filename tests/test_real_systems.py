@@ -14,13 +14,16 @@ from expansions import (
     EgyptianSystem,
     EngelSystem,
     Interval,
+    PrecisionExhausted,
     base_f_expansion,
     coefficient_code,
     convergent,
     magnitude_prefix,
     order_of,
+    parse_expression,
     pi_interval,
     reciprocal_f_expansion,
+    roundtrip_check,
     trajectory,
 )
 
@@ -260,3 +263,18 @@ def test_codes_identify_values() -> None:
     assert ca == cb == [1, 2]
     assert all(sysm.coefficients_equal(i, x, y) for i, (x, y) in enumerate(zip(ca, cb)))
     assert convergent(sysm, a, 2).value == convergent(sysm, b, 2).value
+
+
+def test_interval_equality_is_certified_or_undecided() -> None:
+    # Overlapping enclosures certify neither equality nor difference, so a
+    # round trip of an irrational input cannot pass on overlap alone.
+    cf = ContinuedFractionSystem()
+    root = parse_expression("sqrt(2)-1", "real", bits=256)
+    with pytest.raises(PrecisionExhausted):
+        roundtrip_check(cf, root, 5)
+    with pytest.raises(PrecisionExhausted):
+        cf.elements_equal(0, root, root)
+    assert not cf.elements_equal(0, root, F(1, 2))
+    assert cf.elements_equal(0, Interval(F(1, 3), F(1, 3)), F(1, 3))
+    for y in (F(7, 10), Interval(F(7, 10), F(7, 10))):
+        assert roundtrip_check(cf, y, 5)
