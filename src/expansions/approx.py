@@ -67,7 +67,10 @@ class ASConfig:
         alphas: exponent schedule, required for the power nonlinearity;
             every ``alphas(i)`` must be nonzero.
         center: expansion point of the germs.
-        order: truncation order used when a kernel needs one.
+        order: known order of every ``power``/``log``/``exp`` result (the
+            kernels cap it at the input's own known order).  A result
+            computes a coefficient only when it is read, so a larger order
+            costs nothing until someone reads that deep.
     """
 
     transform: str

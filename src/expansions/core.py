@@ -16,7 +16,7 @@ convergent is improper at level ``i``.  Improperness is reported as data
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, UnsupportedInContext
 
@@ -64,6 +64,11 @@ class ExpansionSystem:
     def reconstruct(self, i: int, c: Any, tail: Any) -> Optional[Any]:
         """Inverse of ``y -> (project, expand)`` where defined, else ``None``."""
         raise NotImplementedError
+
+    def step(self, i: int, y: Any) -> Tuple[Any, Any]:
+        """``(project(i, y), expand(i, y))``; a system whose two maps share
+        work overrides this to do it once."""
+        return self.project(i, y), self.expand(i, y)
 
     # -- comparisons -------------------------------------------------------
 
@@ -152,8 +157,15 @@ def coefficient_code(system: ExpansionSystem, y: Any, n: int) -> List[Any]:
     """First ``n`` coefficients ``[c_0, ..., c_{n-1}]`` of ``y``."""
     if n < 0:
         raise DomainError(f"negative depth {n}")
-    stages = trajectory(system, y, max(n - 1, 0)) if n > 0 else []
-    return [system.project(i, stages[i]) for i in range(n)]
+    if n == 0:
+        return []
+    system.validate(0, y)
+    code = []
+    for i in range(n - 1):
+        c, y = system.step(i, y)
+        code.append(c)
+    code.append(system.project(n - 1, y))
+    return code
 
 
 def convergent_from_code(

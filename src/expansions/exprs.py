@@ -527,7 +527,12 @@ def parse_expression(
             at_value = _Parser(tail).parse_full(_ScalarEnv(exact_only=True))
             center = Fraction(at_value)
         env = _SeriesEnv(center, order)
-    return _Parser(tokens).parse_full(env)
+    value = _Parser(tokens).parse_full(env)
+    if isinstance(value, PowerSeries) and not value.exact:
+        # computed in full here, so no parse work is deferred into (and then
+        # memoised across) the operations that read the input
+        value = PowerSeries.truncated(value.center, value.coeffs)
+    return value
 
 
 def parse_scalar(text: str, bits: int = 256) -> Any:

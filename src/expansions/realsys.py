@@ -55,14 +55,7 @@ def rceil(value: Real) -> int:
 
 
 class _UnitIntervalSystem(ExpansionSystem):
-    """Shared behaviour of systems whose every level is ``[0, 1)``.
-
-    ``expand`` and ``reconstruct`` here carry the neutral branch of the
-    reciprocal systems (cf, Egyptian, Engel): 0 expands to itself and is the
-    only preimage of ``(INF, 0)``.  Those systems supply the rest as
-    ``_expand_nonzero(y, 1/y)`` and ``_reconstruct_finite(c, tail)``; the
-    base and f-expansion systems override both maps.
-    """
+    """Shared behaviour of systems whose every level is ``[0, 1)``."""
 
     kind = "real"
 
@@ -88,10 +81,31 @@ class _UnitIntervalSystem(ExpansionSystem):
         as disjoint sets, and raise ``PrecisionExhausted`` otherwise."""
         return certainly_zero(a - b)
 
-    def expand(self, i: int, y: Any) -> Any:
+
+class _ReciprocalSystem(_UnitIntervalSystem):
+    """The systems driven by ``1/y`` (cf, Egyptian, Engel).
+
+    The neutral branch lives here: 0 projects to ``INF``, expands to itself
+    and is the only preimage of ``(INF, 0)``.  A subclass supplies the
+    quotient ``_quotient(1/y)`` (a certified floor or ceiling), the remainder
+    ``_remainder(y, 1/y, q)`` and ``_reconstruct_finite(c, tail)``; ``step``
+    computes the reciprocal and the quotient once for both.
+    """
+
+    def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
         if certainly_zero(y):
-            return _zero_like(y)
-        return self._expand_nonzero(y, 1 / y)
+            return INF, _zero_like(y)
+        reciprocal = 1 / y
+        q = self._quotient(reciprocal)
+        return q, self._remainder(y, reciprocal, q)
+
+    def project(self, i: int, y: Any) -> ExtendedInt:
+        if certainly_zero(y):
+            return INF
+        return self._quotient(1 / y)
+
+    def expand(self, i: int, y: Any) -> Any:
+        return self.step(i, y)[1]
 
     def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
         if c is INF:
@@ -155,7 +169,7 @@ class BaseSystem(_UnitIntervalSystem):
         return (d + tail) / self.base
 
 
-class ContinuedFractionSystem(_UnitIntervalSystem):
+class ContinuedFractionSystem(_ReciprocalSystem):
     """Regular continued fractions on ``[0, 1)``.
 
     Coefficients are the partial quotients ``floor(1/y) >= 1``, with ``INF``
@@ -167,13 +181,10 @@ class ContinuedFractionSystem(_UnitIntervalSystem):
     name = "cf"
     coefficient_order_kind = ORDER_STANDARD
 
-    def project(self, i: int, y: Any) -> ExtendedInt:
-        if certainly_zero(y):
-            return INF
-        return rfloor(1 / y)
+    _quotient = staticmethod(rfloor)
 
-    def _expand_nonzero(self, y: Any, reciprocal: Any) -> Any:
-        return reciprocal - rfloor(reciprocal)
+    def _remainder(self, y: Any, reciprocal: Any, q: int) -> Any:
+        return reciprocal - q
 
     def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
         if not isinstance(c, int) or c < 1:
@@ -183,7 +194,7 @@ class ContinuedFractionSystem(_UnitIntervalSystem):
         return 1 / (c + tail)
 
 
-class _ReciprocalCeilingSystem(_UnitIntervalSystem):
+class _ReciprocalCeilingSystem(_ReciprocalSystem):
     """Shared coefficient map of the unit-fraction systems.
 
     Both emit ``ceil(1/y)`` (which is >= 2 on ``(0, 1)``) and ``INF`` at the
@@ -193,11 +204,7 @@ class _ReciprocalCeilingSystem(_UnitIntervalSystem):
     """
 
     coefficient_order_kind = ORDER_REVERSED
-
-    def project(self, i: int, y: Any) -> ExtendedInt:
-        if certainly_zero(y):
-            return INF
-        return rceil(1 / y)
+    _quotient = staticmethod(rceil)
 
     def _check_coeff(self, c: ExtendedInt) -> None:
         if not isinstance(c, int) or c < 2:
@@ -210,8 +217,8 @@ class EgyptianSystem(_ReciprocalCeilingSystem):
 
     name = "egyptian"
 
-    def _expand_nonzero(self, y: Any, reciprocal: Any) -> Any:
-        return y - Fraction(1, rceil(reciprocal))
+    def _remainder(self, y: Any, reciprocal: Any, q: int) -> Any:
+        return y - Fraction(1, q)
 
     def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
         self._check_coeff(c)
@@ -229,8 +236,8 @@ class EngelSystem(_ReciprocalCeilingSystem):
 
     name = "engel"
 
-    def _expand_nonzero(self, y: Any, reciprocal: Any) -> Any:
-        return y * rceil(reciprocal) - 1
+    def _remainder(self, y: Any, reciprocal: Any, q: int) -> Any:
+        return y * q - 1
 
     def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
         self._check_coeff(c)

@@ -1,76 +1,159 @@
 """Power series with exact rational coefficients and truncation tracking.
 
-A :class:`PowerSeries` is a germ at a rational center: a tuple of coefficients
-in powers of ``(x - center)`` plus an ``exact`` flag.  An exact series *is*
-the polynomial its coefficients spell (everything beyond them is zero, and
-trailing zeros are stripped); an inexact series is knowledge of a function up
-to its stored order only, so operations shrink the known order rather than
-invent coefficients, and questions beyond it raise
+A :class:`PowerSeries` is a germ at a rational center: a sequence of
+coefficients in powers of ``(x - center)`` plus an ``exact`` flag.  An exact
+series *is* the polynomial its coefficients spell (everything beyond them is
+zero, and trailing zeros are stripped); an inexact series is knowledge of a
+function up to its stored order only, so operations shrink the known order
+rather than invent coefficients, and questions beyond it raise
 :class:`~expansions.errors.TruncationInconclusive`.
 
 Exact polynomials are exact series: ``PowerSeries.of(1, 0, -2)`` is
 ``1 - 2x^2`` at center 0, and the polynomial-only operations (``degree``,
 evaluation, the Taylor ``shift``) refuse a truncated series.
 
-The analytic kernels (``power``, ``log``, ``exp``) are coefficient recurrences
-driven by the derivative identities; each takes an explicit output order when
-the input is exact, because their results are in general not polynomial.
+An exact series stores a tuple.  A truncated result of the analytic kernels
+and of the linear operations (``+``, ``-``, ``scale``, the shifts,
+``differentiate``, ``integrate``) stores a lazy stream instead, in the manner
+of McIlroy's "Power series, power serious": its length, the known order plus
+one, is fixed when it is built, and each coefficient is computed on its first
+read and kept.  Every check that can fail runs when the series is built, so a
+coefficient read never raises.
+
+The analytic kernels (``power``, ``log``, ``exp``) are online coefficient
+recurrences driven by the derivative identities: coefficient ``m`` of the
+result reads only coefficients ``0..m`` of the input.  Each takes an explicit
+output order when the input is exact, because their results are in general
+not polynomial.
 """
 
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence
 
 from .errors import DomainError, TruncationInconclusive
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+#: A stream whose chain of partly read streams reaches this many links is
+#: computed in full before another stream is built on it.  A read recurses
+#: through two interpreter frames per link, so this keeps every read well
+#: inside the default recursion limit.
+MAX_LINKS = 160
 
-def _lcm_denominators(coeffs: Sequence[Fraction]) -> int:
-    return math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+
+class _Stream(abc.Sequence):
+    """Coefficients of a truncated series, computed in order on first read
+    and kept.
+
+    ``links`` is the length of the chain of streams a read may have to walk
+    (0 once every coefficient is known).
+    """
+
+    __slots__ = ("_memo", "_gen", "_len", "links")
+
+    def __init__(self, length: int, gen: Iterator[Fraction], links: int) -> None:
+        self._memo: List[Fraction] = []
+        self._gen: Optional[Iterator[Fraction]] = gen
+        self._len = length
+        self.links = links
+
+    @property
+    def computed(self) -> int:
+        """Number of coefficients computed so far."""
+        return len(self._memo)
+
+    def force(self) -> None:
+        """Compute every coefficient."""
+        if self._gen is not None:
+            self[self._len - 1]
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: Any) -> Any:
+        if isinstance(k, slice):
+            return tuple(self[j] for j in range(*k.indices(self._len)))
+        if k < 0:
+            k += self._len
+        memo = self._memo
+        if not k < len(memo):
+            if not 0 <= k < self._len:
+                raise IndexError("coefficient index out of range")
+            gen = self._gen
+            while len(memo) <= k:
+                memo.append(next(gen))
+            if len(memo) == self._len:
+                self._gen = None
+                self.links = 0
+        return memo[k]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _Stream)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class _Row:
-    """Rational sequence kept as reduced integer pairs plus cached cofactors
-    against the running denominator lcm.
+    """Rational sequence kept as integers over its running denominator lcm
+    (``ints[j] = value_j * lcm``).
 
     The analytic kernels accumulate their recurrence rows over this common
-    denominator, which costs two gcds per output coefficient instead of one
-    per inner-loop addition.
+    denominator, which costs one gcd per coefficient instead of one per
+    inner-loop addition.
     """
 
-    __slots__ = ("num", "den", "cof", "lcm")
+    __slots__ = ("ints", "lcm")
 
     def __init__(self, seed: int) -> None:
-        self.num = [seed]
-        self.den = [1]
-        self.cof = [1]  # cof[j] = lcm // den[j]
+        self.ints = [seed]
         self.lcm = 1
 
-    def push(self, numerator: int, denominator: int) -> Fraction:
-        g = math.gcd(numerator, denominator)
-        n_, d_ = numerator // g, denominator // g
-        self.num.append(n_)
-        self.den.append(d_)
-        if d_ != 1:
-            factor = d_ // math.gcd(self.lcm, d_)
-            if factor != 1:
-                self.lcm *= factor
-                self.cof = [c * factor for c in self.cof]
-        self.cof.append(self.lcm // d_)
-        return Fraction(n_, d_)
+    def push(self, value: Fraction) -> Fraction:
+        d = value.denominator
+        if self.lcm % d:
+            factor = d // math.gcd(self.lcm, d)
+            self.lcm *= factor
+            self.ints = [c * factor for c in self.ints]
+        self.ints.append(value.numerator * (self.lcm // d))
+        return value
+
+
+def _recurrence(
+    h: Sequence[Fraction], n: int, seed: int,
+    step: Callable[[int, _Row, _Row], Fraction],
+) -> Iterator[Fraction]:
+    """Online kernel: coefficients ``0..n`` of a series defined from ``h`` by
+    ``out_m = step(m, input row, output row)``, with ``h_m`` pushed onto the
+    input row (seeded with 0, since no kernel reads ``h_0``) just before."""
+    inp, row = _Row(0), _Row(seed)
+    yield Fraction(seed)
+    for m in range(1, n + 1):
+        inp.push(h[m])
+        yield row.push(step(m, inp, row))
 
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Series ``sum coeffs[k] * (x - center)**k``, exact or truncated."""
+    """Series ``sum coeffs[k] * (x - center)**k``, exact or truncated.
+
+    ``coeffs`` is a tuple on an exact series and a tuple or a lazy stream on
+    a truncated one (see the module docs).
+    """
 
     center: Fraction
-    coeffs: Tuple[Fraction, ...]
+    coeffs: Sequence[Fraction]
     exact: bool
 
     def __post_init__(self) -> None:
@@ -175,8 +258,13 @@ class PowerSeries:
                 f"series centers differ: {self.center} vs {other.center}"
             )
 
-    def _pad(self, n: int) -> List[Fraction]:
-        return list(self.coeffs) + [_ZERO] * max(0, n - len(self.coeffs))
+    def _pad(self, n: int) -> Sequence[Fraction]:
+        """At least the first ``n`` coefficients, padded with zeros; stored
+        coefficients that reach ``n`` come back as they are, unread."""
+        cs = self.coeffs
+        if len(cs) >= n:
+            return cs
+        return list(cs) + [_ZERO] * (n - len(cs))
 
     @staticmethod
     def _merge_known(
@@ -189,39 +277,59 @@ class PowerSeries:
             return ka
         return min(ka, kb)
 
-    def _rebuild(self, coeffs: List[Fraction], known: Optional[int]) -> "PowerSeries":
-        if known is None:
-            return PowerSeries._stripped(self.center, coeffs)
-        return PowerSeries.truncated(self.center, coeffs[: known + 1] + [_ZERO] * max(0, known + 1 - len(coeffs)))
+    def _stream(
+        self, length: int, gen: Iterator[Fraction], *sources: "PowerSeries"
+    ) -> "PowerSeries":
+        """Truncated series of ``length`` coefficients drawn from ``gen``,
+        which reads ``sources``; a source whose chain is ``MAX_LINKS`` long is
+        computed in full first."""
+        links = 0
+        for src in sources:
+            cs = src.coeffs
+            if isinstance(cs, _Stream) and cs.links:
+                if cs.links >= MAX_LINKS:
+                    cs.force()
+                else:
+                    links = max(links, cs.links)
+        return PowerSeries(self.center, _Stream(length, gen, links + 1), exact=False)
 
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         self._require_same_center(other)
+        known = self._merge_known(self, other)
         a, b = self.coeffs, other.coeffs
-        out = [x + y for x, y in zip(a, b)]
-        out.extend(a[len(b):] or b[len(a):])
-        return self._rebuild(out, self._merge_known(self, other))
+        if known is None:
+            out = [x + y for x, y in zip(a, b)]
+            out.extend(a[len(b):] or b[len(a):])
+            return PowerSeries._stripped(self.center, out)
+        n = known + 1
+        a, b = self._pad(n), other._pad(n)
+        return self._stream(n, (a[k] + b[k] for k in range(n)), self, other)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         self._require_same_center(other)
+        known = self._merge_known(self, other)
         a, b = self.coeffs, other.coeffs
-        out = [x - y for x, y in zip(a, b)]
-        out.extend(a[len(b):] or [-y for y in b[len(a):]])
-        return self._rebuild(out, self._merge_known(self, other))
+        if known is None:
+            out = [x - y for x, y in zip(a, b)]
+            out.extend(a[len(b):] or [-y for y in b[len(a):]])
+            return PowerSeries._stripped(self.center, out)
+        n = known + 1
+        a, b = self._pad(n), other._pad(n)
+        return self._stream(n, (a[k] - b[k] for k in range(n)), self, other)
 
     def __neg__(self) -> "PowerSeries":
         return PowerSeries(self.center, tuple(-c for c in self.coeffs), self.exact)
 
     def scale(self, factor: object) -> "PowerSeries":
         factor = Fraction(factor)
-        if factor == 0:
-            if self.exact:
+        cs = self.coeffs
+        if self.exact:
+            if factor == 0:
                 return PowerSeries.zero(self.center)
-            return PowerSeries.truncated(self.center, [_ZERO] * len(self.coeffs))
-        return PowerSeries(
-            self.center, tuple(factor * c for c in self.coeffs), self.exact
-        )
+            return PowerSeries(self.center, tuple(factor * c for c in cs), exact=True)
+        return self._stream(len(cs), (factor * cs[k] for k in range(len(cs))), self)
 
     def __mul__(self, other: object) -> "PowerSeries":
         if isinstance(other, (int, Fraction)):
@@ -244,7 +352,9 @@ class PowerSeries:
                 if i + j >= size:
                     break
                 out[i + j] += a * b
-        return self._rebuild(out, known)
+        if known is None:
+            return PowerSeries._stripped(self.center, out)
+        return PowerSeries(self.center, tuple(out), exact=False)
 
     __rmul__ = __mul__
 
@@ -260,40 +370,47 @@ class PowerSeries:
 
     def shift_down(self) -> "PowerSeries":
         """Drop the constant term and divide by ``(x - center)``."""
+        cs = self.coeffs
         if self.exact:
-            return PowerSeries(self.center, self.coeffs[1:], exact=True)
-        if len(self.coeffs) == 1:
+            return PowerSeries(self.center, cs[1:], exact=True)
+        if len(cs) == 1:
             raise TruncationInconclusive(
                 "shifting down an order-0 germ leaves no known coefficients"
             )
-        return PowerSeries.truncated(self.center, self.coeffs[1:])
+        return self._stream(len(cs) - 1, (cs[k] for k in range(1, len(cs))), self)
 
     def shift_up(self, constant: object = 0) -> "PowerSeries":
         """Multiply by ``(x - center)`` and prepend a constant term."""
-        out = [Fraction(constant)] + list(self.coeffs)
+        constant = Fraction(constant)
+        cs = self.coeffs
         if self.exact:
-            return PowerSeries._stripped(self.center, out)
-        return PowerSeries.truncated(self.center, out)
+            return PowerSeries._stripped(self.center, [constant, *cs])
+        gen = (cs[k - 1] if k else constant for k in range(len(cs) + 1))
+        return self._stream(len(cs) + 1, gen, self)
 
     # -- calculus -----------------------------------------------------------------
 
     def differentiate(self) -> "PowerSeries":
-        out = [k * c for k, c in enumerate(self.coeffs) if k > 0]
+        cs = self.coeffs
         if self.exact:
-            return PowerSeries._stripped(self.center, out)
-        if not out:
+            return PowerSeries._stripped(self.center, [k * cs[k] for k in range(1, len(cs))])
+        if len(cs) == 1:
             raise TruncationInconclusive(
                 "differentiating an order-0 germ leaves no known coefficients"
             )
-        return PowerSeries.truncated(self.center, out)
+        return self._stream(len(cs) - 1, (k * cs[k] for k in range(1, len(cs))), self)
 
     derivative = differentiate
 
     def integrate(self, constant: object = 0) -> "PowerSeries":
-        out = [Fraction(constant)] + [c / (k + 1) for k, c in enumerate(self.coeffs)]
+        constant = Fraction(constant)
+        cs = self.coeffs
         if self.exact:
-            return PowerSeries.exact_poly(self.center, out)
-        return PowerSeries.truncated(self.center, out)
+            return PowerSeries._stripped(
+                self.center, [constant] + [c / (k + 1) for k, c in enumerate(cs)]
+            )
+        gen = (cs[k - 1] / k if k else constant for k in range(len(cs) + 1))
+        return self._stream(len(cs) + 1, gen, self)
 
     # -- polynomial evaluation and substitution ----------------------------------
 
@@ -361,22 +478,18 @@ class PowerSeries:
             raise DomainError(
                 f"power kernel needs constant term 1, got {self.coefficient(0)}"
             )
-        n = self._kernel_order(order)
-        h = self._pad(n + 1)
-        D = _lcm_denominators(h[1:])
-        H = [0] + [int(c * D) for c in h[1:]]
         ap1 = alpha + 1
         A, a = ap1.numerator, ap1.denominator
-        row = _Row(1)
-        out = [_ONE]
-        for m in range(1, n + 1):
+
+        def step(m: int, inp: _Row, row: _Row) -> Fraction:
+            H, P = inp.ints, row.ints
             acc = 0
             for k in range(1, m + 1):
-                j = m - k
-                if H[k] and row.num[j]:
-                    acc += (A * k - a * m) * H[k] * row.num[j] * row.cof[j]
-            out.append(row.push(acc, m * a * D * row.lcm))
-        return PowerSeries.truncated(self.center, out)
+                if H[k] and P[m - k]:
+                    acc += (A * k - a * m) * H[k] * P[m - k]
+            return Fraction(acc, m * a * inp.lcm * row.lcm)
+
+        return self._kernel(order, 1, step)
 
     def log(self, order: Optional[int] = None) -> "PowerSeries":
         """Logarithm of a series with constant term 1."""
@@ -384,19 +497,16 @@ class PowerSeries:
             raise DomainError(
                 f"log kernel needs constant term 1, got {self.coefficient(0)}"
             )
-        n = self._kernel_order(order)
-        h = self._pad(n + 1)
-        D = _lcm_denominators(h[1:])
-        H = [0] + [int(c * D) for c in h[1:]]
-        row = _Row(0)
-        out = [_ZERO]
-        for m in range(1, n + 1):
+
+        def step(m: int, inp: _Row, row: _Row) -> Fraction:
+            H, P = inp.ints, row.ints
             acc = 0
             for k in range(1, m):
-                if row.num[k] and H[m - k]:
-                    acc += k * row.num[k] * H[m - k] * row.cof[k]
-            out.append(row.push(H[m] * m * row.lcm - acc, m * D * row.lcm))
-        return PowerSeries.truncated(self.center, out)
+                if P[k] and H[m - k]:
+                    acc += k * P[k] * H[m - k]
+            return Fraction(H[m] * m * row.lcm - acc, m * inp.lcm * row.lcm)
+
+        return self._kernel(order, 0, step)
 
     def exp(self, order: Optional[int] = None) -> "PowerSeries":
         """Exponential of a series with constant term 0."""
@@ -404,20 +514,22 @@ class PowerSeries:
             raise DomainError(
                 f"exp kernel needs constant term 0, got {self.coefficient(0)}"
             )
-        n = self._kernel_order(order)
-        f = self._pad(n + 1)
-        D = _lcm_denominators(f[1:])
-        F = [0] + [int(c * D) for c in f[1:]]
-        row = _Row(1)
-        out = [_ONE]
-        for m in range(1, n + 1):
+
+        def step(m: int, inp: _Row, row: _Row) -> Fraction:
+            F, P = inp.ints, row.ints
             acc = 0
             for k in range(1, m + 1):
-                j = m - k
-                if F[k] and row.num[j]:
-                    acc += k * F[k] * row.num[j] * row.cof[j]
-            out.append(row.push(acc, m * D * row.lcm))
-        return PowerSeries.truncated(self.center, out)
+                if F[k] and P[m - k]:
+                    acc += k * F[k] * P[m - k]
+            return Fraction(acc, m * inp.lcm * row.lcm)
+
+        return self._kernel(order, 1, step)
+
+    def _kernel(
+        self, order: Optional[int], seed: int, step: Callable[[int, _Row, _Row], Fraction]
+    ) -> "PowerSeries":
+        n = self._kernel_order(order)
+        return self._stream(n + 1, _recurrence(self._pad(n + 1), n, seed, step), self)
 
     def divide(self, other: "PowerSeries", order: Optional[int] = None) -> "PowerSeries":
         """Divide by a series with nonzero constant term."""

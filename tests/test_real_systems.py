@@ -278,3 +278,28 @@ def test_interval_equality_is_certified_or_undecided() -> None:
     assert cf.elements_equal(0, Interval(F(1, 3), F(1, 3)), F(1, 3))
     for y in (F(7, 10), Interval(F(7, 10), F(7, 10))):
         assert roundtrip_check(cf, y, 5)
+
+
+def test_code_inverts_once_per_level(monkeypatch) -> None:
+    # project and expand share 1/y and its floor or ceiling: one reciprocal
+    # and one rounding per emitted coefficient, not two per expanded level
+    calls = {"reciprocal": 0, "floor": 0, "ceil": 0}
+    for name in calls:
+        method = getattr(Interval, name)
+
+        def counted(self, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self)
+
+        monkeypatch.setattr(Interval, name, counted)
+    for system, text, n, rounding in (
+        (ContinuedFractionSystem(), "sqrt(2)-1", 20, "floor"),
+        (EgyptianSystem(), "sqrt(1/2)", 5, "ceil"),
+        (EngelSystem(), "e-2", 20, "ceil"),
+    ):
+        y = parse_expression(text, "real", bits=256)
+        for name in calls:
+            calls[name] = 0
+        code = coefficient_code(system, y, n)
+        assert len(code) == n
+        assert calls["reciprocal"] == calls[rounding] == n
