@@ -172,55 +172,62 @@ class ApproximationSystem(ExpansionSystem):
 
     # -- transform ----------------------------------------------------------
 
-    def _transformed(self, y: PowerSeries) -> tuple[Optional[Fraction], PowerSeries]:
-        c = self.config
-        if c.transform == TRANSFORM_D:
-            return None, y.differentiate()
-        if c.transform == TRANSFORM_K:
-            return None, y - PowerSeries.constant(c.center, y.coefficient(0))
-        d = y.differentiate()
-        b = d.coefficient(0)
-        return b, d - PowerSeries.constant(c.center, b)
+    def _transformed(self, y: PowerSeries) -> tuple[ASCoefficient, PowerSeries]:
+        """The level's coefficient of ``y`` and the transformed germ it is
+        read from."""
+        cfg = self.config
+        b: Optional[Fraction] = None
+        if cfg.transform == TRANSFORM_D:
+            t = y.differentiate()
+        elif cfg.transform == TRANSFORM_K:
+            t = y - PowerSeries.constant(cfg.center, y.coefficient(0))
+        else:
+            d = y.differentiate()
+            b = d.coefficient(0)
+            t = d - PowerSeries.constant(cfg.center, b)
+        m = multiplicity(t)
+        c = Fraction(0) if is_infinite(m) else t.coefficient(m)
+        return (ASCoef(c=c, m=m) if b is None else ASCoef3(b=b, c=c, m=m)), t
+
+    def check_coefficient(self, c: Any) -> Optional[Fraction]:
+        """The derivative term ``b`` of a ``KD`` coefficient, ``None`` for the
+        other transforms; :class:`DomainError` unless ``c`` is an
+        :class:`ASCoef3` for ``KD`` and an :class:`ASCoef` otherwise."""
+        transform = self.config.transform
+        if transform == TRANSFORM_KD:
+            if not isinstance(c, ASCoef3):
+                raise DomainError(f"KD systems need ASCoef3 coefficients, got {c!r}")
+            return c.b
+        if not isinstance(c, ASCoef):
+            raise DomainError(f"{transform} systems need ASCoef coefficients, got {c!r}")
+        return None
 
     # -- system maps ----------------------------------------------------------
 
     def project(self, i: int, y: PowerSeries) -> ASCoefficient:
-        b, t = self._transformed(y)
-        m = multiplicity(t)
-        c = Fraction(0) if is_infinite(m) else t.coefficient(m)
-        if b is None:
-            return ASCoef(c=c, m=m)
-        return ASCoef3(b=b, c=c, m=m)
+        return self._transformed(y)[0]
+
+    def step(self, i: int, y: PowerSeries) -> tuple[ASCoefficient, PowerSeries]:
+        cfg = self.config
+        coefficient, t = self._transformed(y)
+        if is_infinite(coefficient.m):
+            return coefficient, self.neutral(i + 1)
+        normalized = t
+        for _ in range(coefficient.m):
+            normalized = normalized.shift_down()
+        normalized = normalized.scale(1 / coefficient.c)
+        if cfg.nonlinearity == NL_POWER:
+            return coefficient, normalized.power(cfg.alpha(i), cfg.order)
+        return coefficient, normalized.log(cfg.order)
 
     def expand(self, i: int, y: PowerSeries) -> PowerSeries:
-        cfg = self.config
-        _, t = self._transformed(y)
-        m = multiplicity(t)
-        if is_infinite(m):
-            return self.neutral(i + 1)
-        normalized = t
-        for _ in range(m):
-            normalized = normalized.shift_down()
-        normalized = normalized.scale(1 / t.coefficient(m))
-        if cfg.nonlinearity == NL_POWER:
-            return normalized.power(cfg.alpha(i), cfg.order)
-        return normalized.log(cfg.order)
+        return self.step(i, y)[1]
 
     def reconstruct(
         self, i: int, c: ASCoefficient, tail: PowerSeries
     ) -> Optional[PowerSeries]:
         cfg = self.config
-        if cfg.transform == TRANSFORM_KD:
-            if not isinstance(c, ASCoef3):
-                raise DomainError(f"KD systems need ASCoef3 coefficients, got {c!r}")
-            b: Optional[Fraction] = c.b
-        else:
-            if not isinstance(c, ASCoef):
-                raise DomainError(
-                    f"{cfg.transform} systems need ASCoef coefficients, got {c!r}"
-                )
-            b = None
-
+        b = self.check_coefficient(c)
         if is_infinite(c.m):
             if c.c != 0 or not self.is_neutral(i + 1, tail):
                 return None

@@ -509,7 +509,8 @@ def parse_expression(
     certified reals, which only the ``real`` context produces; ``center`` is
     the series base point unless the expression carries an ``at c`` suffix.
     The ``polynomial`` context parses exact series at center 0 and uses none
-    of the three.
+    of the three; the ``trig`` context returns every value, scalars included,
+    as a ``TrigPolynomial``.
     """
     if context not in CONTEXTS:
         raise DomainError(f"unknown parse context {context!r}")
@@ -528,7 +529,9 @@ def parse_expression(
             center = Fraction(at_value)
         env = _SeriesEnv(center, order)
     value = _Parser(tokens).parse_full(env)
-    if isinstance(value, PowerSeries) and not value.exact:
+    if context == "trig":
+        value = _TrigEnv._as_trig(value)
+    elif isinstance(value, PowerSeries) and not value.exact:
         # computed in full here, so no parse work is deferred into (and then
         # memoised across) the operations that read the input
         value = PowerSeries.truncated(value.center, value.coeffs)

@@ -276,3 +276,21 @@ def test_roundtrips_randomized() -> None:
         for _ in range(4):
             y = sample_element(system_id, rng)
             assert roundtrip_check(sysm, y, rng.randrange(0, 4))
+
+
+def test_code_transforms_each_level_once(monkeypatch) -> None:
+    # coefficient_code takes each level's coefficient and tail from one step,
+    # so the transform and its leading data are read once per level.
+    sysm = build_system("as-kd-power-3")
+    germ = germ_from_polynomial([1, 3, 3, 1])
+    expected = coefficient_code(sysm, germ, 5)
+    calls = []
+    transformed = ApproximationSystem._transformed
+
+    def counting(self, y):
+        calls.append(y)
+        return transformed(self, y)
+
+    monkeypatch.setattr(ApproximationSystem, "_transformed", counting)
+    assert coefficient_code(sysm, germ, 5) == expected
+    assert len(calls) == 5

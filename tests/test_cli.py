@@ -305,3 +305,10 @@ def test_exit_code_deep_nesting():
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: ParseError:")
+
+
+def test_constant_trig_expression_is_a_trig_polynomial():
+    code, out, err = run_cli(
+        "expand", "--system", "fourier", "--input", "1 + i", "--depth", "2"
+    )
+    assert (code, out, err) == (0, "(1+1 i,1+1 i) (0,0)\n", "")

@@ -3,13 +3,17 @@ paths in the complex plane, including analytic continuation of fractional
 powers and the failure modes (poles on the path, exhausted panel budget)."""
 
 import cmath
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from expansions import (
+    ASCoef,
     ASConfig,
     ApproximationSystem,
+    DomainError,
     PowerSeries,
     QuadratureFailure,
     SingularityOnPath,
@@ -17,10 +21,13 @@ from expansions import (
     coefficient_code,
     constant_alpha,
     convergent,
+    convergent_from_code,
     eval_convergent_path,
     evaluate_series,
     germ_from_polynomial,
+    parse_expression,
 )
+from expansions.patheval import NODES_PER_PANEL, _rule
 
 F = Fraction
 
@@ -116,3 +123,97 @@ def test_quadrature_budget_exhaustion() -> None:
     loop = [1, 1 + 1.5j, -1.6 + 1.5j, -1.6 - 1.5j, 1 - 1.5j, 1]
     with pytest.raises(QuadratureFailure):
         eval_convergent_path(sysm, code, loop, tol=1e-30, max_panels=4, max_rounds=3)
+
+
+def test_wrong_coefficient_kind_is_a_domain_error() -> None:
+    # An integer is no coefficient at all; an ASCoef lacks the KD tower's
+    # derivative term.  Both are refused, as reconstruct refuses them.
+    with pytest.raises(DomainError):
+        eval_convergent_path(build_system("as-d-power-half"), [3], [0, 0.5])
+    kd = build_system("as-kd-power-3")
+    with pytest.raises(DomainError):
+        eval_convergent_path(kd, [ASCoef(c=F(1), m=1)], [0, 0.5])
+    with pytest.raises(DomainError):
+        kd.reconstruct(0, ASCoef(c=F(1), m=1), kd.neutral(1))
+
+
+INV_SQRT_SCALES = (F(1), F(1, 2), F(3, 4), F(-1, 2), F(2, 3))
+
+
+def test_inverse_square_root_convergents_match_exact_polynomials() -> None:
+    # Every as-d-power-half convergent of (1 - s x)^(-1/2) is a polynomial
+    # (degree 2^n - 1), so the exact backward pass is a reference the
+    # quadrature never sees.
+    sysm = build_system("as-d-power-half")
+    rng = random.Random(12)
+    for s in INV_SQRT_SCALES:
+        germ = parse_expression(f"sqrt(1/(1 - ({s})*x))", "series", order=40)
+        code = coefficient_code(sysm, germ, 6)
+        for n in range(1, 7):
+            exact = convergent_from_code(sysm, code[:n]).value
+            for _ in range(2):
+                z = cmath.rect(0.6 * rng.random() ** 0.5, rng.uniform(0, 2 * cmath.pi))
+                got = eval_convergent_path(sysm, code[:n], [0, z])
+                assert abs(got.value - evaluate_series(exact, z)) < 1e-12, (s, n, z)
+
+
+def tower_by_ode(system: ApproximationSystem, code: list, path: list) -> list:
+    """Values at the end of ``path`` of every level of the D/power tower of
+    ``code``, solved as the ODE system y_k' = c_k (x-x0)^m_k y_{k+1}^(1/alpha_k)
+    (y_n = 1, y_k(x0) = 1) with mpmath's Taylor-series integrator, one
+    segment at a time.  Only integer 1/alpha_k, so no branch is chosen."""
+    mpmath = pytest.importorskip("mpmath")
+    cfg = system.config
+
+    def mpf(q: Fraction):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    x0 = mpf(cfg.center)
+    levels = [(mpf(c.c), int(c.m), int(1 / cfg.alpha(k))) for k, c in enumerate(code)]
+    y = [mpmath.mpc(1)] * len(code)
+    for a, b in zip(path, path[1:]):
+        a, b = mpmath.mpc(a), mpmath.mpc(b)
+
+        def rhs(s, ys, a=a, b=b):
+            x = a + s * (b - a)
+            tail = list(ys[1:]) + [1]
+            return [(b - a) * c * (x - x0) ** m * w ** e
+                    for (c, m, e), w in zip(levels, tail)]
+
+        y = mpmath.odefun(rhs, 0, y)(1)
+    return [complex(v) for v in y]
+
+
+def test_square_root_loop_matches_ode_solution() -> None:
+    # The criterion-12 loop: the square root at 1 carried around the origin
+    # by the D / power -1 system.
+    cfg = ASConfig(transform="D", nonlinearity="power",
+                   alphas=constant_alpha(-1), center=F(1))
+    sysm = ApproximationSystem(cfg)
+    code = coefficient_code(sysm, binomial_germ(F(1), F(1, 2), 64), 4)
+    loop = [1, 1 + 1.5j, -1.6 + 1.5j, -1.6 - 1.5j, 1 - 1.5j, 1]
+    # Every level of this code is the same, so level k of the depth-4 tower
+    # is the top of the depth-(4-k) tower: one solve gives all four.
+    assert len(set(code)) == 1
+    reference = tower_by_ode(sysm, code, loop)[::-1]
+    # Depth 2 has a closed form: 1 + log((x+1)/2), once around -1.
+    assert abs(reference[1] - (1 + 2j * cmath.pi)) < 1e-14
+    for n in range(1, 5):
+        got = eval_convergent_path(sysm, code[:n], loop)
+        assert abs(got.value - reference[n - 1]) < 1e-12, n
+
+
+def test_cumulative_rule_integrates_polynomials_exactly() -> None:
+    # On one panel the rule is exact for degree <= NODES_PER_PANEL, and its
+    # two trailing rows read off the top Chebyshev coefficients.
+    xi, cumulative, trailing = _rule()
+    n = NODES_PER_PANEL
+    for d in range(n + 1):
+        values = [x**d for x in xi]
+        for x, row in zip(xi, cumulative):
+            exact = (x ** (d + 1) - (-1) ** (d + 1)) / (d + 1)
+            assert abs(sum(w * v for w, v in zip(row, values)) - exact) < 1e-14, d
+    for k in range(n + 1):
+        values = [math.cos(k * math.acos(x)) for x in xi]  # T_k at the nodes
+        top = [sum(w * v for w, v in zip(row, values)) for row in trailing]
+        assert top == pytest.approx([float(k == n - 1), float(k == n)], abs=1e-14), k
