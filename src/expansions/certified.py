@@ -1,12 +1,15 @@
 """Certified real arithmetic on closed intervals with exact rational endpoints.
 
 An :class:`Interval` encloses one real number.  Field operations are exact
-(endpoints stay rational, enclosures never silently widen); irrational
-constructors (:func:`sqrt_interval`, :func:`pi_interval`, :func:`e_interval`)
-take an explicit ``bits`` budget and return a dyadic enclosure of width at most
-``2**-bits``.  Predicates (floor, sign, comparison) either answer with
-certainty or raise :class:`~expansions.errors.PrecisionExhausted` — they never
-guess.
+(endpoints stay rational, enclosures never silently widen); a product with an
+exact scalar or a point takes two endpoint products ordered by the scalar's
+sign.  Irrational constructors (:func:`sqrt_interval`, :func:`pi_interval`,
+:func:`e_interval`) take an explicit ``bits`` budget and return a dyadic
+enclosure of width at most ``2**-bits``; pi and e are integer fixed-point
+sums whose terms are exact floors, widened by their counted ulp error
+(number of terms + 2).  Predicates (floor, sign, comparison) either answer
+with certainty or raise :class:`~expansions.errors.PrecisionExhausted` — they
+never guess.
 """
 
 from __future__ import annotations
@@ -60,10 +63,11 @@ class Interval:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other: object) -> "Interval":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return Interval(self.lo + other, self.hi + other)
+        if not isinstance(other, Interval):
             return NotImplemented
-        return Interval(self.lo + o.lo, self.hi + o.hi)
+        return Interval(self.lo + other.lo, self.hi + other.hi)
 
     __radd__ = __add__
 
@@ -71,22 +75,34 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __sub__(self, other: object) -> "Interval":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return Interval(self.lo - other, self.hi - other)
+        if not isinstance(other, Interval):
             return NotImplemented
-        return Interval(self.lo - o.hi, self.hi - o.lo)
+        return Interval(self.lo - other.hi, self.hi - other.lo)
 
     def __rsub__(self, other: object) -> "Interval":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o - self
+        return Interval(other - self.hi, other - self.lo)
+
+    def _scale(self, s: Fraction) -> "Interval":
+        """``self * s`` for an exact scalar: two products, ordered by its sign."""
+        if s < 0:
+            return Interval(self.hi * s, self.lo * s)
+        return Interval(self.lo * s, self.hi * s)
 
     def __mul__(self, other: object) -> "Interval":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
+        if not isinstance(other, Interval):
             return NotImplemented
-        products = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+        if other.lo == other.hi:
+            return self._scale(other.lo)
+        if self.lo == self.hi:
+            return other._scale(self.lo)
+        products = (self.lo * other.lo, self.lo * other.hi,
+                    self.hi * other.lo, self.hi * other.hi)
         return Interval(min(products), max(products))
 
     __rmul__ = __mul__
@@ -210,46 +226,41 @@ def sqrt_interval(value: object, bits: int) -> Interval:
     return Interval(Fraction(s, denom), Fraction(s + 1, denom))
 
 
-def _atan_inv_enclosure(x: int, bits: int) -> Interval:
-    """Enclosure of ``atan(1/x)`` for integer ``x >= 2`` via the alternating
-    Taylor series, truncated once the next term is below ``2**-bits``."""
-    threshold = Fraction(1, 1 << bits)
-    total = Fraction(0)
-    k = 0
-    while True:
-        term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
-        if term < threshold:
-            # Alternating with decreasing terms: the tail is bounded by the
-            # first omitted term and has its sign.
-            if k % 2 == 0:
-                return Interval(total, total + term)
-            return Interval(total - term, total)
-        total = total + term if k % 2 == 0 else total - term
-        k += 1
+def _fixed_point(total: int, terms: int, prec: int, bits: int) -> Interval:
+    """``total / 2**prec`` widened by ``terms + 2`` ulps, then ``_dyadicize``d."""
+    ulp = Fraction(1, 1 << prec)
+    return _dyadicize((total - terms - 2) * ulp, (total + terms + 2) * ulp, bits + 2)
 
 
 def pi_interval(bits: int) -> Interval:
-    """Enclosure of pi of width at most ``2**-bits`` (Machin's formula)."""
+    """Enclosure of pi of width at most ``2**-bits``: Machin's formula
+    ``16 atan(1/5) - 4 atan(1/239)`` summed in integer fixed point.
+
+    Each term is an exact floor (a floor of a floor is the floor of the
+    quotient) and each tail is below one ulp, so the sum is off by fewer
+    than (number of terms + 2) ulps.
+    """
     if bits < 1:
         raise DomainError(f"bits must be positive, got {bits}")
-    guard = bits + 8
-    enc = 16 * _atan_inv_enclosure(5, guard) - 4 * _atan_inv_enclosure(239, guard)
-    return _dyadicize(enc.lo, enc.hi, bits + 2)
+    prec, total, terms = bits + bits.bit_length() + 16, 0, 0
+    for x, weight, sign in ((5, 16, 1), (239, 4, -1)):
+        power, k = (weight << prec) // x, 0
+        while power:
+            total += sign * (power // (2 * k + 1))
+            sign, power, k = -sign, power // (x * x), k + 1
+        terms += k
+    return _fixed_point(total, terms, prec, bits)
 
 
 def e_interval(bits: int) -> Interval:
-    """Enclosure of e of width at most ``2**-bits`` (factorial series)."""
+    """Enclosure of e of width at most ``2**-bits``: ``sum 1/k!`` in integer
+    fixed point, each term the exact floor of ``2**prec / k!`` and the tail
+    below 2 ulps, so off by fewer than (number of terms + 2) ulps."""
     if bits < 1:
         raise DomainError(f"bits must be positive, got {bits}")
-    threshold = Fraction(1, 1 << (bits + 8))
-    total = Fraction(0)
-    fact = 1
-    k = 0
-    while True:
-        total += Fraction(1, fact)
-        # Tail bound: sum_{j>k} 1/j! < 2/(k+1)!.
-        tail = Fraction(2, fact * (k + 1))
-        if tail < threshold:
-            return _dyadicize(total, total + tail, bits + 2)
-        k += 1
-        fact *= k
+    prec, total, k = bits + bits.bit_length() + 16, 0, 0
+    term = 1 << prec
+    while term:
+        total, k = total + term, k + 1
+        term //= k
+    return _fixed_point(total, k, prec, bits)

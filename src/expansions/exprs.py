@@ -34,7 +34,7 @@ from typing import Any, Callable, List, Optional, Sequence
 from .approx import alpha_list
 from .certified import Interval, e_interval, pi_interval, sqrt_interval
 from .coefficients import CONE, ComplexRational
-from .errors import DomainError, ParseError, UnsupportedInContext
+from .errors import DomainError, ParseError, PrecisionExhausted, UnsupportedInContext
 from .series import PowerSeries
 from .trig import TrigPolynomial
 
@@ -261,6 +261,10 @@ class _ScalarEnv(_Env):
                 root = sqrt_interval(arg, self.bits)
                 if root.is_point():
                     return root.lo
+            elif arg.hi < 0:
+                raise DomainError(f"sqrt of negative value {arg}")
+            elif arg.lo < 0:
+                raise PrecisionExhausted(f"sign of sqrt argument {arg} undecidable")
             else:
                 root = Interval(
                     sqrt_interval(arg.lo, self.bits).lo,

@@ -149,18 +149,18 @@ class BaseSystem(_UnitIntervalSystem):
                 self._sigma_inv[image] = d
             self.name = f"base{base}-shuffled"
 
-    def _digit(self, i: int, y: Any) -> int:
-        d = rfloor(self.base * y)
+    def step(self, i: int, y: Any) -> Tuple[int, Any]:
+        scaled = self.base * y
+        d = rfloor(scaled)
         if not 0 <= d < self.base:
             raise DomainError(f"element {y} lies outside [0, 1)")
-        return d
+        return (self._sigma[d] if self._sigma is not None else d), scaled - d
 
     def project(self, i: int, y: Any) -> int:
-        d = self._digit(i, y)
-        return self._sigma[d] if self._sigma is not None else d
+        return self.step(i, y)[0]
 
     def expand(self, i: int, y: Any) -> Any:
-        return self.base * y - self._digit(i, y)
+        return self.step(i, y)[1]
 
     def reconstruct(self, i: int, c: int, tail: Any) -> Optional[Any]:
         if not isinstance(c, int) or not 0 <= c < self.base:
@@ -290,21 +290,20 @@ class FExpansionSystem(_UnitIntervalSystem):
                 "the neutral element would not expand to itself"
             )
 
-    def project(self, i: int, y: Any) -> ExtendedInt:
+    def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
         if self._neutral_coeff is not None and certainly_zero(y):
-            return self._neutral_coeff
+            return self._neutral_coeff, _zero_like(y)
         v = self._f(y)
         if is_infinite(v):
-            return v
-        return rfloor(v)
+            return v, _zero_like(y)
+        d = rfloor(v)
+        return d, v - d
+
+    def project(self, i: int, y: Any) -> ExtendedInt:
+        return self.step(i, y)[0]
 
     def expand(self, i: int, y: Any) -> Any:
-        if self._neutral_coeff is not None and certainly_zero(y):
-            return _zero_like(y)
-        v = self._f(y)
-        if is_infinite(v):
-            return _zero_like(y)
-        return v - rfloor(v)
+        return self.step(i, y)[1]
 
     def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
         if is_infinite(c):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expansions import Interval, PrecisionExhausted, e_interval, pi_interval, sqrt_interval
 from expansions.realsys import certainly_zero, certified_lt, rceil, rfloor
@@ -99,3 +101,72 @@ def test_e_interval_matches_table_digits():
     iv = e_interval(256)
     assert E_LO < iv.lo and iv.hi < E_HI
     assert iv.width() < Fraction(1, 2 ** 250)
+
+
+def _mpmath_bracket(constant, prec):
+    """Rigorous rational bracket of mpmath's ``pi`` or ``e`` at ``prec`` bits."""
+    mpmath = pytest.importorskip("mpmath")
+    saved, mpmath.iv.prec = mpmath.iv.prec, prec
+    try:
+        return tuple(Fraction(*mpmath.libmp.to_rational(t))
+                     for t in getattr(mpmath.iv, constant)._mpi_)
+    finally:
+        mpmath.iv.prec = saved
+
+
+@pytest.mark.parametrize("constant, build", [("pi", pi_interval), ("e", e_interval)])
+def test_constants_enclose_mpmath_within_budget(constant, build):
+    # mpmath's bracket at b + 64 bits lies far inside ours
+    for bits in list(range(1, 301)) + [1024, 4096]:
+        lo, hi = _mpmath_bracket(constant, bits + 64)
+        iv = build(bits)
+        assert iv.lo <= lo and hi <= iv.hi, (constant, bits)
+        assert iv.width() <= Fraction(1, 2 ** bits), (constant, bits)
+
+
+def test_fixed_point_sums_enclose_before_rounding(monkeypatch):
+    # the sum widened by its counted error (terms + 2 ulps) already encloses
+    # the constant, before the outward rounding to bits + 2
+    import expansions.certified as certified
+
+    inner = []
+    rounding = certified._dyadicize
+
+    def recording(lo, hi, bits):
+        inner.append((lo, hi))
+        return rounding(lo, hi, bits)
+
+    monkeypatch.setattr(certified, "_dyadicize", recording)
+    for bits in (1, 2, 3, 7, 64, 100, 1024):
+        for constant, build in (("pi", pi_interval), ("e", e_interval)):
+            inner.clear()
+            build(bits)
+            (lo, hi), = inner
+            a, b = _mpmath_bracket(constant, 2 * bits + 128)
+            assert lo <= a and b <= hi, (constant, bits)
+
+
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+_intervals = st.tuples(_fractions, _fractions).map(lambda p: Interval(min(p), max(p)))
+_scalars = st.one_of(
+    st.integers(-20, 20),
+    _fractions,
+    _fractions.map(Interval.exact),
+)
+
+
+def _hull(values):
+    return Interval(min(values), max(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_intervals, _scalars)
+def test_scalar_paths_equal_the_four_product_hull(a, s):
+    v = s.lo if isinstance(s, Interval) else Fraction(s)
+    ends = (a.lo, a.hi)
+    assert a * s == s * a == _hull([x * v for x in ends])
+    assert a + s == s + a == Interval(a.lo + v, a.hi + v)
+    assert a - s == Interval(a.lo - v, a.hi - v)
+    assert s - a == Interval(v - a.hi, v - a.lo)
+    # a point on the left of a general interval takes the same path
+    assert Interval.exact(v) * a == _hull([v * x for x in ends])

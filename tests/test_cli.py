@@ -312,3 +312,19 @@ def test_constant_trig_expression_is_a_trig_polynomial():
         "expand", "--system", "fourier", "--input", "1 + i", "--depth", "2"
     )
     assert (code, out, err) == (0, "(1+1 i,1+1 i) (0,0)\n", "")
+
+
+def test_exit_codes_sqrt_of_enclosure():
+    near_zero = "sqrt(sqrt(2)-141421356237/100000000000)"
+    code, out, err = run_cli(
+        "expand", "--system", "cf", "--input", near_zero, "--bits", "16",
+        "--depth", "3",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: PrecisionExhausted:")
+    code, out, err = run_cli(
+        "expand", "--system", "cf", "--input", "sqrt(1-sqrt(2))", "--bits", "64",
+        "--depth", "3",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: DomainError: sqrt of negative value")

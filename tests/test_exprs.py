@@ -14,6 +14,7 @@ from expansions import (
     Interval,
     ParseError,
     Polynomial,
+    PrecisionExhausted,
     PowerSeries,
     TrigPolynomial,
     UnsupportedInContext,
@@ -219,3 +220,15 @@ def test_nesting_depth_is_bounded():
             parse_expression(text, "real")
         # reported where the limit is crossed, not at the end of the input
         assert info.value.position <= 5 * (MAX_NESTING + 1)
+
+
+def test_sqrt_of_enclosure_decides_sign_or_exhausts():
+    # below zero throughout: a domain error
+    with pytest.raises(DomainError):
+        parse_expression("sqrt(1-sqrt(2))", "real", bits=64)
+    # straddles zero at 16 bits: undecided, not negative
+    near_zero = "sqrt(sqrt(2)-141421356237/100000000000)"
+    with pytest.raises(PrecisionExhausted):
+        parse_expression(near_zero, "real", bits=16)
+    root = parse_expression(near_zero, "real", bits=64)
+    assert isinstance(root, Interval) and root.lo > 0

@@ -26,6 +26,7 @@ from expansions import (
     roundtrip_check,
     trajectory,
 )
+from expansions.registry import build_system
 
 F = Fraction
 
@@ -303,3 +304,31 @@ def test_code_inverts_once_per_level(monkeypatch) -> None:
         code = coefficient_code(system, y, n)
         assert len(code) == n
         assert calls["reciprocal"] == calls[rounding] == n
+    # base-b digits share b*y and its floor: one floor per emitted digit
+    for system in (BaseSystem(10), build_system("base10-shuffled"),
+                   base_f_expansion(10)):
+        y = parse_expression("pi-3", "real", bits=256)
+        for name in calls:
+            calls[name] = 0
+        assert len(coefficient_code(system, y, 30)) == 30
+        assert calls["floor"] == 30 and calls["reciprocal"] == 0
+
+
+@pytest.mark.parametrize("system_id, text, depths", [
+    ("cf", "sqrt(2)-1", (24, 100, 402)),
+    ("engel", "e-2", (19, 55, 167)),
+    ("egyptian", "sqrt(1/2)", (4, 6, 8)),
+    ("base10", "pi-3", (19, 76, 308)),
+    ("cf", "pi-3", (18, 76, 304)),
+])
+def test_certified_depth_per_budget(system_id, text, depths) -> None:
+    # certified steps before PrecisionExhausted at 64/256/1024 bits; a change
+    # may raise these depths but must never lower one
+    system = build_system(system_id)
+    for bits, least in zip((64, 256, 1024), depths):
+        y, depth = parse_expression(text, "real", bits=bits), 0
+        with pytest.raises(PrecisionExhausted):
+            while depth <= 4 * bits:
+                _, y = system.step(depth, y)
+                depth += 1
+        assert depth >= least, (system_id, text, bits, depth)
