@@ -56,19 +56,22 @@ class _ImproperDemand(ExpansionError):
 
 
 def _apply_config(args: argparse.Namespace) -> None:
+    """Fill unset options from the ``--config`` file, then check ``--approx``."""
     path = getattr(args, "config", None)
-    if not path:
-        return
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise DomainError("config file must hold a JSON object")
-    for key, value in data.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise DomainError(f"unknown config key {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+    if path:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+        if not isinstance(data, dict):
+            raise DomainError("config file must hold a JSON object")
+        for key, value in data.items():
+            attr = key.replace("-", "_")
+            if not hasattr(args, attr):
+                raise DomainError(f"unknown config key {key!r}")
+            if getattr(args, attr) is None:
+                setattr(args, attr, value)
+    approx = getattr(args, "approx", None)
+    if approx is not None and not (type(approx) is int and approx >= 1):
+        raise DomainError(f"--approx needs a whole number >= 1, got {approx!r}")
 
 
 def _require(args: argparse.Namespace, attr: str) -> Any:
@@ -180,6 +183,8 @@ def morphism_samples(spec_id: str, count: int, rng: random.Random) -> List[Any]:
     """Draw verification samples for a built-in morphism's source system."""
     if spec_id not in _BUILTIN_MORPHISMS:
         raise DomainError(f"unknown morphism spec {spec_id!r}")
+    if count < 0:
+        raise DomainError(f"negative sample count {count}")
     sampler = get_entry(_BUILTIN_MORPHISMS[spec_id][0]).sampler
     return [sampler(rng) for _ in range(count)]
 

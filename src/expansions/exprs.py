@@ -527,6 +527,8 @@ def parse_expression(
     elif context == "trig":
         env = _TrigEnv()
     else:
+        if order is not None and order < 0:
+            raise DomainError(f"series order must be >= 0, got {order}")
         tokens, tail = _split_at_clause(tokens)
         if tail is not None:
             at_value = _Parser(tail).parse_full(_ScalarEnv(exact_only=True))

@@ -11,7 +11,8 @@ defining equations sample-wise (it is a checker, not a prover):
 :func:`shift_isomorphism` builds the canonical isomorphic system obtained by
 splitting each expansion step as ``E_i = E2_i . E1_i`` with ``E1_i`` a
 bijection: the target runs "half a step ahead" of the source and keeps the
-identical coefficient code.
+identical coefficient code.  The decimal and continued-fraction shifts come
+from ``f`` of the f-expansion: ``E1 = f``, ``E2`` the fractional part.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .approx import ApproximationSystem
-from .coefficients import INF, is_infinite
+from .coefficients import is_infinite
 from .core import ConvergentTrace, ExpansionSystem, convergent, trajectory
 from .errors import DomainError, UnsupportedInContext
-from .realsys import BaseSystem, ContinuedFractionSystem, certainly_zero, rfloor
+from .realsys import BaseSystem, ContinuedFractionSystem, FExpansionSystem, rfloor
 from .seriessys import NewtonForwardSystem, NewtonReflectedSystem
 
 LevelMap = Callable[[int, Any], Any]
@@ -260,41 +261,34 @@ def newton_reflection_morphism() -> Morphism:
     )
 
 
+def _f_shift_morphism(
+    source: FExpansionSystem, name: str
+) -> Tuple[ShiftedSystem, Morphism]:
+    """Shift of an f-expansion: ``E1 = f`` moves elements to ``f([0, 1))``,
+    where the coefficient is the integer part and ``E2`` the fractional part.
+    An infinite ``f(0)`` is the added point of the target, which the inverse
+    of ``E1`` and ``E2`` both send to 0."""
+
+    def e1_inv(i: int, y: Any) -> Any:
+        return Fraction(0) if is_infinite(y) else source.f_inv(y)
+
+    def e2(i: int, y: Any) -> Any:
+        return Fraction(0) if is_infinite(y) else y - rfloor(y)
+
+    return shift_isomorphism(source, lambda i, y: source.f(y), e1_inv, e2, name)
+
+
 def decimal_shift_morphism() -> Tuple[ShiftedSystem, Morphism]:
     """Shift of the decimal system: ``E1(y) = 10 y`` moves elements to
     ``[0, 10)`` where the digit is the integer part."""
-    source = BaseSystem(10)
-    return shift_isomorphism(
-        source,
-        e1=lambda i, y: 10 * y,
-        e1_inv=lambda i, y: y / 10,
-        e2=lambda i, y: y - rfloor(y),
-        name="decimal-shift",
-    )
+    return _f_shift_morphism(BaseSystem(10), "decimal-shift")
 
 
 def cf_shift_morphism() -> Tuple[ShiftedSystem, Morphism]:
     """Shift of the continued fraction system: ``E1(y) = 1/y`` (with the
     neutral element going to the added point ``INF``) moves elements to
     ``(1, inf]``, where the partial quotient is the integer part."""
-    source = ContinuedFractionSystem()
-
-    def e1(i: int, y: Any) -> Any:
-        if certainly_zero(y):
-            return INF
-        return 1 / y
-
-    def e1_inv(i: int, y: Any) -> Any:
-        if is_infinite(y):
-            return Fraction(0)
-        return 1 / y
-
-    def e2(i: int, y: Any) -> Any:
-        if is_infinite(y):
-            return Fraction(0)
-        return y - rfloor(y)
-
-    return shift_isomorphism(source, e1, e1_inv, e2, name="cf-shift")
+    return _f_shift_morphism(ContinuedFractionSystem(), "cf-shift")
 
 
 def as_d_shift_morphism(system: ApproximationSystem) -> Tuple[ShiftedSystem, Morphism]:

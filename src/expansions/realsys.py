@@ -1,5 +1,10 @@
 """Expansion systems on the real unit interval ``[0, 1)`` with neutral 0.
 
+Base-``b`` digits and continued fractions are f-expansions
+(:class:`FExpansionSystem`): one step emits ``floor(f(y))`` and keeps the
+fractional part, one reconstruct applies the inverse of ``f``.  The Egyptian
+and Engel systems share one class for their ``ceil(1/y)`` coefficient map.
+
 All systems here run on two interchangeable element backends:
 
 * exact ``Fraction`` values, and
@@ -55,7 +60,8 @@ def rceil(value: Real) -> int:
 
 
 class _UnitIntervalSystem(ExpansionSystem):
-    """Shared behaviour of systems whose every level is ``[0, 1)``."""
+    """Shared behaviour of systems whose every level is ``[0, 1)``; a
+    subclass supplies ``step`` and ``project``/``expand`` read its halves."""
 
     kind = "real"
 
@@ -63,15 +69,20 @@ class _UnitIntervalSystem(ExpansionSystem):
         return Fraction(0)
 
     def validate(self, i: int, y: Any) -> None:
-        if isinstance(y, Interval):
-            # Refute membership only when the whole enclosure lies outside.
-            if y.hi < 0 or y.lo >= 1:
-                raise DomainError(f"element {y} lies outside [0, 1)")
-            return
-        if not isinstance(y, Fraction):
+        if not isinstance(y, (Fraction, Interval)):
             raise DomainError(f"expected Fraction or Interval, got {type(y).__name__}")
-        if not 0 <= y < 1:
-            raise DomainError(f"element {y} lies outside [0, 1)")
+        # Refute an enclosure only when it lies wholly outside.  Name the
+        # side, not the value, which may be too large to print.
+        lo, hi = (y.lo, y.hi) if isinstance(y, Interval) else (y, y)
+        if hi < 0 or lo >= 1:
+            side = "below 0" if hi < 0 else "at or above 1"
+            raise DomainError(f"element lies outside [0, 1), {side}")
+
+    def project(self, i: int, y: Any) -> ExtendedInt:
+        return self.step(i, y)[0]
+
+    def expand(self, i: int, y: Any) -> Any:
+        return self.step(i, y)[1]
 
     def is_neutral(self, i: int, y: Any) -> bool:
         return certainly_zero(y)
@@ -82,179 +93,14 @@ class _UnitIntervalSystem(ExpansionSystem):
         return certainly_zero(a - b)
 
 
-class _ReciprocalSystem(_UnitIntervalSystem):
-    """The systems driven by ``1/y`` (cf, Egyptian, Engel).
-
-    The neutral branch lives here: 0 projects to ``INF``, expands to itself
-    and is the only preimage of ``(INF, 0)``.  A subclass supplies the
-    quotient ``_quotient(1/y)`` (a certified floor or ceiling), the remainder
-    ``_remainder(y, 1/y, q)`` and ``_reconstruct_finite(c, tail)``; ``step``
-    computes the reciprocal and the quotient once for both.
-    """
-
-    def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
-        if certainly_zero(y):
-            return INF, _zero_like(y)
-        reciprocal = 1 / y
-        q = self._quotient(reciprocal)
-        return q, self._remainder(y, reciprocal, q)
-
-    def project(self, i: int, y: Any) -> ExtendedInt:
-        if certainly_zero(y):
-            return INF
-        return self._quotient(1 / y)
-
-    def expand(self, i: int, y: Any) -> Any:
-        return self.step(i, y)[1]
-
-    def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
-        if c is INF:
-            return _zero_like(tail) if certainly_zero(tail) else None
-        return self._reconstruct_finite(c, tail)
-
-
-class BaseSystem(_UnitIntervalSystem):
-    """Positional expansion in an integer base ``b >= 2``.
-
-    ``project`` emits the leading digit, ``expand`` the fractional remainder
-    of ``b*y``, so the ``n``-th convergent of ``y`` is its ``n``-digit
-    truncation.  Reconstruction is total (the digit map is a bijection onto
-    digits x tails).
-
-    An optional ``digit_permutation`` relabels the *emitted* digit while the
-    expansion step keeps using the true digit; this breaks monotonicity of
-    the coefficient map without touching convergents' values.
-    """
-
-    coefficient_order_kind = ORDER_STANDARD
-
-    def __init__(
-        self, base: int, digit_permutation: Optional[Sequence[int]] = None
-    ) -> None:
-        if base < 2:
-            raise DomainError(f"base must be >= 2, got {base}")
-        self.base = base
-        self.name = f"base{base}"
-        self._sigma = None
-        self._sigma_inv = None
-        if digit_permutation is not None:
-            sigma = list(digit_permutation)
-            if sorted(sigma) != list(range(base)):
-                raise DomainError(
-                    f"digit_permutation must permute 0..{base - 1}, got {sigma}"
-                )
-            self._sigma = sigma
-            self._sigma_inv = [0] * base
-            for d, image in enumerate(sigma):
-                self._sigma_inv[image] = d
-            self.name = f"base{base}-shuffled"
-
-    def step(self, i: int, y: Any) -> Tuple[int, Any]:
-        scaled = self.base * y
-        d = rfloor(scaled)
-        if not 0 <= d < self.base:
-            raise DomainError(f"element {y} lies outside [0, 1)")
-        return (self._sigma[d] if self._sigma is not None else d), scaled - d
-
-    def project(self, i: int, y: Any) -> int:
-        return self.step(i, y)[0]
-
-    def expand(self, i: int, y: Any) -> Any:
-        return self.step(i, y)[1]
-
-    def reconstruct(self, i: int, c: int, tail: Any) -> Optional[Any]:
-        if not isinstance(c, int) or not 0 <= c < self.base:
-            raise DomainError(f"coefficient {c!r} is not a base-{self.base} digit")
-        d = self._sigma_inv[c] if self._sigma_inv is not None else c
-        return (d + tail) / self.base
-
-
-class ContinuedFractionSystem(_ReciprocalSystem):
-    """Regular continued fractions on ``[0, 1)``.
-
-    Coefficients are the partial quotients ``floor(1/y) >= 1``, with ``INF``
-    for the neutral element; the coefficient order is the standard one with
-    ``INF`` largest.  The pair ``(1, neutral)`` is outside the image (its
-    preimage would be 1), the single improperness this system has.
-    """
-
-    name = "cf"
-    coefficient_order_kind = ORDER_STANDARD
-
-    _quotient = staticmethod(rfloor)
-
-    def _remainder(self, y: Any, reciprocal: Any, q: int) -> Any:
-        return reciprocal - q
-
-    def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
-        if not isinstance(c, int) or c < 1:
-            raise DomainError(f"coefficient {c!r} is not a partial quotient")
-        if c == 1 and certainly_zero(tail):
-            return None  # preimage would be 1, outside [0, 1)
-        return 1 / (c + tail)
-
-
-class _ReciprocalCeilingSystem(_ReciprocalSystem):
-    """Shared coefficient map of the unit-fraction systems.
-
-    Both emit ``ceil(1/y)`` (which is >= 2 on ``(0, 1)``) and ``INF`` at the
-    neutral element.  Their coefficient spaces carry the *reversed* order —
-    under it the coefficient maps become monotone increasing and ``INF`` is
-    smallest — and their rational expansions strictly decrease numerators.
-    """
-
-    coefficient_order_kind = ORDER_REVERSED
-    _quotient = staticmethod(rceil)
-
-    def _check_coeff(self, c: ExtendedInt) -> None:
-        if not isinstance(c, int) or c < 2:
-            raise DomainError(f"coefficient {c!r} is not a unit-fraction index")
-
-
-class EgyptianSystem(_ReciprocalCeilingSystem):
-    """Greedy unit-fraction (Egyptian) expansion: split off the largest unit
-    fraction ``1/c <= y`` and expand the difference."""
-
-    name = "egyptian"
-
-    def _remainder(self, y: Any, reciprocal: Any, q: int) -> Any:
-        return y - Fraction(1, q)
-
-    def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
-        self._check_coeff(c)
-        # ceil(1/y) == c exactly when 1/c <= y < 1/(c-1), i.e. the remainder
-        # lies below 1/(c(c-1)).
-        if not certified_lt(tail, Fraction(1, c * (c - 1))):
-            return None
-        return Fraction(1, c) + tail
-
-
-class EngelSystem(_ReciprocalCeilingSystem):
-    """Engel series expansion: same coefficient map as the Egyptian system,
-    but the remainder is rescaled (``y*c - 1``), which forces the emitted
-    coefficients of any one element to be non-decreasing."""
-
-    name = "engel"
-
-    def _remainder(self, y: Any, reciprocal: Any, q: int) -> Any:
-        return y * q - 1
-
-    def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
-        self._check_coeff(c)
-        # 1/c <= (1 + tail)/c < 1/(c-1) exactly when tail < 1/(c-1).
-        if not certified_lt(tail, Fraction(1, c - 1)):
-            return None
-        return (1 + tail) / c
-
-
 class FExpansionSystem(_UnitIntervalSystem):
-    """Expansion driven by a scaling map ``f`` on ``[0, 1)``.
+    """Expansion driven by a scaling map ``f`` on ``[0, 1)`` (Rényi 1957).
 
     ``project`` emits ``floor(f(y))`` (with infinities passed through) and
     ``expand`` the fractional part; reconstruction applies the inverse of
-    ``f`` after an image-membership check.  ``f(x) = b*x`` reproduces the
-    base-``b`` system and ``f(x) = 1/x`` (with ``f(0) = INF``) the continued
-    fraction system.
+    ``f`` after an image-membership check.  The neutral element projects to
+    ``f(0)``.  ``f(x) = b*x`` gives :class:`BaseSystem` and ``f(x) = 1/x``
+    (with ``f(0) = INF``) :class:`ContinuedFractionSystem`.
 
     Args:
         name: registry/report identifier.
@@ -262,8 +108,6 @@ class FExpansionSystem(_UnitIntervalSystem):
         f_inv: inverse of ``f`` on its image.
         in_image: certified predicate for membership of ``c + tail`` in
             ``f([0,1) \\ {0})``.
-        infinity_coefficient: coefficient emitted at the neutral element when
-            ``f(0)`` is infinite (``None`` when it is finite).
     """
 
     coefficient_order_kind = ORDER_STANDARD
@@ -274,10 +118,10 @@ class FExpansionSystem(_UnitIntervalSystem):
         f: Callable[[Real], Any],
         f_inv: Callable[[Real], Real],
         in_image: Callable[[Real], bool],
-        ) -> None:
+    ) -> None:
         self.name = name
-        self._f = f
-        self._f_inv = f_inv
+        self.f = f
+        self.f_inv = f_inv
         self._in_image = in_image
         at_zero = f(Fraction(0))
         if is_infinite(at_zero):
@@ -291,33 +135,159 @@ class FExpansionSystem(_UnitIntervalSystem):
             )
 
     def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
-        if self._neutral_coeff is not None and certainly_zero(y):
-            return self._neutral_coeff, _zero_like(y)
-        v = self._f(y)
+        v = self.f(y)
         if is_infinite(v):
             return v, _zero_like(y)
         d = rfloor(v)
         return d, v - d
 
-    def project(self, i: int, y: Any) -> ExtendedInt:
-        return self.step(i, y)[0]
+    def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
+        if isinstance(c, int):
+            w = c + tail
+            return self.f_inv(w) if self._in_image(w) else None
+        if not is_infinite(c):
+            raise DomainError(f"coefficient {c!r} is not an integer")
+        if self._neutral_coeff is c and certainly_zero(tail):
+            return _zero_like(tail)
+        return None
 
-    def expand(self, i: int, y: Any) -> Any:
-        return self.step(i, y)[1]
+
+def _reciprocal(y: Real) -> Any:
+    """``f(y) = 1/y`` with ``f(0) = INF``."""
+    if certainly_zero(y):
+        return INF
+    return 1 / y
+
+
+class BaseSystem(FExpansionSystem):
+    """Positional expansion in an integer base ``b >= 2``: the f-expansion
+    with ``f(x) = b*x``.
+
+    ``project`` emits the leading digit, ``expand`` the fractional remainder
+    of ``b*y``, so the ``n``-th convergent of ``y`` is its ``n``-digit
+    truncation.  Reconstruction is total (the digit map is a bijection onto
+    digits x tails).
+
+    An optional ``digit_permutation`` relabels the *emitted* digit while the
+    expansion step keeps using the true digit; this breaks monotonicity of
+    the coefficient map without touching convergents' values.
+    """
+
+    def __init__(
+        self, base: int, digit_permutation: Optional[Sequence[int]] = None
+    ) -> None:
+        if base < 2:
+            raise DomainError(f"base must be >= 2, got {base}")
+        super().__init__(f"base{base}", f=lambda y: base * y,
+                         f_inv=lambda w: w / base, in_image=lambda w: True)
+        self.base = base
+        self._sigma = self._sigma_inv = list(range(base))
+        if digit_permutation is not None:
+            sigma = list(digit_permutation)
+            if sorted(sigma) != list(range(base)):
+                raise DomainError(
+                    f"digit_permutation must permute 0..{base - 1}, got {sigma}"
+                )
+            self._sigma = sigma
+            self._sigma_inv = [0] * base
+            for d, image in enumerate(sigma):
+                self._sigma_inv[image] = d
+            self.name = f"base{base}-shuffled"
+
+    def step(self, i: int, y: Any) -> Tuple[int, Any]:
+        d, rest = super().step(i, y)
+        return self._sigma[d], rest
+
+    def reconstruct(self, i: int, c: int, tail: Any) -> Optional[Any]:
+        if not isinstance(c, int) or not 0 <= c < self.base:
+            raise DomainError(f"coefficient {c!r} is not a base-{self.base} digit")
+        return super().reconstruct(i, self._sigma_inv[c], tail)
+
+
+class ContinuedFractionSystem(FExpansionSystem):
+    """Regular continued fractions on ``[0, 1)``: the f-expansion with
+    ``f(x) = 1/x`` and ``f(0) = INF``.
+
+    Coefficients are the partial quotients ``floor(1/y) >= 1``, with ``INF``
+    for the neutral element; the coefficient order is the standard one with
+    ``INF`` largest.  The pair ``(1, neutral)`` is outside the image (its
+    preimage would be 1), the single improperness this system has.
+    """
+
+    def __init__(self) -> None:
+        super().__init__("cf", f=_reciprocal, f_inv=lambda w: 1 / w,
+                         in_image=lambda w: certified_lt(Fraction(1), w))
 
     def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
-        if is_infinite(c):
-            if self._neutral_coeff is not c:
-                return None
-            if certainly_zero(tail):
-                return _zero_like(tail)
+        if c is not INF and (not isinstance(c, int) or c < 1):
+            raise DomainError(f"coefficient {c!r} is not a partial quotient")
+        return super().reconstruct(i, c, tail)
+
+
+class _UnitFractionSystem(_UnitIntervalSystem):
+    """Shared coefficient map of the Egyptian and Engel systems.
+
+    Both emit ``ceil(1/y)`` (which is >= 2 on ``(0, 1)``) and ``INF`` at the
+    neutral element, which expands to itself and is the only preimage of
+    ``(INF, 0)``.  A subclass supplies the remainder ``_remainder(y, q)`` and
+    ``_reconstruct_finite(c, tail)``.  Their coefficient spaces carry the
+    *reversed* order — under it the coefficient maps become monotone
+    increasing and ``INF`` is smallest — and their rational expansions
+    strictly decrease numerators.
+    """
+
+    coefficient_order_kind = ORDER_REVERSED
+
+    def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
+        if certainly_zero(y):
+            return INF, _zero_like(y)
+        q = rceil(1 / y)
+        return q, self._remainder(y, q)
+
+    def project(self, i: int, y: Any) -> ExtendedInt:
+        # no remainder: ``y - 1/q`` carries the bits of ``q`` into the endpoints
+        return INF if certainly_zero(y) else rceil(1 / y)
+
+    def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
+        if c is INF:
+            return _zero_like(tail) if certainly_zero(tail) else None
+        if not isinstance(c, int) or c < 2:
+            raise DomainError(f"coefficient {c!r} is not a unit-fraction index")
+        return self._reconstruct_finite(c, tail)
+
+
+class EgyptianSystem(_UnitFractionSystem):
+    """Greedy unit-fraction (Egyptian) expansion: split off the largest unit
+    fraction ``1/c <= y`` and expand the difference."""
+
+    name = "egyptian"
+
+    def _remainder(self, y: Any, q: int) -> Any:
+        return y - Fraction(1, q)
+
+    def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
+        # ceil(1/y) == c exactly when 1/c <= y < 1/(c-1), i.e. the remainder
+        # lies below 1/(c(c-1)).
+        if not certified_lt(tail, Fraction(1, c * (c - 1))):
             return None
-        if not isinstance(c, int):
-            raise DomainError(f"coefficient {c!r} is not an integer")
-        w = c + tail
-        if not self._in_image(w):
+        return Fraction(1, c) + tail
+
+
+class EngelSystem(_UnitFractionSystem):
+    """Engel series expansion: same coefficient map as the Egyptian system,
+    but the remainder is rescaled (``y*c - 1``), which forces the emitted
+    coefficients of any one element to be non-decreasing."""
+
+    name = "engel"
+
+    def _remainder(self, y: Any, q: int) -> Any:
+        return y * q - 1
+
+    def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
+        # 1/c <= (1 + tail)/c < 1/(c-1) exactly when tail < 1/(c-1).
+        if not certified_lt(tail, Fraction(1, c - 1)):
             return None
-        return self._f_inv(w)
+        return (1 + tail) / c
 
 
 def base_f_expansion(base: int) -> FExpansionSystem:
@@ -333,15 +303,9 @@ def base_f_expansion(base: int) -> FExpansionSystem:
 
 def reciprocal_f_expansion() -> FExpansionSystem:
     """The continued fraction system presented as an f-expansion (``f(x) = 1/x``)."""
-
-    def f(y: Real) -> Any:
-        if certainly_zero(y):
-            return INF
-        return 1 / y
-
     return FExpansionSystem(
         name="f-reciprocal",
-        f=f,
+        f=_reciprocal,
         f_inv=lambda w: 1 / w,
         in_image=lambda w: certified_lt(Fraction(1), w),
     )

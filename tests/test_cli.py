@@ -7,9 +7,13 @@ the exact bytes a shell user sees.
 
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from expansions.cli import main
+import pytest
+
+from expansions import DomainError
+from expansions.cli import main, morphism_samples
 from expansions.registry import system_ids
 
 
@@ -328,3 +332,41 @@ def test_exit_codes_sqrt_of_enclosure():
     )
     assert code == 2 and out == ""
     assert err.startswith("error: DomainError: sqrt of negative value")
+
+
+def test_exit_code_out_of_range_counts_and_digits(tmp_path):
+    # a negative series order or sample count and an --approx below 1 are
+    # domain errors, also where the output has no digits to round and where
+    # --approx comes from a config file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"approx": 0}))
+    third = ("--system", "base10", "--input", "1/3")
+    for argv in (
+        ("expand", "--system", "taylor", "--input", "exp(x)", "--depth", "5",
+         "--series-order", "-1"),
+        ("convergent", "--system", "base10", "--input", "pi-3", "--order", "3",
+         "--approx", "0"),
+        ("expand", *third, "--depth", "3", "--approx", "0"),
+        ("expand", *third, "--depth", "3", "--config", str(cfg)),
+        ("order", *third, "--max", "3", "--approx", "-1"),
+        ("morphism", "verify", "--spec", "decimal-shift", "--samples", "-3"),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: DomainError:"), argv
+    code, out, _ = run_cli("morphism", "verify", "--spec", "decimal-shift",
+                           "--samples", "0")
+    assert (code, out) == (0, "ok: no violation found on 0 samples to depth 6\n")
+    with pytest.raises(DomainError):
+        morphism_samples("decimal-shift", -3, random.Random(0))
+
+
+def test_exit_code_huge_input_outside_unit_interval():
+    # the message names the side of [0, 1), not a value too long to print
+    for text, bits, side in (("2^20000", "256", "at or above 1"),
+                             ("pi*2^20000", "64", "at or above 1"),
+                             ("0-2^20000", "256", "below 0")):
+        code, out, err = run_cli("expand", "--system", "base10", "--input", text,
+                                 "--bits", bits, "--depth", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: DomainError: element lies outside [0, 1), {side}\n"

@@ -80,6 +80,13 @@ def test_germ_exp_truncated_head():
     assert g.known_order == 6
 
 
+def test_negative_series_order_rejected():
+    for context in ("series", "germ"):
+        with pytest.raises(DomainError):
+            parse_expression("exp(x)", context, order=-1)
+    assert parse_expression("exp(x)", "series", order=0).coeffs == (F(1),)
+
+
 def test_germ_polynomial_input_is_exact():
     g = parse_expression("1 + x^2", "germ", order=5)
     assert g.exact

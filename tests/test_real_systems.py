@@ -226,6 +226,43 @@ def test_f_expansion_cross_checks() -> None:
         assert trajectory(cf_like, y, n) == trajectory(cf, y, n)
 
 
+def _exhausted_at(system, y) -> int:
+    """Number of certified steps before ``PrecisionExhausted``."""
+    depth = 0
+    with pytest.raises(PrecisionExhausted):
+        while depth <= 4096:
+            _, y = system.step(depth, y)
+            depth += 1
+    return depth
+
+
+@pytest.mark.parametrize("text", ["pi-3", "e-2", "sqrt(2)-1"])
+def test_f_expansion_cross_checks_on_intervals(text) -> None:
+    # the named systems and the bare f-expansions agree on enclosures too:
+    # codes, stages, convergents and the step at which precision runs out
+    y = parse_expression(text, "real", bits=256)
+    pairs = ((base_f_expansion(10), BaseSystem(10)),
+             (reciprocal_f_expansion(), ContinuedFractionSystem()))
+    for f_like, named in pairs:
+        assert coefficient_code(f_like, y, 40) == coefficient_code(named, y, 40)
+        assert trajectory(f_like, y, 40) == trajectory(named, y, 40)
+        a, b = convergent(f_like, y, 40), convergent(named, y, 40)
+        assert (a.stages, a.improper_at) == (b.stages, b.improper_at)
+        assert _exhausted_at(f_like, y) == _exhausted_at(named, y) > 40
+
+
+def test_reconstruct_rejects_foreign_coefficients() -> None:
+    # the named systems raise on a coefficient outside their alphabet; the
+    # bare f-expansion refutes an out-of-range digit by its image check
+    for c in (10, -1, F(1, 2)):
+        with pytest.raises(DomainError):
+            BaseSystem(10).reconstruct(0, c, F(0))
+    for c in (0, -3, F(3, 2)):
+        with pytest.raises(DomainError):
+            ContinuedFractionSystem().reconstruct(0, c, F(0))
+    assert base_f_expansion(10).reconstruct(0, 10, F(0)) is None
+
+
 def test_magnitude_prefix() -> None:
     assert magnitude_prefix(F(125)) == (3, F(1, 8))
     assert magnitude_prefix(F(1)) == (1, F(1, 10))
