@@ -34,7 +34,6 @@ from .core import (
 )
 from .errors import DomainError, UnsupportedInContext
 from .patheval import eval_convergent_path, evaluate_series
-from .realsys import certified_lt
 
 # -- value rendering ---------------------------------------------------------
 
@@ -255,7 +254,7 @@ def monotonicity_check(
     down: List[Optional[str]] = [None] * depth
     counts = [0] * depth
     for idx, (y_small, y_large) in enumerate(pairs):
-        if not certified_lt(y_small, y_large):
+        if not y_small < y_large:
             raise DomainError(f"pair {idx} is not strictly ordered")
         a, b = y_small, y_large
         for i in range(depth):
@@ -273,7 +272,7 @@ def monotonicity_check(
             if system.elements_equal(i + 1, ea, eb):
                 break
             tag = f"pair {idx} level {i}: E({a}) = {ea} vs E({b}) = {eb}"
-            if certified_lt(ea, eb):
+            if ea < eb:
                 if up[i] is None:
                     up[i] = tag
                 a, b = ea, eb
@@ -346,7 +345,7 @@ def finite_order_witness(
     the interval; on rational inputs to the terminating real systems this
     always happens by the midpoint's own (finite) order.
     """
-    if not certified_lt(a, b):
+    if not a < b:
         raise DomainError("witness search needs a < b")
     mid = (a + b) / 2
     for n in range(1, max_depth + 1):
@@ -354,7 +353,7 @@ def finite_order_witness(
         if not trace.proper:
             continue
         w = trace.value
-        if certified_lt(a, w) and certified_lt(w, b):
+        if a < w < b:
             result = order_of(system, w, n + 4)
             if result.finite:
                 return w, result

@@ -7,9 +7,11 @@ sign.  Irrational constructors (:func:`sqrt_interval`, :func:`pi_interval`,
 :func:`e_interval`) take an explicit ``bits`` budget and return a dyadic
 enclosure of width at most ``2**-bits``; pi and e are integer fixed-point
 sums whose terms are exact floors, widened by their counted ulp error
-(number of terms + 2).  Predicates (floor, sign, comparison) either answer
-with certainty or raise :class:`~expansions.errors.PrecisionExhausted` — they
-never guess.
+(number of terms + 2).  Predicates either answer with certainty or raise
+:class:`~expansions.errors.PrecisionExhausted` — they never guess — and are
+Python's numeric protocol (``math.floor``, ``math.ceil``, ``<``, ``>``, truth
+as certified nonzero), so code written for ``Fraction`` runs on enclosures
+unchanged.  ``==`` is structural; certified equality is ``not (a - b)``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,12 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval ``[lo, hi]`` with exact ``Fraction`` endpoints."""
+    """Closed interval ``[lo, hi]`` with exact ``Fraction`` endpoints.
+
+    Certified operators ``math.floor``, ``math.ceil``, ``<``, ``>`` and
+    ``bool`` (nonzero) call :meth:`floor`, :meth:`ceil`, :meth:`lt` and
+    :meth:`sign`.  ``==`` compares endpoints, not enclosed numbers.
+    """
 
     lo: Fraction
     hi: Fraction
@@ -49,9 +56,6 @@ class Interval:
 
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    def contains(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
 
     # -- arithmetic (exact, never widens beyond the true image) ----------
 
@@ -188,8 +192,24 @@ class Interval:
             f"order of [{self.lo}, {self.hi}] and [{o.lo}, {o.hi}] undecidable"
         )
 
-    def __float__(self) -> float:
-        return float(self.midpoint())
+    def __bool__(self) -> bool:
+        return self.sign() != 0
+
+    def __floor__(self) -> int:
+        return self.floor()
+
+    def __ceil__(self) -> int:
+        return self.ceil()
+
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, (Interval, int, Fraction)):
+            return NotImplemented
+        return self.lt(other)
+
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, (Interval, int, Fraction)):
+            return NotImplemented
+        return self._coerce(other).lt(self)
 
     def __str__(self) -> str:
         return f"[{self.lo},{self.hi}]"

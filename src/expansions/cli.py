@@ -56,22 +56,45 @@ class _ImproperDemand(ExpansionError):
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the ``--config`` file, then check ``--approx``."""
+    """Fill unset options from the ``--config`` file, then check ``--approx``.
+
+    A config value is converted and checked as the same text given to its
+    flag would be.
+    """
     path = getattr(args, "config", None)
     if path:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except OSError as exc:
+            raise DomainError(f"cannot read config file: {exc}") from None
+        except ValueError as exc:
+            raise DomainError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise DomainError("config file must hold a JSON object")
+        actions = {action.dest: action for action in args.config_parser._actions}
         for key, value in data.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            action = actions.get(key.replace("-", "_"))
+            if action is None or not hasattr(args, action.dest):
                 raise DomainError(f"unknown config key {key!r}")
-            if getattr(args, attr) is None:
-                setattr(args, attr, value)
+            if value is None:
+                continue
+            value = _config_value(key, action, str(value))
+            if getattr(args, action.dest) is None:
+                setattr(args, action.dest, value)
     approx = getattr(args, "approx", None)
-    if approx is not None and not (type(approx) is int and approx >= 1):
+    if approx is not None and approx < 1:
         raise DomainError(f"--approx needs a whole number >= 1, got {approx!r}")
+
+
+def _config_value(key: str, action: argparse.Action, text: str) -> Any:
+    try:
+        value = action.type(text) if action.type else text
+    except ValueError:
+        raise DomainError(f"config key {key!r}: invalid value {text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise DomainError(f"config key {key!r}: invalid choice {text!r}")
+    return value
 
 
 def _require(args: argparse.Namespace, attr: str) -> Any:
@@ -157,7 +180,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     fmt = args.format or "csv"
     out = _require(args, "out")
     report = convergence_report(system, y, n_max, metric)
-    export(report, fmt, out, getattr(args, "approx", None))
+    try:
+        export(report, fmt, out, getattr(args, "approx", None))
+    except OSError as exc:
+        raise DomainError(f"cannot write report: {exc}") from None
     return 0
 
 
@@ -254,8 +280,14 @@ def _cmd_as_eval(args: argparse.Namespace) -> int:
 # -- parser assembly ---------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, *extra: str) -> None:
+def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file of option defaults")
+    # the file's values are checked against this parser's options
+    parser.set_defaults(config_parser=parser)
+
+
+def _add_common(parser: argparse.ArgumentParser, *extra: str) -> None:
+    _add_config(parser)
     parser.add_argument("--system", help="system id from `systems list`")
     parser.add_argument("--input", help="element expression")
     parser.add_argument("--bits", type=int, help="certified-real precision bits")
@@ -311,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     morphism = sub.add_parser("morphism", help="morphism operations")
     morphism_sub = morphism.add_subparsers(dest="subcommand", required=True)
     verify = morphism_sub.add_parser("verify", help="check a built-in morphism")
-    verify.add_argument("--config", help="JSON file of option defaults")
+    _add_config(verify)
     verify.add_argument("--spec", help="built-in morphism id")
     verify.add_argument("--samples", type=int, help="number of samples (default 20)")
     verify.add_argument("--depth", type=int, help="levels to check (default 6)")
@@ -341,6 +373,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # Certified numbers may have any length: lift the interpreter's int/str
+    # digit limit (Python >= 3.10.7) for this call only, so a host that
+    # imports the library keeps its own.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _main(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler: Callable[[argparse.Namespace], int] = args.handler

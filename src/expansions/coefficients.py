@@ -5,8 +5,8 @@ digits, ``Fraction`` amplitudes, pairs, or the small records defined here.  Two
 extras are needed beyond stdlib types:
 
 * extended integers — several systems emit "infinity" as the coefficient of a
-  neutral tail (continued fractions, unit-fraction systems), so ``INF`` and
-  ``NEG_INF`` are totally ordered against ``int``/``Fraction``;
+  neutral tail (continued fractions, unit-fraction systems), so ``INF`` is
+  totally ordered against ``int``/``Fraction``;
 * exact Gaussian rationals (:class:`ComplexRational`) for trigonometric
   polynomial amplitudes.
 """
@@ -19,64 +19,47 @@ from typing import Union
 
 
 class _Infinity:
-    """Signed infinity, comparable with ``int`` and ``Fraction``.
+    """Infinity, above every ``int`` and ``Fraction``.
 
-    Only the two module-level singletons ``INF`` and ``NEG_INF`` exist;
-    equality is identity.
+    Only the module-level singleton ``INF`` exists; equality is identity.
     """
 
-    __slots__ = ("_sign",)
-
-    def __init__(self, sign: int) -> None:
-        self._sign = sign
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        return "INF" if self._sign > 0 else "NEG_INF"
+        return "INF"
 
     def __str__(self) -> str:
-        return "inf" if self._sign > 0 else "-inf"
-
-    def __neg__(self) -> "_Infinity":
-        return NEG_INF if self._sign > 0 else INF
+        return "inf"
 
     def __lt__(self, other: object) -> bool:
-        if other is self:
-            return False
         if isinstance(other, (_Infinity, int, Fraction)):
-            return self._sign < 0
+            return False
         return NotImplemented
 
     def __gt__(self, other: object) -> bool:
-        if other is self:
-            return False
         if isinstance(other, (_Infinity, int, Fraction)):
-            return self._sign > 0
+            return other is not self
         return NotImplemented
 
     def __le__(self, other: object) -> bool:
-        lt = self.__lt__(other)
-        if lt is NotImplemented:
-            return NotImplemented
-        return lt or self is other
+        if isinstance(other, (_Infinity, int, Fraction)):
+            return other is self
+        return NotImplemented
 
     def __ge__(self, other: object) -> bool:
-        gt = self.__gt__(other)
-        if gt is NotImplemented:
-            return NotImplemented
-        return gt or self is other
-
-    def __hash__(self) -> int:
-        return hash(("infinity", self._sign))
+        if isinstance(other, (_Infinity, int, Fraction)):
+            return True
+        return NotImplemented
 
 
-INF = _Infinity(1)
-NEG_INF = _Infinity(-1)
+INF = _Infinity()
 
 ExtendedInt = Union[int, _Infinity]
 
 
 def is_infinite(value: object) -> bool:
-    """True iff ``value`` is ``INF`` or ``NEG_INF``."""
+    """True iff ``value`` is ``INF``."""
     return isinstance(value, _Infinity)
 
 

@@ -407,28 +407,14 @@ _TABLES = {
 
 
 class _TrigEnv(_Env):
-    """Values are ``TrigPolynomial`` or scalar ``ComplexRational``."""
+    """Values are ``TrigPolynomial``; a number or ``i`` is the mode-0 constant."""
 
-    @staticmethod
-    def _as_trig(value: Any) -> TrigPolynomial:
-        if isinstance(value, TrigPolynomial):
-            return value
-        return TrigPolynomial.of({0: value})
+    def number(self, value: Fraction) -> TrigPolynomial:
+        return TrigPolynomial.basis(0, ComplexRational.of(value))
 
-    @staticmethod
-    def _as_scalar(value: Any) -> Optional[ComplexRational]:
-        if isinstance(value, ComplexRational):
-            return value
-        if all(k == 0 for k in value.modes()):
-            return value.amplitude(0)
-        return None
-
-    def number(self, value: Fraction) -> ComplexRational:
-        return ComplexRational.of(value)
-
-    def name(self, parser: _Parser, tok: Token) -> Any:
+    def name(self, parser: _Parser, tok: Token) -> TrigPolynomial:
         if tok.text == "i":
-            return ComplexRational.of(0, 1)
+            return TrigPolynomial.basis(0, ComplexRational.of(0, 1))
         if tok.text == "E":
             mode = self._parse_paren_arg(
                 parser, _ScalarEnv(exact_only=True)
@@ -438,48 +424,21 @@ class _TrigEnv(_Env):
             return TrigPolynomial.basis(int(mode), CONE)
         raise ParseError(f"unknown name {tok.text!r}", tok.pos)
 
-    def add(self, a: Any, b: Any) -> Any:
-        if isinstance(a, ComplexRational) and isinstance(b, ComplexRational):
-            return a + b
-        return self._as_trig(a) + self._as_trig(b)
-
-    def sub(self, a: Any, b: Any) -> Any:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: Any, b: Any) -> Any:
-        if isinstance(a, ComplexRational) and isinstance(b, ComplexRational):
-            return a * b
-        if isinstance(a, ComplexRational):
-            return b.scale(a)
-        if isinstance(b, ComplexRational):
-            return a.scale(b)
-        out: dict = {}
-        for ka in a.modes():
-            for kb in b.modes():
-                k = ka + kb
-                term = a.amplitude(ka) * b.amplitude(kb)
-                out[k] = out[k] + term if k in out else term
-        return TrigPolynomial.of(out)
-
-    def div(self, a: Any, b: Any) -> Any:
-        scalar = b if isinstance(b, ComplexRational) else self._as_scalar(b)
-        if scalar is None:
+    def div(self, a: TrigPolynomial, b: TrigPolynomial) -> TrigPolynomial:
+        if not b.without_modes(0).is_zero():
             raise DomainError("can only divide by scalar trig values")
-        if scalar.is_zero():
+        if b.is_zero():
             raise DomainError("division by zero")
-        if isinstance(a, ComplexRational):
-            return a / scalar
-        return a.scale(ComplexRational.of(1) / scalar)
+        return a.scale(CONE / b.amplitude(0))
 
-    def pow(self, a: Any, k: int) -> Any:
+    def pow(self, a: TrigPolynomial, k: int) -> TrigPolynomial:
         if k < 0:
-            scalar = self._as_scalar(a) if not isinstance(a, ComplexRational) else a
-            if scalar is None:
+            if not a.without_modes(0).is_zero():
                 raise DomainError("negative powers only apply to scalars")
-            return ComplexRational.of(1) / self.pow(scalar, -k)
-        acc: Any = ComplexRational.of(1)
+            return TrigPolynomial.basis(0, CONE / self.pow(a, -k).amplitude(0))
+        acc = TrigPolynomial.basis(0, CONE)
         for _ in range(k):
-            acc = self.mul(acc, a)
+            acc = acc * a
         return acc
 
 
@@ -535,9 +494,7 @@ def parse_expression(
             center = Fraction(at_value)
         env = _SeriesEnv(center, order)
     value = _Parser(tokens).parse_full(env)
-    if context == "trig":
-        value = _TrigEnv._as_trig(value)
-    elif isinstance(value, PowerSeries) and not value.exact:
+    if isinstance(value, PowerSeries) and not value.exact:
         # computed in full here, so no parse work is deferred into (and then
         # memoised across) the operations that read the input
         value = PowerSeries.truncated(value.center, value.coeffs)

@@ -17,6 +17,7 @@ from ``f`` of the f-expansion: ``E1 = f``, ``E2`` the fractional part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -25,7 +26,7 @@ from .approx import ApproximationSystem
 from .coefficients import is_infinite
 from .core import ConvergentTrace, ExpansionSystem, convergent, trajectory
 from .errors import DomainError, UnsupportedInContext
-from .realsys import BaseSystem, ContinuedFractionSystem, FExpansionSystem, rfloor
+from .realsys import BaseSystem, ContinuedFractionSystem, FExpansionSystem
 from .seriessys import NewtonForwardSystem, NewtonReflectedSystem
 
 LevelMap = Callable[[int, Any], Any]
@@ -273,7 +274,7 @@ def _f_shift_morphism(
         return Fraction(0) if is_infinite(y) else source.f_inv(y)
 
     def e2(i: int, y: Any) -> Any:
-        return Fraction(0) if is_infinite(y) else y - rfloor(y)
+        return Fraction(0) if is_infinite(y) else y - math.floor(y)
 
     return shift_isomorphism(source, lambda i, y: source.f(y), e1_inv, e2, name)
 

@@ -5,13 +5,11 @@ Base-``b`` digits and continued fractions are f-expansions
 fractional part, one reconstruct applies the inverse of ``f``.  The Egyptian
 and Engel systems share one class for their ``ceil(1/y)`` coefficient map.
 
-All systems here run on two interchangeable element backends:
-
-* exact ``Fraction`` values, and
-* :class:`~expansions.certified.Interval` enclosures for irrational inputs.
-
-Coefficient extraction uses certified floors/ceilings, so with the interval
-backend a too-narrow precision budget surfaces as
+All systems here run on two interchangeable element backends, exact
+``Fraction`` values and :class:`~expansions.certified.Interval` enclosures for
+irrational inputs, with one spelling: ``math.floor``, ``math.ceil``, ``<``,
+``not y`` (zero test) and ``0 * y`` (zero of the same backend).  On an
+enclosure these are certified, so a too-narrow precision budget surfaces as
 :class:`~expansions.errors.PrecisionExhausted` rather than a wrong digit.
 """
 
@@ -24,39 +22,9 @@ from typing import Any, Callable, Optional, Sequence, Tuple, Union
 from .certified import Interval
 from .coefficients import INF, ExtendedInt, is_infinite
 from .core import ORDER_REVERSED, ORDER_STANDARD, ExpansionSystem
-from .errors import DomainError, PrecisionExhausted
+from .errors import DomainError
 
 Real = Union[Fraction, Interval]
-
-
-# -- backend dispatch helpers -------------------------------------------------
-
-
-def _zero_like(value: Real) -> Real:
-    return Interval.exact(0) if isinstance(value, Interval) else Fraction(0)
-
-
-def certainly_zero(value: Real) -> bool:
-    """Certified zero test; raises on an interval that straddles zero."""
-    if isinstance(value, Interval):
-        return value.sign() == 0
-    return value == 0
-
-
-def certified_lt(a: Real, b: Real) -> bool:
-    """Certified ``a < b`` across backends."""
-    if isinstance(a, Interval) or isinstance(b, Interval):
-        ia = a if isinstance(a, Interval) else Interval.exact(a)
-        return ia.lt(b)
-    return a < b
-
-
-def rfloor(value: Real) -> int:
-    return value.floor() if isinstance(value, Interval) else math.floor(value)
-
-
-def rceil(value: Real) -> int:
-    return value.ceil() if isinstance(value, Interval) else math.ceil(value)
 
 
 class _UnitIntervalSystem(ExpansionSystem):
@@ -85,12 +53,12 @@ class _UnitIntervalSystem(ExpansionSystem):
         return self.step(i, y)[1]
 
     def is_neutral(self, i: int, y: Any) -> bool:
-        return certainly_zero(y)
+        return not y
 
     def elements_equal(self, i: int, a: Any, b: Any) -> bool:
         """Certified equality: enclosures decide it only as equal points or
         as disjoint sets, and raise ``PrecisionExhausted`` otherwise."""
-        return certainly_zero(a - b)
+        return not (a - b)
 
 
 class FExpansionSystem(_UnitIntervalSystem):
@@ -104,7 +72,7 @@ class FExpansionSystem(_UnitIntervalSystem):
 
     Args:
         name: registry/report identifier.
-        f: the scaling map; may return ``INF``/``NEG_INF``.
+        f: the scaling map; may return ``INF``.
         f_inv: inverse of ``f`` on its image.
         in_image: certified predicate for membership of ``c + tail`` in
             ``f([0,1) \\ {0})``.
@@ -137,8 +105,8 @@ class FExpansionSystem(_UnitIntervalSystem):
     def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
         v = self.f(y)
         if is_infinite(v):
-            return v, _zero_like(y)
-        d = rfloor(v)
+            return v, 0 * y
+        d = math.floor(v)
         return d, v - d
 
     def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
@@ -147,16 +115,14 @@ class FExpansionSystem(_UnitIntervalSystem):
             return self.f_inv(w) if self._in_image(w) else None
         if not is_infinite(c):
             raise DomainError(f"coefficient {c!r} is not an integer")
-        if self._neutral_coeff is c and certainly_zero(tail):
-            return _zero_like(tail)
+        if self._neutral_coeff is c and not tail:
+            return 0 * tail
         return None
 
 
 def _reciprocal(y: Real) -> Any:
     """``f(y) = 1/y`` with ``f(0) = INF``."""
-    if certainly_zero(y):
-        return INF
-    return 1 / y
+    return 1 / y if y else INF
 
 
 class BaseSystem(FExpansionSystem):
@@ -216,7 +182,7 @@ class ContinuedFractionSystem(FExpansionSystem):
 
     def __init__(self) -> None:
         super().__init__("cf", f=_reciprocal, f_inv=lambda w: 1 / w,
-                         in_image=lambda w: certified_lt(Fraction(1), w))
+                         in_image=lambda w: 1 < w)
 
     def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
         if c is not INF and (not isinstance(c, int) or c < 1):
@@ -239,18 +205,18 @@ class _UnitFractionSystem(_UnitIntervalSystem):
     coefficient_order_kind = ORDER_REVERSED
 
     def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
-        if certainly_zero(y):
-            return INF, _zero_like(y)
-        q = rceil(1 / y)
+        if not y:
+            return INF, 0 * y
+        q = math.ceil(1 / y)
         return q, self._remainder(y, q)
 
     def project(self, i: int, y: Any) -> ExtendedInt:
         # no remainder: ``y - 1/q`` carries the bits of ``q`` into the endpoints
-        return INF if certainly_zero(y) else rceil(1 / y)
+        return math.ceil(1 / y) if y else INF
 
     def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
         if c is INF:
-            return _zero_like(tail) if certainly_zero(tail) else None
+            return None if tail else 0 * tail
         if not isinstance(c, int) or c < 2:
             raise DomainError(f"coefficient {c!r} is not a unit-fraction index")
         return self._reconstruct_finite(c, tail)
@@ -268,7 +234,7 @@ class EgyptianSystem(_UnitFractionSystem):
     def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
         # ceil(1/y) == c exactly when 1/c <= y < 1/(c-1), i.e. the remainder
         # lies below 1/(c(c-1)).
-        if not certified_lt(tail, Fraction(1, c * (c - 1))):
+        if not tail < Fraction(1, c * (c - 1)):
             return None
         return Fraction(1, c) + tail
 
@@ -285,7 +251,7 @@ class EngelSystem(_UnitFractionSystem):
 
     def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
         # 1/c <= (1 + tail)/c < 1/(c-1) exactly when tail < 1/(c-1).
-        if not certified_lt(tail, Fraction(1, c - 1)):
+        if not tail < Fraction(1, c - 1):
             return None
         return (1 + tail) / c
 
@@ -296,8 +262,7 @@ def base_f_expansion(base: int) -> FExpansionSystem:
         name=f"f-linear{base}",
         f=lambda y: base * y,
         f_inv=lambda w: w / base,
-        in_image=lambda w: not certified_lt(w, Fraction(0))
-        and certified_lt(w, Fraction(base)),
+        in_image=lambda w: not w < 0 and w < base,
     )
 
 
@@ -307,7 +272,7 @@ def reciprocal_f_expansion() -> FExpansionSystem:
         name="f-reciprocal",
         f=_reciprocal,
         f_inv=lambda w: 1 / w,
-        in_image=lambda w: certified_lt(Fraction(1), w),
+        in_image=lambda w: 1 < w,
     )
 
 

@@ -65,6 +65,14 @@ class TrigPolynomial:
     def __sub__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         return self + (-other)
 
+    def __mul__(self, other: "TrigPolynomial") -> "TrigPolynomial":
+        """Exact product: the convolution of the two amplitude sequences."""
+        acc: Dict[int, ComplexRational] = {}
+        for ka, a in self.terms:
+            for kb, b in other.terms:
+                acc[ka + kb] = acc.get(ka + kb, CZERO) + a * b
+        return TrigPolynomial.of(acc)
+
     def scale(self, factor: ComplexRational) -> "TrigPolynomial":
         return TrigPolynomial.of({k: a * factor for k, a in self.terms})
 

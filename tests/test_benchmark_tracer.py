@@ -1,0 +1,33 @@
+"""The benchmark tracer (``perfbench/tracer.py``) wraps library entry points
+by name and restores them afterwards; renaming a wrapped method breaks the
+traced benchmark run, so the round trip is checked here."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import expansions
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _attributes():
+    """Every attribute of every ``expansions`` module and of the classes they define."""
+    owners = [module for name, module in sys.modules.items()
+              if module is not None and name.split(".")[0] == "expansions"]
+    owners += [value for module in list(owners) for value in vars(module).values()
+               if isinstance(value, type) and value.__module__.startswith("expansions")]
+    return {(id(owner), attr): value for owner in owners for attr, value in vars(owner).items()}
+
+
+def test_tracer_install_and_uninstall_restore_every_attribute(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    before = _attributes()
+    tracer.install(expansions)
+    try:
+        installed = _attributes()
+    finally:
+        tracer.uninstall()
+    assert installed != before
+    assert _attributes() == before

@@ -1,5 +1,6 @@
 """Certified interval arithmetic and the irrational constant builders."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expansions import Interval, PrecisionExhausted, e_interval, pi_interval, sqrt_interval
-from expansions.realsys import certainly_zero, certified_lt, rceil, rfloor
 
 # 40-digit brackets, cross-checked against standard tables
 PI_LO = Fraction("3.14159265358979323846264338327950288419")
@@ -54,25 +54,25 @@ def test_division_by_straddling_interval_is_refused():
 
 
 def test_certified_floor_and_ceil():
-    assert rfloor(Fraction(7, 2)) == 3
-    assert rceil(Fraction(7, 2)) == 4
-    assert rfloor(Interval(Fraction(5, 2), Fraction(26, 10))) == 2
-    assert rceil(Interval(Fraction(5, 2), Fraction(26, 10))) == 3
+    assert math.floor(Fraction(7, 2)) == 3
+    assert math.ceil(Fraction(7, 2)) == 4
+    assert math.floor(Interval(Fraction(5, 2), Fraction(26, 10))) == 2
+    assert math.ceil(Interval(Fraction(5, 2), Fraction(26, 10))) == 3
     with pytest.raises(PrecisionExhausted):
-        rfloor(Interval(Fraction(999, 1000), Fraction(1001, 1000)))
+        math.floor(Interval(Fraction(999, 1000), Fraction(1001, 1000)))
 
 
 def test_certainly_zero_refuses_ambiguity():
-    assert certainly_zero(Interval(Fraction(0), Fraction(0)))
-    assert not certainly_zero(Fraction(1, 7))
+    assert not Interval(Fraction(0), Fraction(0))
+    assert Fraction(1, 7)
     with pytest.raises(PrecisionExhausted):
-        certainly_zero(Interval(Fraction(0), Fraction(1, 10 ** 30)))
+        bool(Interval(Fraction(0), Fraction(1, 10 ** 30)))
 
 
 def test_certified_lt_needs_disjoint_intervals():
-    assert certified_lt(Interval(Fraction(1, 3), Fraction(1, 2)), Interval(Fraction(2, 3), Fraction(3, 4)))
+    assert Interval(Fraction(1, 3), Fraction(1, 2)) < Interval(Fraction(2, 3), Fraction(3, 4))
     with pytest.raises(PrecisionExhausted):
-        certified_lt(Interval(Fraction(1, 3), Fraction(2, 3)), Interval(Fraction(1, 2), Fraction(3, 4)))
+        Interval(Fraction(1, 3), Fraction(2, 3)) < Interval(Fraction(1, 2), Fraction(3, 4))
 
 
 def test_sqrt_interval_exact_on_rational_squares():
@@ -170,3 +170,38 @@ def test_scalar_paths_equal_the_four_product_hull(a, s):
     assert s - a == Interval(v - a.hi, v - a.lo)
     # a point on the left of a general interval takes the same path
     assert Interval.exact(v) * a == _hull([v * x for x in ends])
+
+
+_operands = st.one_of(st.integers(-20, 20), _fractions, _intervals)
+
+
+def _ends(value):
+    return (value.lo, value.hi) if isinstance(value, Interval) else (value, value)
+
+
+def _decided(true_if, false_if):
+    """Endpoint oracle: the certified answer, or ``None`` when undecided."""
+    return True if true_if else False if false_if else None
+
+
+def _check(op, expected):
+    if expected is None:
+        with pytest.raises(PrecisionExhausted):
+            op()
+    else:
+        result = op()
+        assert result == expected and type(result) is type(expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operands, _operands)
+def test_operators_follow_the_endpoint_oracle(a, b):
+    # Fraction/int pairs take Python's own operators, mixed and interval
+    # pairs the certified ones; the endpoints decide both the same way
+    (alo, ahi), (blo, bhi) = _ends(a), _ends(b)
+    _check(lambda: a < b, _decided(ahi < blo, alo >= bhi))
+    _check(lambda: a > b, _decided(alo > bhi, ahi <= blo))
+    floors, ceils = (math.floor(alo), math.floor(ahi)), (math.ceil(alo), math.ceil(ahi))
+    _check(lambda: math.floor(a), floors[0] if floors[0] == floors[1] else None)
+    _check(lambda: math.ceil(a), ceils[0] if ceils[0] == ceils[1] else None)
+    _check(lambda: bool(a), _decided(alo > 0 or ahi < 0, alo == ahi == 0))

@@ -8,6 +8,7 @@ the exact bytes a shell user sees.
 import io
 import json
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -370,3 +371,92 @@ def test_exit_code_huge_input_outside_unit_interval():
                                  "--bits", bits, "--depth", "2")
         assert (code, out) == (2, "")
         assert err == f"error: DomainError: element lies outside [0, 1), {side}\n"
+
+
+def _decimal(n):
+    """``str(n)`` past the interpreter's int/str digit limit."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+_HUGE = "pi*2^20000-pi*2^20000"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (("expand", "--system", "egyptian", "--input", "1/(2^20000)", "--depth", "1"),
+     0, "{n}\n", ""),
+    (("convergent", "--system", "egyptian", "--input", "1/(2^20000)", "--order", "1"),
+     0, "1/{n}\n", ""),
+    (("expand", "--system", "newton-forward", "--input", "2^20000*x", "--depth", "2"),
+     0, "0 {n}\n", ""),
+    (("expand", "--system", "cf", "--input", _HUGE, "--bits", "64", "--depth", "2"),
+     3, "", "error: PrecisionExhausted: sign undecidable on [-"),
+    (("expand", "--system", "base10", "--input", f"1/({_HUGE})", "--bits", "64",
+      "--depth", "2"),
+     3, "", "error: PrecisionExhausted: cannot invert interval straddling zero: [-"),
+    (("expand", "--system", "base10", "--input", "sqrt(-2^20000)", "--depth", "2"),
+     2, "", "error: DomainError: sqrt of negative value -{n}\n"),
+])
+def test_numbers_past_the_int_digit_limit(argv, code, out, err):
+    # certified results and error messages print every digit
+    got_code, got_out, got_err = run_cli(*argv)
+    n = _decimal(2 ** 20000)
+    assert (got_code, got_out) == (code, out.format(n=n))
+    assert got_err.startswith(err.format(n=n))
+    if code == 3:
+        assert got_err.endswith("]\n") and len(got_err) > 2 * len(n)
+
+
+def test_cli_restores_the_int_digit_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        for argv in (("expand", "--system", "egyptian", "--input", "1/(2^20000)",
+                      "--depth", "1"),
+                     ("expand", "--system", "cf", "--input", _HUGE, "--bits", "64",
+                      "--depth", "2")):
+            run_cli(*argv)
+            assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            run_cli("expand", "--depth", "x")
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_bad_config_and_out_files_are_domain_errors(tmp_path):
+    def config(text):
+        path = tmp_path / f"cfg{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(text)
+        return str(path)
+
+    third = ("--system", "cf", "--input", "1/3")
+    for argv in (
+        ("expand", *third, "--depth", "2", "--config", str(tmp_path / "missing.json")),
+        ("expand", *third, "--depth", "2", "--config", str(tmp_path)),
+        ("expand", *third, "--depth", "2", "--config", config("{bad")),
+        ("expand", *third, "--config", config('{"depth": "x"}')),
+        ("expand", *third, "--depth", "2", "--config", config('{"bits": "abc"}')),
+        ("expand", *third, "--config", config('{"depth": 2.5}')),
+        ("convergent", *third, "--order", "2", "--config", config('{"emit": "bogus"}')),
+        ("report", *third, "--nmax", "3", "--config", config('{"format": "xml"}')),
+        ("expand", *third, "--depth", "2", "--config", config('{"handler": 1}')),
+        ("report", *third, "--nmax", "3", "--out", str(tmp_path / "no" / "x.csv")),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: DomainError: ") and err.endswith("\n"), argv
+
+
+def test_config_values_read_as_flag_text(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": "base10", "input": "pi-3", "depth": "4",
+                               "bits": 64}))
+    code, out, _ = run_cli("expand", "--config", str(cfg))
+    assert (code, out) == run_cli("expand", "--system", "base10", "--input", "pi-3",
+                                  "--depth", "4", "--bits", "64")[:2]
+    assert (code, out) == (0, "1 4 1 5\n")

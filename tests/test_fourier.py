@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from expansions import (
     ComplexRational,
     FourierSystem,
@@ -85,3 +88,29 @@ def test_improper_convergent_from_bad_code() -> None:
     trace = convergent_from_code(sysm, [(CR(1), CR(2)), (ZERO, CR(1))])
     assert trace.improper_at == 0
     assert trace.value is None
+
+
+# |z| = 1, so z^-k is the k-th power of the conjugate
+_Z = CR(F(3, 5), F(4, 5))
+
+
+def _at_z(y: TrigPolynomial) -> ComplexRational:
+    total = ZERO
+    for k, a in y.terms:
+        power = CR(1)
+        for _ in range(abs(k)):
+            power = power * (_Z if k > 0 else _Z.conjugate())
+        total = total + a * power
+    return total
+
+
+_amplitudes = st.builds(
+    CR, st.fractions(-5, 5, max_denominator=7), st.fractions(-5, 5, max_denominator=7)
+)
+_trigs = st.dictionaries(st.integers(-4, 4), _amplitudes, max_size=5).map(TrigPolynomial.of)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trigs, _trigs)
+def test_product_evaluates_to_the_product_of_evaluations(y, w):
+    assert _at_z(y * w) == _at_z(y) * _at_z(w)
