@@ -153,7 +153,7 @@ def _cmd_convergent(args: argparse.Namespace) -> int:
     trace = convergent(system, y, n)
     if not trace.proper:
         raise _ImproperDemand(f"convergent improper at level {trace.improper_at}")
-    if args.emit == "trace":
+    if _get(args, "emit", "value") == "trace":
         for k in range(trace.n, -1, -1):
             print(f"{k}: {render_value(trace.stages[k], approx)}")
     else:
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     conv = sub.add_parser("convergent", help="n-th convergent of an element")
     _add_common(conv, "order")
-    conv.add_argument("--emit", choices=("value", "trace"), default="value")
+    conv.add_argument("--emit", choices=("value", "trace"), default=None)
     conv.set_defaults(handler=_cmd_convergent)
 
     order = sub.add_parser("order", help="least depth at which the element is neutral")

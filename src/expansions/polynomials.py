@@ -3,14 +3,19 @@
 A polynomial is an exact :class:`~expansions.series.PowerSeries` at center 0,
 which carries the ring operations.  This module adds the Euclidean structure
 and certified decisions about polynomial ranges on ``[0, 1]`` —
-``is_nonneg_on_01`` and ``sup_norm_le`` — via square-free reduction and
-Sturm-chain root isolation, all in ``Fraction`` arithmetic.  These back the
-norm-restricted system's membership test, which must be exact: a convergent
-is declared proper or improper, never "probably proper".
+``is_nonneg_on_01`` and ``sup_norm_le`` — from the Bernstein coefficients of
+an integer-scaled polynomial under dyadic halving, with roots isolated by
+Descartes' rule on those coefficients (Vincent–Collins–Akritas bisection).
+Both run on integers by additions and shifts.  ``Fraction`` arithmetic is
+left to the square-free part before root isolation, to refining brackets,
+and to sampling in the rare sign test that halving leaves undecided.  These
+back the norm-restricted system's membership test, which must be exact: a
+convergent is declared proper or improper, never "probably proper".
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -77,75 +82,134 @@ def square_free_part(p: Polynomial) -> Polynomial:
     return divmod_poly(p, g)[0]
 
 
-# -- Sturm-chain root isolation on an interval ----------------------------
+# -- integer Bernstein form on [0, 1] ------------------------------------
+
+#: Dyadic halvings the Bernstein sign test tries before the sampling argument.
+_HALVINGS = 8
 
 
-def _sturm_chain(p: Polynomial) -> List[Polynomial]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-divmod_poly(chain[-2], chain[-1])[1])
-    chain.pop()
-    return chain
+def _integer_coeffs(cs: Sequence[Fraction]) -> List[int]:
+    """``cs`` times the lcm of its denominators, so every sign is kept."""
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs]
 
 
-def _sign_variations(chain: Sequence[Polynomial], x: Fraction) -> int:
-    signs = [v > 0 for v in (q(x) for q in chain) if v]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+def _shift_1(cs: List[int]) -> List[int]:
+    """Taylor shift ``q(x) -> q(x + 1)`` in place, by additions only."""
+    top = len(cs) - 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            cs[j] += cs[j + 1]
+    return cs
+
+
+def _bernstein(cs: Sequence[int]) -> List[int]:
+    """``C(n, i) * b_i`` for the Bernstein coefficients ``b_i`` on ``[0, 1]``
+    of the degree-``n`` power form ``cs``.
+
+    These are the coefficients of ``(1 + t)^n q(t / (1 + t))``: reverse, shift
+    by 1, reverse.  The first is ``q(0)`` and the last ``q(1)``.
+    """
+    return _shift_1(list(reversed(cs)))[::-1]
+
+
+def _halves(cs: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """``2^n q(x / 2)`` and ``2^n q((x + 1) / 2)``: the two halves of
+    ``[0, 1]`` mapped back onto ``[0, 1]``."""
+    n = len(cs) - 1
+    left = [c << (n - i) for i, c in enumerate(cs)]
+    return left, _shift_1(list(left))
+
+
+def _sign_test(cs: List[int], bern: List[int], halvings: int) -> Optional[bool]:
+    """``q >= 0`` on ``[0, 1]`` from its Bernstein coefficients ``bern``, or
+    ``None`` when ``halvings`` dyadic halvings leave it undecided."""
+    if bern[0] < 0 or bern[-1] < 0:
+        return False
+    if min(bern) >= 0:
+        return True
+    if not halvings:
+        return None
+    verdict: Optional[bool] = True
+    for half in _halves(cs):
+        v = _sign_test(half, _bernstein(half), halvings - 1)
+        if v is False:
+            return False
+        if v is None:
+            verdict = None
+    return verdict
+
+
+def _nonneg(cs: List[int], bern: List[int]) -> bool:
+    verdict = _sign_test(cs, bern, _HALVINGS)
+    if verdict is not None:
+        return verdict
+    # A touching root off the dyadic grid, like that of (x - 1/3)^2, never
+    # decides under halving.  Sign is constant between consecutive roots, and
+    # every maximal root-free stretch of [0, 1] holds 0, 1 or the midpoint of
+    # a gap between strictly separated brackets.  (Bracket endpoints alone
+    # miss the stretch between two neighbouring rational roots.)
+    q = Polynomial.of(*cs)
+    ends = [_ZERO]
+    for bracket in isolate_roots_01(q):
+        ends.extend(bracket)
+    ends.append(_ONE)
+    samples = [(a + b) / 2 for a, b in zip(ends[::2], ends[1::2])]
+    return all(q(x) >= 0 for x in (_ZERO, _ONE, *samples))
+
+
+# -- root isolation by Descartes' rule in Bernstein form --------------------
 
 
 def isolate_roots_01(p: Polynomial) -> List[Tuple[Fraction, Fraction]]:
     """Disjoint rational intervals, each holding exactly one root of ``p`` in
     the open interval ``(0, 1)``.
 
-    ``p`` must be square-free.  A rational root ``r`` shows up as the
-    degenerate interval ``(r, r)``; all other returned endpoints are
+    Roots are counted without multiplicity.  A rational root ``r`` shows up
+    as the degenerate interval ``(r, r)``; all other returned endpoints are
     non-roots.  Intervals are sorted and pairwise strictly separated.
     """
     _require_centered(p)
+    # Bisection ends on simple roots only: a multiple root keeps two sign
+    # variations on every piece around it.
+    return _isolate_square_free(square_free_part(p))
+
+
+def _isolate_square_free(p: Polynomial) -> List[Tuple[Fraction, Fraction]]:
     if p.degree < 1:
         return []
-    chain = _sturm_chain(p)
-
-    def count_open(a: Fraction, b: Fraction) -> int:
-        # Sturm counts (a, b]; drop b when it is itself a root.
-        n = _sign_variations(chain, a) - _sign_variations(chain, b)
-        return n - 1 if p(b) == 0 else n
-
     out: List[Tuple[Fraction, Fraction]] = []
 
-    def search(a: Fraction, b: Fraction) -> None:
-        n_roots = count_open(a, b)
-        if n_roots == 0:
+    def search(cs: List[int], k: int, m: int) -> None:
+        # cs is p on [k / 2^m, (k + 1) / 2^m], mapped onto [0, 1].  The sign
+        # variations of its Bernstein coefficients bound the roots inside,
+        # with the same parity (Descartes' rule).
+        bern = _bernstein(cs)
+        signs = [v > 0 for v in bern if v]
+        variations = sum(s != t for s, t in zip(signs, signs[1:]))
+        if variations == 0:
             return
-        if n_roots == 1 and p(a) != 0 and p(b) != 0:
-            out.append((a, b))
+        if variations == 1 and bern[0] and bern[-1]:
+            out.append((Fraction(k, 1 << m), Fraction(k + 1, 1 << m)))
             return
-        mid = (a + b) / 2
-        if p(mid) == 0:
+        left, right = _halves(cs)
+        search(left, 2 * k, m + 1)
+        if not right[0]:
+            mid = Fraction(2 * k + 1, 1 << (m + 1))
             out.append((mid, mid))
-        search(a, mid)
-        search(mid, b)
+        search(right, 2 * k + 1, m + 1)
 
-    search(_ZERO, _ONE)
-    out.sort()
-
-    def refine(iv: Tuple[Fraction, Fraction]) -> Tuple[Fraction, Fraction]:
-        a, b = iv
-        if a == b:
-            return iv
-        mid = (a + b) / 2
-        if p(mid) == 0:
-            return (mid, mid)
-        return (a, mid) if count_open(a, mid) == 1 else (mid, b)
-
-    # Shrink until consecutive intervals are strictly separated.
+    search(_integer_coeffs(p.coeffs), 0, 0)
+    # Neighbouring brackets may share an endpoint, which is never a root:
+    # halve both until consecutive brackets are strictly separated.
     changed = True
     while changed:
         changed = False
         for k in range(len(out) - 1):
             if out[k][1] >= out[k + 1][0]:
-                out[k] = refine(out[k])
-                out[k + 1] = refine(out[k + 1])
+                for j in (k, k + 1):
+                    lo, hi = out[j]
+                    out[j] = refine_root(p, out[j], (hi - lo) / 2)
                 changed = True
     return out
 
@@ -178,16 +242,8 @@ def is_nonneg_on_01(q: Polynomial) -> bool:
     _require_centered(q)
     if q.is_zero():
         return True
-    if q(_ZERO) < 0 or q(_ONE) < 0:
-        return False
-    s = square_free_part(q)
-    samples = {_ZERO, _ONE}
-    for a, b in isolate_roots_01(s):
-        samples.add(a)
-        samples.add(b)
-    # Sign is constant between consecutive roots, and every maximal root-free
-    # stretch of [0, 1] contains one of these samples.
-    return all(q(x) >= 0 for x in samples)
+    cs = _integer_coeffs(q.coeffs)
+    return _nonneg(cs, _bernstein(cs))
 
 
 def sup_norm_le(p: Polynomial, bound: object) -> bool:
@@ -196,8 +252,20 @@ def sup_norm_le(p: Polynomial, bound: object) -> bool:
     bound = Fraction(bound)
     if bound < 0:
         return False
-    bnd = Polynomial.of(bound)
-    return is_nonneg_on_01(bnd - p) and is_nonneg_on_01(bnd + p)
+    top, *cs = _integer_coeffs((bound, *p.coeffs))
+    if not cs:
+        return True
+    bern = _bernstein(cs)
+    n = len(cs) - 1
+    # The Bernstein coefficients of a constant are that constant, so those of
+    # bound -+ p come from p's own: decide bound - p >= 0 and bound + p >= 0.
+    ceiling = [top * math.comb(n, i) for i in range(n + 1)]
+    for sign in (1, -1):
+        power = [-sign * c for c in cs]
+        power[0] += top
+        if not _nonneg(power, [t - sign * v for t, v in zip(ceiling, bern)]):
+            return False
+    return True
 
 
 def sup_norm_enclosure(p: Polynomial, width: object = Fraction(1, 10**6)) -> Interval:
@@ -207,7 +275,7 @@ def sup_norm_enclosure(p: Polynomial, width: object = Fraction(1, 10**6)) -> Int
     if p.is_zero():
         return Interval.exact(0)
     crit = square_free_part(p.derivative())
-    intervals = isolate_roots_01(crit) if crit.degree >= 1 else []
+    intervals = _isolate_square_free(crit)
     # |p'| <= sum |coeff| on [0, 1] bounds the variation over a short interval.
     slope = sum(abs(c) for c in p.derivative().coeffs) or _ONE
     w = Fraction(1, 64)
@@ -227,14 +295,14 @@ def sup_norm_enclosure(p: Polynomial, width: object = Fraction(1, 10**6)) -> Int
 
 def argmax_abs_enclosure(p: Polynomial, width: object = Fraction(1, 10**6)) -> Interval:
     """Enclosure of one maximizer of ``|p|`` on ``[0, 1]``."""
+    _require_centered(p)
     width = Fraction(width)
     best: Optional[Tuple[Fraction, Interval]] = None
     candidates: List[Interval] = [Interval.exact(0), Interval.exact(1)]
     crit = square_free_part(p.derivative())
-    if crit.degree >= 1:
-        for iv in isolate_roots_01(crit):
-            a, b = refine_root(crit, iv, width)
-            candidates.append(Interval(a, b))
+    for iv in _isolate_square_free(crit):
+        a, b = refine_root(crit, iv, width)
+        candidates.append(Interval(a, b))
     for c in candidates:
         v = abs(p(c.midpoint()))
         if best is None or v > best[0]:

@@ -14,6 +14,7 @@ Four families live here:
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Any, Optional, Tuple
@@ -83,8 +84,12 @@ def _validate_polynomial(y: Any) -> None:
         raise DomainError(f"polynomial centered at {y.center}, not at 0")
 
 
+@functools.cache
 def _factorial_basis(k: int, step: int) -> PowerSeries:
-    """``x(x - step)...(x - (k-1) step) / k!``."""
+    """``x(x - step)...(x - (k-1) step) / k!``, built once per ``(k, step)``.
+
+    ``PowerSeries`` is immutable, so every caller may share the table entry.
+    """
     acc = PowerSeries.of(1)
     for j in range(k):
         acc = acc * PowerSeries.of(-j * step, 1)

@@ -460,3 +460,14 @@ def test_config_values_read_as_flag_text(tmp_path):
     assert (code, out) == run_cli("expand", "--system", "base10", "--input", "pi-3",
                                   "--depth", "4", "--bits", "64")[:2]
     assert (code, out) == (0, "1 4 1 5\n")
+
+
+def test_config_file_supplies_emit(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"emit": "trace"}))
+    third = ("--system", "cf", "--input", "7/10", "--order", "2")
+    traced = run_cli("convergent", *third, "--emit", "trace")
+    assert traced[1].count("\n") == 3
+    assert run_cli("convergent", *third, "--config", str(cfg)) == traced
+    assert run_cli("convergent", *third, "--config", str(cfg),
+                   "--emit", "value") == run_cli("convergent", *third)

@@ -25,7 +25,12 @@ from expansions import (
     sup_norm_le,
     trajectory,
 )
-from expansions.polynomials import divmod_poly, is_nonneg_on_01, sup_norm_enclosure
+from expansions.polynomials import (
+    argmax_abs_enclosure,
+    divmod_poly,
+    is_nonneg_on_01,
+    sup_norm_enclosure,
+)
 from expansions.seriessys import NormTaylorSystem
 
 POLYNOMIAL_SYSTEMS = ("newton-forward", "newton-backward", "newton-reflected", "norm-taylor")
@@ -84,18 +89,21 @@ def test_one_coefficient_class():
 
 
 def test_polynomial_decisions_refuse_recentred_series():
-    # Sturm chains and norm bounds read coefficients as powers of x.
-    p = PowerSeries.exact_poly(Fraction(1, 2), [Fraction(-1, 4), 0, 1])
-    decisions = (
-        lambda: divmod_poly(p, Polynomial.x()),
-        lambda: isolate_roots_01(p),
-        lambda: is_nonneg_on_01(p),
-        lambda: sup_norm_le(p, 1),
-        lambda: sup_norm_enclosure(p),
-    )
-    for decide in decisions:
-        with pytest.raises(DomainError, match="centered at 0"):
-            decide()
+    # Root isolation and norm bounds read coefficients as powers of x.
+    quadratic = PowerSeries.exact_poly(Fraction(1, 2), [Fraction(-1, 4), 0, 1])
+    linear = PowerSeries.exact_poly(Fraction(1, 2), [Fraction(1, 4), 1])
+    for p in (quadratic, linear):
+        decisions = (
+            lambda: divmod_poly(p, Polynomial.x()),
+            lambda: isolate_roots_01(p),
+            lambda: is_nonneg_on_01(p),
+            lambda: sup_norm_le(p, 1),
+            lambda: sup_norm_enclosure(p),
+            lambda: argmax_abs_enclosure(p),
+        )
+        for decide in decisions:
+            with pytest.raises(DomainError, match="centered at 0"):
+                decide()
 
 
 def test_norm_taylor_has_no_center_parameter():
