@@ -514,7 +514,7 @@ def parse_alpha_schedule(text: str) -> Callable[[int], Fraction]:
     if has_index:
         def schedule(index: int) -> Fraction:
             env = _ScalarEnv(exact_only=True, variables={"i": Fraction(index)})
-            value = _Parser(tokenize(text)).parse_full(env)
+            value = _Parser(tokens).parse_full(env)
             return Fraction(value)
 
         schedule(0)  # validate eagerly so bad schedules fail at parse time

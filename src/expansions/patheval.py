@@ -177,11 +177,13 @@ def eval_convergent_path(
         tol: target for the accumulated quadrature error estimate.
 
     Raises:
-        DomainError: empty path, path not anchored at the center, or a
-            coefficient of the wrong kind for the system.
+        DomainError: ``tol`` not positive (or NaN), an empty path or one not
+            anchored at the center, or a coefficient of the wrong kind.
         SingularityOnPath: see module docs.
         QuadratureFailure: tolerance unreachable within the panel budget.
     """
+    if not tol > 0:
+        raise DomainError(f"quadrature tolerance must be positive, got {tol}")
     cfg = system.config
     if not path:
         raise DomainError("path must contain at least the center")

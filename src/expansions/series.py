@@ -33,45 +33,39 @@ import math
 from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, TruncationInconclusive
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-#: A stream whose chain of partly read streams reaches this many links is
-#: computed in full before another stream is built on it.  A read recurses
-#: through two interpreter frames per link, so this keeps every read well
-#: inside the default recursion limit.
-MAX_LINKS = 160
-
 
 class _Stream(abc.Sequence):
     """Coefficients of a truncated series, computed in order on first read
     and kept.
 
-    ``links`` is the length of the chain of streams a read may have to walk
-    (0 once every coefficient is known).
+    ``_sources`` pairs each source stream that was partly read when this one
+    was built with its offset: coefficient ``k`` reads that source up to
+    coefficient ``k + offset``.  A read past the memo walks down to the short
+    sources with an explicit stack, so a chain of any depth reads alike, and
+    extends a stream only once all its sources are long enough, so that its
+    generator reads memoised coefficients only.  A complete stream drops its
+    generator and its sources.
     """
 
-    __slots__ = ("_memo", "_gen", "_len", "links")
+    __slots__ = ("_memo", "_gen", "_len", "_sources")
 
-    def __init__(self, length: int, gen: Iterator[Fraction], links: int) -> None:
+    def __init__(self, length: int, gen: Iterator[Fraction], sources: list) -> None:
         self._memo: List[Fraction] = []
         self._gen: Optional[Iterator[Fraction]] = gen
         self._len = length
-        self.links = links
+        self._sources = sources
 
     @property
     def computed(self) -> int:
         """Number of coefficients computed so far."""
         return len(self._memo)
-
-    def force(self) -> None:
-        """Compute every coefficient."""
-        if self._gen is not None:
-            self[self._len - 1]
 
     def __len__(self) -> int:
         return self._len
@@ -82,16 +76,26 @@ class _Stream(abc.Sequence):
         if k < 0:
             k += self._len
         memo = self._memo
-        if not k < len(memo):
-            if not 0 <= k < self._len:
-                raise IndexError("coefficient index out of range")
-            gen = self._gen
-            while len(memo) <= k:
-                memo.append(next(gen))
-            if len(memo) == self._len:
-                self._gen = None
-                self.links = 0
-        return memo[k]
+        if k < len(memo):
+            return memo[k]
+        if not 0 <= k < self._len:
+            raise IndexError("coefficient index out of range")
+        s, n, above = self, k + 1, []
+        while True:
+            for src, offset in s._sources:
+                if len(src._memo) < n + offset:
+                    above.append((s, n))
+                    s, n = src, n + offset
+                    break
+            else:
+                s_memo, gen = s._memo, s._gen
+                while len(s_memo) < n:
+                    s_memo.append(next(gen))
+                if len(s_memo) == s._len:
+                    s._gen, s._sources = None, []
+                if not above:
+                    return memo[k]
+                s, n = above.pop()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (tuple, _Stream)):
@@ -278,20 +282,14 @@ class PowerSeries:
         return min(ka, kb)
 
     def _stream(
-        self, length: int, gen: Iterator[Fraction], *sources: "PowerSeries"
+        self, length: int, gen: Iterator[Fraction], *sources: Tuple["PowerSeries", int]
     ) -> "PowerSeries":
-        """Truncated series of ``length`` coefficients drawn from ``gen``,
-        which reads ``sources``; a source whose chain is ``MAX_LINKS`` long is
-        computed in full first."""
-        links = 0
-        for src in sources:
-            cs = src.coeffs
-            if isinstance(cs, _Stream) and cs.links:
-                if cs.links >= MAX_LINKS:
-                    cs.force()
-                else:
-                    links = max(links, cs.links)
-        return PowerSeries(self.center, _Stream(length, gen, links + 1), exact=False)
+        """Truncated series of ``length`` coefficients drawn from ``gen``, whose
+        coefficient ``k`` reads each ``(series, offset)`` of ``sources`` up to
+        ``k + offset``; a read walks the partly read ones first (``_Stream``)."""
+        pairs = [(src.coeffs, offset) for src, offset in sources
+                 if isinstance(src.coeffs, _Stream) and src.coeffs._gen is not None]
+        return PowerSeries(self.center, _Stream(length, gen, pairs), exact=False)
 
     # -- ring operations -------------------------------------------------------
 
@@ -305,7 +303,7 @@ class PowerSeries:
             return PowerSeries._stripped(self.center, out)
         n = known + 1
         a, b = self._pad(n), other._pad(n)
-        return self._stream(n, (a[k] + b[k] for k in range(n)), self, other)
+        return self._stream(n, (a[k] + b[k] for k in range(n)), (self, 0), (other, 0))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         self._require_same_center(other)
@@ -317,7 +315,7 @@ class PowerSeries:
             return PowerSeries._stripped(self.center, out)
         n = known + 1
         a, b = self._pad(n), other._pad(n)
-        return self._stream(n, (a[k] - b[k] for k in range(n)), self, other)
+        return self._stream(n, (a[k] - b[k] for k in range(n)), (self, 0), (other, 0))
 
     def __neg__(self) -> "PowerSeries":
         return PowerSeries(self.center, tuple(-c for c in self.coeffs), self.exact)
@@ -329,7 +327,7 @@ class PowerSeries:
             if factor == 0:
                 return PowerSeries.zero(self.center)
             return PowerSeries(self.center, tuple(factor * c for c in cs), exact=True)
-        return self._stream(len(cs), (factor * cs[k] for k in range(len(cs))), self)
+        return self._stream(len(cs), (factor * cs[k] for k in range(len(cs))), (self, 0))
 
     def __mul__(self, other: object) -> "PowerSeries":
         if isinstance(other, (int, Fraction)):
@@ -377,7 +375,7 @@ class PowerSeries:
             raise TruncationInconclusive(
                 "shifting down an order-0 germ leaves no known coefficients"
             )
-        return self._stream(len(cs) - 1, (cs[k] for k in range(1, len(cs))), self)
+        return self._stream(len(cs) - 1, (cs[k] for k in range(1, len(cs))), (self, 1))
 
     def shift_up(self, constant: object = 0) -> "PowerSeries":
         """Multiply by ``(x - center)`` and prepend a constant term."""
@@ -386,7 +384,7 @@ class PowerSeries:
         if self.exact:
             return PowerSeries._stripped(self.center, [constant, *cs])
         gen = (cs[k - 1] if k else constant for k in range(len(cs) + 1))
-        return self._stream(len(cs) + 1, gen, self)
+        return self._stream(len(cs) + 1, gen, (self, -1))
 
     # -- calculus -----------------------------------------------------------------
 
@@ -398,7 +396,7 @@ class PowerSeries:
             raise TruncationInconclusive(
                 "differentiating an order-0 germ leaves no known coefficients"
             )
-        return self._stream(len(cs) - 1, (k * cs[k] for k in range(1, len(cs))), self)
+        return self._stream(len(cs) - 1, (k * cs[k] for k in range(1, len(cs))), (self, 1))
 
     derivative = differentiate
 
@@ -410,7 +408,7 @@ class PowerSeries:
                 self.center, [constant] + [c / (k + 1) for k, c in enumerate(cs)]
             )
         gen = (cs[k - 1] / k if k else constant for k in range(len(cs) + 1))
-        return self._stream(len(cs) + 1, gen, self)
+        return self._stream(len(cs) + 1, gen, (self, -1))
 
     # -- polynomial evaluation and substitution ----------------------------------
 
@@ -529,7 +527,7 @@ class PowerSeries:
         self, order: Optional[int], seed: int, step: Callable[[int, _Row, _Row], Fraction]
     ) -> "PowerSeries":
         n = self._kernel_order(order)
-        return self._stream(n + 1, _recurrence(self._pad(n + 1), n, seed, step), self)
+        return self._stream(n + 1, _recurrence(self._pad(n + 1), n, seed, step), (self, 0))
 
     def divide(self, other: "PowerSeries", order: Optional[int] = None) -> "PowerSeries":
         """Divide by a series with nonzero constant term."""

@@ -471,3 +471,13 @@ def test_config_file_supplies_emit(tmp_path):
     assert run_cli("convergent", *third, "--config", str(cfg)) == traced
     assert run_cli("convergent", *third, "--config", str(cfg),
                    "--emit", "value") == run_cli("convergent", *third)
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_as_eval_refuses_a_tolerance_that_cannot_be_met(tol):
+    code, out, err = run_cli(
+        "as", "eval", "--transform", "d", "--nonlinearity", "power", "--alpha", "1/2",
+        "--input", "sqrt(1/(1 - x))", "--order", "3", "--path", "0,0.5", "--tol", tol,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: DomainError:")

@@ -239,3 +239,14 @@ def test_sqrt_of_enclosure_decides_sign_or_exhausts():
         parse_expression(near_zero, "real", bits=16)
     root = parse_expression(near_zero, "real", bits=64)
     assert isinstance(root, Interval) and root.lo > 0
+
+
+def test_index_schedule_tokenizes_once(monkeypatch):
+    from expansions import exprs
+
+    sched = parse_alpha_schedule("1/(i+2)")
+    calls = []
+    tokenize = exprs.tokenize
+    monkeypatch.setattr(exprs, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    assert [sched(i) for i in range(10)] == [F(1, i + 2) for i in range(10)]
+    assert calls == []

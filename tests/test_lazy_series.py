@@ -162,7 +162,7 @@ def test_backward_pass_and_recode_compute_only_what_they_read():
 
 def test_deep_chain_stays_inside_the_recursion_limit():
     # 1/(1-x) on K / power 1: every level emits (1, 1) and sheds one
-    # coefficient; 150 levels chain far more than MAX_LINKS streams
+    # coefficient; 150 levels chain about 600 streams
     order, depth = 400, 150
     system = ApproximationSystem(ASConfig(
         transform="K", nonlinearity="power", alphas=constant_alpha(1), order=order))
@@ -208,3 +208,88 @@ def test_inputs_come_fully_computed(monkeypatch):
         coefficient_code(system, trace.value, 3)
         counts.append(len(pushes))
     assert counts[0] == counts[1] > 0
+
+
+def test_deep_chain_computes_only_what_the_code_reads(monkeypatch):
+    # the probe above: the germ of level i is read up to coefficient 150 - i
+    # and its power kernel pushes two values per coefficient, so the code
+    # needs 2 * (1 + ... + 149) pushes; computing each germ in full would
+    # cost 82 350
+    order, depth = 400, 150
+    system = ApproximationSystem(ASConfig(
+        transform="K", nonlinearity="power", alphas=constant_alpha(1), order=order))
+    y = PowerSeries.truncated(0, [1] * (order + 1))
+    pushes = []
+    push = series_module._Row.push
+    monkeypatch.setattr(series_module._Row, "push", lambda row, v: pushes.append(1) or push(row, v))
+    assert len(coefficient_code(system, y, depth)) == depth
+    assert len(pushes) <= 22350
+
+
+def chain_step(g, op):
+    """One link of a random chain; ops that would empty or grow the germ
+    past 8 coefficients turn into their inverse."""
+    n = len(g.coeffs)
+    if op == "shift_down":
+        return g.shift_down() if n > 2 else g.shift_up(1)
+    if op == "shift_up":
+        return g.shift_up(F(1, 2)) if n < 8 else g.shift_down()
+    if op == "differentiate":
+        return g.differentiate() if n > 2 else g.integrate(1)
+    if op == "integrate":
+        return g.integrate(-1) if n < 8 else g.differentiate()
+    if op == "scale":
+        return g.scale(F(-3, 2))
+    if op == "plus":
+        return PowerSeries.constant(0, F(2, 3)) + g
+    if op == "minus":
+        return g - PowerSeries.constant(0, 1)
+    if op == "halve":
+        return g - g.scale(F(1, 2))  # reads g twice
+    if op == "add_third":
+        return g.scale(F(1, 3)) + g
+    c0 = g.coefficient(0)
+    if op == "exp":
+        return (g - PowerSeries.constant(0, c0)).exp()
+    g = g + PowerSeries.constant(0, 1 - c0)
+    return g.power(F(1, 2)) if op == "power" else g.log()
+
+
+CHAIN_OPS = ("shift_down", "shift_up", "differentiate", "integrate", "scale", "plus",
+             "minus", "halve", "add_third", "power", "log", "exp")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(CHAIN_OPS), min_size=161, max_size=200),
+       st.lists(rationals, min_size=2, max_size=7), st.randoms(use_true_random=False))
+def test_long_chains_read_in_any_order_match_their_computed_twin(ops, coeffs, rnd):
+    # every op adds at least one stream, so each chain is over 160 links; a
+    # generator that reads past a source's memo means an offset too small
+    getitem, depth, misses = series_module._Stream.__getitem__, [0], []
+
+    def read(stream, k):
+        if depth[0] and k >= stream.computed:
+            misses.append(k)
+        depth[0] += 1
+        try:
+            return getitem(stream, k)
+        finally:
+            depth[0] -= 1
+
+    series_module._Stream.__getitem__ = read
+    try:
+        lazy = twin = PowerSeries.truncated(0, coeffs)
+        stages = []
+        for op in ops:
+            lazy = chain_step(lazy, op)
+            twin = PowerSeries.truncated(0, chain_step(twin, op).coeffs)  # computed in full
+            stages.append((lazy, twin))
+            if rnd.random() < 0.1:
+                k = rnd.randrange(len(twin.coeffs))
+                assert lazy.coeffs[k] == twin.coeffs[k]
+        for lazy, twin in [stages[-1]] + rnd.sample(stages, 8):
+            order = rnd.sample(range(len(twin.coeffs)), len(twin.coeffs))
+            assert [lazy.coeffs[k] for k in order] == [twin.coeffs[k] for k in order]
+    finally:
+        series_module._Stream.__getitem__ = getitem
+    assert misses == []

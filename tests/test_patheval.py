@@ -217,3 +217,13 @@ def test_cumulative_rule_integrates_polynomials_exactly() -> None:
         values = [math.cos(k * math.acos(x)) for x in xi]  # T_k at the nodes
         top = [sum(w * v for w, v in zip(row, values)) for row in trailing]
         assert top == pytest.approx([float(k == n - 1), float(k == n)], abs=1e-14), k
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), -math.inf])
+def test_tolerance_that_cannot_be_met_is_a_domain_error(tol) -> None:
+    # refused before any quadrature, and before the degenerate-path shortcut
+    sysm = build_system("as-d-power-half")
+    code = coefficient_code(sysm, parse_expression("sqrt(1/(1 - x))", "series", order=16), 3)
+    for path in ([0, 0.5], [0], [0, 0]):
+        with pytest.raises(DomainError):
+            eval_convergent_path(sysm, code, path, tol=tol)
