@@ -177,9 +177,11 @@ def eval_convergent_path(
         tol: target for the accumulated quadrature error estimate.
 
     Raises:
-        DomainError: ``tol`` not positive (or NaN), an empty path or one not
-            anchored at the center, or a coefficient of the wrong kind.
-        SingularityOnPath: see module docs.
+        DomainError: ``tol`` not positive (or NaN), an empty path, a
+            non-finite waypoint, a path not anchored at the center, or a
+            coefficient of the wrong kind or beyond float range.
+        SingularityOnPath: see module docs; also a value that overflows
+            float range along the path.
         QuadratureFailure: tolerance unreachable within the panel budget.
     """
     if not tol > 0:
@@ -187,6 +189,8 @@ def eval_convergent_path(
     cfg = system.config
     if not path:
         raise DomainError("path must contain at least the center")
+    if not all(cmath.isfinite(p) for p in path):
+        raise DomainError("path waypoints must be finite")
     x0 = complex(float(cfg.center))
     if abs(path[0] - x0) > 1e-15:
         raise DomainError(f"path starts at {path[0]}, system center is {x0}")
@@ -194,10 +198,13 @@ def eval_convergent_path(
 
     # Normalize the coefficient data per level.
     levels: List[Tuple[complex, int, Optional[complex]]] = []
-    for coeff in code:
+    for k, coeff in enumerate(code):
         b = system.check_coefficient(coeff)
         c, m = (0, 0) if is_infinite(coeff.m) else (coeff.c, int(coeff.m))
-        levels.append((complex(float(c)), m, None if b is None else complex(float(b))))
+        try:
+            levels.append((complex(float(c)), m, None if b is None else complex(float(b))))
+        except OverflowError:
+            raise DomainError(f"coefficient {k} of the code is beyond float range") from None
 
     n = len(levels)
     segments = [
@@ -219,35 +226,38 @@ def eval_convergent_path(
         total_err = 0.0
         panel_err = [0.0] * len(panels)
 
-        for k in range(n - 1, -1, -1):
-            c_k, m_k, b_k = levels[k]
-            inverse = _inverse(cfg, k)
-            out_panels: List[List[complex]] = []
-            running = 0j  # cumulative integral from the path start
-            for p, (a, b) in enumerate(panels):
-                pts = node_points[p]
-                integrand = [
-                    c_k * (z - x0) ** m_k * inverse(w)
-                    for z, w in zip(pts, tail_values[p])
-                ]
-                if cfg.transform == TRANSFORM_K:
-                    out_panels.append([conv + v for v in integrand])
-                    continue
-                half = 0.5 * (b - a)
-                err = abs(half) * sum(
-                    abs(sum(map(mul, row, integrand))) for row in trailing
-                )
-                panel_err[p] = max(panel_err[p], err)
-                total_err += err
-                cums = [
-                    running + half * sum(map(mul, row, integrand)) for row in cumulative
-                ]
-                running = cums[-1]
-                vals = [conv + cum for cum in cums]
-                if b_k is not None:
-                    vals = [v + b_k * (z - x0) for v, z in zip(vals, pts)]
-                out_panels.append(vals)
-            tail_values = out_panels
+        try:
+            for k in range(n - 1, -1, -1):
+                c_k, m_k, b_k = levels[k]
+                inverse = _inverse(cfg, k)
+                out_panels: List[List[complex]] = []
+                running = 0j  # cumulative integral from the path start
+                for p, (a, b) in enumerate(panels):
+                    pts = node_points[p]
+                    integrand = [
+                        c_k * (z - x0) ** m_k * inverse(w)
+                        for z, w in zip(pts, tail_values[p])
+                    ]
+                    if cfg.transform == TRANSFORM_K:
+                        out_panels.append([conv + v for v in integrand])
+                        continue
+                    half = 0.5 * (b - a)
+                    err = abs(half) * sum(
+                        abs(sum(map(mul, row, integrand))) for row in trailing
+                    )
+                    panel_err[p] = max(panel_err[p], err)
+                    total_err += err
+                    cums = [
+                        running + half * sum(map(mul, row, integrand)) for row in cumulative
+                    ]
+                    running = cums[-1]
+                    vals = [conv + cum for cum in cums]
+                    if b_k is not None:
+                        vals = [v + b_k * (z - x0) for v, z in zip(vals, pts)]
+                    out_panels.append(vals)
+                tail_values = out_panels
+        except OverflowError as exc:
+            raise SingularityOnPath(f"overflow along the path ({exc})") from None
 
         if total_err <= tol or cfg.transform == TRANSFORM_K:
             return PathValue(

@@ -17,8 +17,10 @@ and of the linear operations (``+``, ``-``, ``scale``, the shifts,
 ``differentiate``, ``integrate``) stores a lazy stream instead, in the manner
 of McIlroy's "Power series, power serious": its length, the known order plus
 one, is fixed when it is built, and each coefficient is computed on its first
-read and kept.  Every check that can fail runs when the series is built, so a
-coefficient read never raises.
+read and kept.  Its coefficient ``k`` is ``rule(k, views)``, where
+``views[i]`` is the coefficient list of source ``i``: a source stream's memo
+list or a source tuple.  Every check that can fail runs when the series is
+built, so a coefficient read never raises.
 
 The analytic kernels (``power``, ``log``, ``exp``) are online coefficient
 recurrences driven by the derivative identities: coefficient ``m`` of the
@@ -33,32 +35,39 @@ import math
 from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, TruncationInconclusive
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+#: the coefficient lists of a stream's sources, and its coefficient rule
+_Views = List[Sequence[Fraction]]
+_Rule = Callable[[int, _Views], Fraction]
+
 
 class _Stream(abc.Sequence):
     """Coefficients of a truncated series, computed in order on first read
     and kept.
 
+    Coefficient ``k`` is ``rule(k, views)``.  Each view is the coefficient
+    list of one source: a source stream's memo list, or a tuple.
     ``_sources`` pairs each source stream that was partly read when this one
     was built with its offset: coefficient ``k`` reads that source up to
     coefficient ``k + offset``.  A read past the memo walks down to the short
     sources with an explicit stack, so a chain of any depth reads alike, and
     extends a stream only once all its sources are long enough, so that its
-    generator reads memoised coefficients only.  A complete stream drops its
-    generator and its sources.
+    rule indexes memoised coefficients only.  A complete stream drops its
+    rule, its views and its sources.
     """
 
-    __slots__ = ("_memo", "_gen", "_len", "_sources")
+    __slots__ = ("_memo", "_rule", "_views", "_len", "_sources")
 
-    def __init__(self, length: int, gen: Iterator[Fraction], sources: list) -> None:
+    def __init__(self, length: int, rule: _Rule, views: _Views, sources: list) -> None:
         self._memo: List[Fraction] = []
-        self._gen: Optional[Iterator[Fraction]] = gen
+        self._rule: Optional[_Rule] = rule
+        self._views: Optional[_Views] = views
         self._len = length
         self._sources = sources
 
@@ -88,11 +97,11 @@ class _Stream(abc.Sequence):
                     s, n = src, n + offset
                     break
             else:
-                s_memo, gen = s._memo, s._gen
+                s_memo, rule, views = s._memo, s._rule, s._views
                 while len(s_memo) < n:
-                    s_memo.append(next(gen))
+                    s_memo.append(rule(len(s_memo), views))
                 if len(s_memo) == s._len:
-                    s._gen, s._sources = None, []
+                    s._rule, s._views, s._sources = None, None, []
                 if not above:
                     return memo[k]
                 s, n = above.pop()
@@ -132,20 +141,6 @@ class _Row:
             self.ints = [c * factor for c in self.ints]
         self.ints.append(value.numerator * (self.lcm // d))
         return value
-
-
-def _recurrence(
-    h: Sequence[Fraction], n: int, seed: int,
-    step: Callable[[int, _Row, _Row], Fraction],
-) -> Iterator[Fraction]:
-    """Online kernel: coefficients ``0..n`` of a series defined from ``h`` by
-    ``out_m = step(m, input row, output row)``, with ``h_m`` pushed onto the
-    input row (seeded with 0, since no kernel reads ``h_0``) just before."""
-    inp, row = _Row(0), _Row(seed)
-    yield Fraction(seed)
-    for m in range(1, n + 1):
-        inp.push(h[m])
-        yield row.push(step(m, inp, row))
 
 
 @dataclass(frozen=True)
@@ -262,14 +257,6 @@ class PowerSeries:
                 f"series centers differ: {self.center} vs {other.center}"
             )
 
-    def _pad(self, n: int) -> Sequence[Fraction]:
-        """At least the first ``n`` coefficients, padded with zeros; stored
-        coefficients that reach ``n`` come back as they are, unread."""
-        cs = self.coeffs
-        if len(cs) >= n:
-            return cs
-        return list(cs) + [_ZERO] * (n - len(cs))
-
     @staticmethod
     def _merge_known(
         a: "PowerSeries", b: "PowerSeries"
@@ -282,14 +269,23 @@ class PowerSeries:
         return min(ka, kb)
 
     def _stream(
-        self, length: int, gen: Iterator[Fraction], *sources: Tuple["PowerSeries", int]
+        self, length: int, rule: _Rule, *sources: Tuple["PowerSeries", int]
     ) -> "PowerSeries":
-        """Truncated series of ``length`` coefficients drawn from ``gen``, whose
-        coefficient ``k`` reads each ``(series, offset)`` of ``sources`` up to
-        ``k + offset``; a read walks the partly read ones first (``_Stream``)."""
-        pairs = [(src.coeffs, offset) for src, offset in sources
-                 if isinstance(src.coeffs, _Stream) and src.coeffs._gen is not None]
-        return PowerSeries(self.center, _Stream(length, gen, pairs), exact=False)
+        """Truncated series of ``length`` coefficients, coefficient ``k`` being
+        ``rule(k, views)``, which reads source ``i``, a ``(series, offset)``
+        pair of ``sources``, up to ``k + offset`` in ``views[i]``: a stream's
+        memo list, filled by the walk before the rule runs (``_Stream``), or a
+        tuple, padded with zeros here when it is shorter."""
+        views, pairs = [], []
+        for src, offset in sources:
+            cs, need = src.coeffs, length + offset
+            if isinstance(cs, _Stream):
+                views.append(cs._memo)
+                if cs._rule is not None:
+                    pairs.append((cs, offset))
+            else:
+                views.append(cs if len(cs) >= need else [*cs, *[_ZERO] * (need - len(cs))])
+        return PowerSeries(self.center, _Stream(length, rule, views, pairs), exact=False)
 
     # -- ring operations -------------------------------------------------------
 
@@ -301,9 +297,7 @@ class PowerSeries:
             out = [x + y for x, y in zip(a, b)]
             out.extend(a[len(b):] or b[len(a):])
             return PowerSeries._stripped(self.center, out)
-        n = known + 1
-        a, b = self._pad(n), other._pad(n)
-        return self._stream(n, (a[k] + b[k] for k in range(n)), (self, 0), (other, 0))
+        return self._stream(known + 1, lambda k, v: v[0][k] + v[1][k], (self, 0), (other, 0))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         self._require_same_center(other)
@@ -313,9 +307,7 @@ class PowerSeries:
             out = [x - y for x, y in zip(a, b)]
             out.extend(a[len(b):] or [-y for y in b[len(a):]])
             return PowerSeries._stripped(self.center, out)
-        n = known + 1
-        a, b = self._pad(n), other._pad(n)
-        return self._stream(n, (a[k] - b[k] for k in range(n)), (self, 0), (other, 0))
+        return self._stream(known + 1, lambda k, v: v[0][k] - v[1][k], (self, 0), (other, 0))
 
     def __neg__(self) -> "PowerSeries":
         return PowerSeries(self.center, tuple(-c for c in self.coeffs), self.exact)
@@ -327,7 +319,7 @@ class PowerSeries:
             if factor == 0:
                 return PowerSeries.zero(self.center)
             return PowerSeries(self.center, tuple(factor * c for c in cs), exact=True)
-        return self._stream(len(cs), (factor * cs[k] for k in range(len(cs))), (self, 0))
+        return self._stream(len(cs), lambda k, v: factor * v[0][k], (self, 0))
 
     def __mul__(self, other: object) -> "PowerSeries":
         if isinstance(other, (int, Fraction)):
@@ -358,14 +350,6 @@ class PowerSeries:
 
     # -- order manipulation ------------------------------------------------------
 
-    def truncate(self, order: int) -> "PowerSeries":
-        """Forget everything beyond coefficient ``order``."""
-        if order < 0:
-            raise DomainError(f"negative order {order}")
-        if self.exact and len(self.coeffs) <= order + 1:
-            return self
-        return PowerSeries.truncated(self.center, self._pad(order + 1)[: order + 1])
-
     def shift_down(self) -> "PowerSeries":
         """Drop the constant term and divide by ``(x - center)``."""
         cs = self.coeffs
@@ -375,7 +359,7 @@ class PowerSeries:
             raise TruncationInconclusive(
                 "shifting down an order-0 germ leaves no known coefficients"
             )
-        return self._stream(len(cs) - 1, (cs[k] for k in range(1, len(cs))), (self, 1))
+        return self._stream(len(cs) - 1, lambda k, v: v[0][k + 1], (self, 1))
 
     def shift_up(self, constant: object = 0) -> "PowerSeries":
         """Multiply by ``(x - center)`` and prepend a constant term."""
@@ -383,8 +367,7 @@ class PowerSeries:
         cs = self.coeffs
         if self.exact:
             return PowerSeries._stripped(self.center, [constant, *cs])
-        gen = (cs[k - 1] if k else constant for k in range(len(cs) + 1))
-        return self._stream(len(cs) + 1, gen, (self, -1))
+        return self._stream(len(cs) + 1, lambda k, v: v[0][k - 1] if k else constant, (self, -1))
 
     # -- calculus -----------------------------------------------------------------
 
@@ -396,7 +379,7 @@ class PowerSeries:
             raise TruncationInconclusive(
                 "differentiating an order-0 germ leaves no known coefficients"
             )
-        return self._stream(len(cs) - 1, (k * cs[k] for k in range(1, len(cs))), (self, 1))
+        return self._stream(len(cs) - 1, lambda k, v: (k + 1) * v[0][k + 1], (self, 1))
 
     derivative = differentiate
 
@@ -407,8 +390,9 @@ class PowerSeries:
             return PowerSeries._stripped(
                 self.center, [constant] + [c / (k + 1) for k, c in enumerate(cs)]
             )
-        gen = (cs[k - 1] / k if k else constant for k in range(len(cs) + 1))
-        return self._stream(len(cs) + 1, gen, (self, -1))
+        return self._stream(
+            len(cs) + 1, lambda k, v: v[0][k - 1] / k if k else constant, (self, -1)
+        )
 
     # -- polynomial evaluation and substitution ----------------------------------
 
@@ -447,17 +431,6 @@ class PowerSeries:
         )
 
     # -- analytic kernels -----------------------------------------------------------
-
-    def _kernel_order(self, order: Optional[int]) -> int:
-        if order is None:
-            if self.exact:
-                raise DomainError(
-                    "an exact series needs an explicit output order here"
-                )
-            return len(self.coeffs) - 1
-        if self.exact:
-            return order
-        return min(order, len(self.coeffs) - 1)
 
     def power(self, alpha: object, order: Optional[int] = None) -> "PowerSeries":
         """Raise to the rational power ``alpha``.
@@ -526,8 +499,23 @@ class PowerSeries:
     def _kernel(
         self, order: Optional[int], seed: int, step: Callable[[int, _Row, _Row], Fraction]
     ) -> "PowerSeries":
-        n = self._kernel_order(order)
-        return self._stream(n + 1, _recurrence(self._pad(n + 1), n, seed, step), (self, 0))
+        """Online kernel to ``order``, at most the known order: coefficient ``m``
+        is ``step(m, input row, output row)``, with ``h_m`` pushed onto the
+        input row (seeded with 0, since no kernel reads ``h_0``) just before."""
+        n = self.known_order
+        if order is not None:
+            n = order if n is None else min(order, n)
+        elif n is None:
+            raise DomainError("an exact series needs an explicit output order here")
+        inp, row = _Row(0), _Row(seed)
+
+        def rule(m: int, views: _Views) -> Fraction:
+            if not m:
+                return Fraction(seed)
+            inp.push(views[0][m])
+            return row.push(step(m, inp, row))
+
+        return self._stream(n + 1, rule, (self, 0))
 
     def divide(self, other: "PowerSeries", order: Optional[int] = None) -> "PowerSeries":
         """Divide by a series with nonzero constant term."""

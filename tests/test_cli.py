@@ -481,3 +481,21 @@ def test_as_eval_refuses_a_tolerance_that_cannot_be_met(tol):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: DomainError:")
+
+
+@pytest.mark.parametrize("args, kind", [
+    (("--nonlinearity", "logexp", "--input", "exp(x) - 1", "--order", "2",
+      "--path", "0,800"), "SingularityOnPath"),
+    (("--nonlinearity", "power", "--alpha", "1/2", "--input", "sqrt(1/(1-x))",
+      "--order", "3", "--path", "0,1e300"), "SingularityOnPath"),
+    (("--nonlinearity", "power", "--alpha", "1/2", "--input", "1 + 10^400*x",
+      "--order", "1", "--path", "0,0.5"), "DomainError"),
+    (("--nonlinearity", "power", "--alpha", "1/2", "--input", "sqrt(1/(1-x))",
+      "--order", "3", "--path", "nan,0.5"), "DomainError"),
+])
+def test_as_eval_out_of_float_range_exits_2(args, kind):
+    # overflow along the path, a code coefficient beyond float range and a
+    # NaN waypoint
+    code, out, err = run_cli("as", "eval", "--transform", "d", *args)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {kind}:") and err.count("\n") == 1

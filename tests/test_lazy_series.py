@@ -226,6 +226,21 @@ def test_deep_chain_computes_only_what_the_code_reads(monkeypatch):
     assert len(pushes) <= 22350
 
 
+def test_a_read_walks_a_chain_with_one_getitem_call(monkeypatch):
+    # 70 shift_up/shift_down pairs are 140 streams over a tuple; the walk
+    # fills each memo before its rule indexes it, so no stream reads another
+    # through __getitem__
+    g = PowerSeries.truncated(0, [1] * 101)
+    for _ in range(70):
+        g = g.shift_up(1).shift_down()
+    calls = []
+    getitem = series_module._Stream.__getitem__
+    monkeypatch.setattr(series_module._Stream, "__getitem__",
+                        lambda stream, k: calls.append(k) or getitem(stream, k))
+    assert g.coefficient(100) == 1
+    assert calls == [100]
+
+
 def chain_step(g, op):
     """One link of a random chain; ops that would empty or grow the germ
     past 8 coefficients turn into their inverse."""

@@ -1,6 +1,7 @@
-"""Property tests: registry samples through the generic round trip, the
-ring identities of exact polynomials, and the polynomial systems' refusal of
-series that are not exact polynomials at 0."""
+"""Property tests: registry samples of the polynomial and the approximation
+systems through the generic round trip, the ring identities of exact
+polynomials, and the polynomial systems' refusal of series that are not exact
+polynomials at 0."""
 
 import random
 from fractions import Fraction
@@ -17,12 +18,14 @@ from expansions import (
     PowerSeries,
     TruncationInconclusive,
     build_system,
+    coefficient_code,
     head_coincidence,
     isolate_roots_01,
     parse_expression,
     roundtrip_check,
     sample_element,
     sup_norm_le,
+    system_ids,
     trajectory,
 )
 from expansions.polynomials import (
@@ -48,6 +51,23 @@ def test_registry_samples_roundtrip(system_id, seed):
     depth = y.degree + 2
     assert roundtrip_check(system, y, depth)
     assert head_coincidence(system, y, depth)
+
+
+@pytest.mark.parametrize("system_id", [sid for sid in system_ids() if sid.startswith("as-")])
+@settings(max_examples=20, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_as_registry_samples_roundtrip(system_id, rng):
+    system = build_system(system_id)
+    y = sample_element(system_id, rng)
+    for n in range(4):
+        try:
+            coefficient_code(system, y, n)
+        except TruncationInconclusive:
+            # e.g. 1 + x/2 + O(x^11): a stage that vanishes to its known order
+            # has no certified multiplicity, which is the documented refusal
+            break
+        assert head_coincidence(system, y, n)
+        assert roundtrip_check(system, y, n)
 
 
 @bounded
