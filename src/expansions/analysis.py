@@ -22,7 +22,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from .approx import ApproximationSystem
 from .certified import Interval
-from .coefficients import ASCoef, ASCoef3, ComplexRational, _Infinity
+from .coefficients import ASCoef, ComplexRational, _Infinity
 from .core import (
     ORDER_NONE,
     ExpansionSystem,
@@ -77,14 +77,10 @@ def render_value(value: Any, approx_digits: Optional[int] = None) -> str:
             sign = "+" if not im.startswith("-") else ""
             return f"{re}{sign}{im} i"
         return str(value)
-    if isinstance(value, ASCoef3):
-        parts = (render_value(value.b, approx_digits),
-                 render_value(value.c, approx_digits),
-                 render_value(value.m, approx_digits))
-        return "(" + ",".join(parts) + ")"
     if isinstance(value, ASCoef):
-        parts = (render_value(value.c, approx_digits),
-                 render_value(value.m, approx_digits))
+        parts = [render_value(value.c, approx_digits), render_value(value.m, approx_digits)]
+        if value.b is not None:
+            parts.insert(0, render_value(value.b, approx_digits))
         return "(" + ",".join(parts) + ")"
     if isinstance(value, float):
         return repr(value)

@@ -14,8 +14,8 @@ the nonlinearity (``(.)**alpha_i`` or ``log``).  Reconstruction undoes this:
 apply the inverse nonlinearity (``(.)**(1/alpha_i)`` or ``exp``), restore the
 leading data, and — for transforms involving ``D`` — integrate from the
 center.  The emitted coefficients are :class:`~expansions.coefficients.ASCoef`
-pairs ``(c, m)``, or :class:`ASCoef3` triples ``(b, c, m)`` for ``KD`` where
-``b`` is the derivative at the center.
+records ``(c, m)``; for ``KD`` they also carry ``b``, the derivative at the
+center.
 
 A transformed germ that is identically zero has multiplicity ``INF`` and
 marks the neutral branch; a *truncated* germ whose known coefficients are all
@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, List, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence
 
-from .coefficients import ASCoef, ASCoef3, INF, ExtendedInt, is_infinite
+from .coefficients import ASCoef, INF, ExtendedInt, is_infinite
 from .core import ORDER_NONE, ExpansionSystem
 from .errors import DomainError, TruncationInconclusive
 from .series import PowerSeries
@@ -122,9 +122,6 @@ def multiplicity(series: PowerSeries) -> ExtendedInt:
     )
 
 
-ASCoefficient = Union[ASCoef, ASCoef3]
-
-
 class ApproximationSystem(ExpansionSystem):
     """Expansion system defined by an :class:`ASConfig` (see module docs)."""
 
@@ -172,7 +169,7 @@ class ApproximationSystem(ExpansionSystem):
 
     # -- transform ----------------------------------------------------------
 
-    def _transformed(self, y: PowerSeries) -> tuple[ASCoefficient, PowerSeries]:
+    def _transformed(self, y: PowerSeries) -> tuple[ASCoef, PowerSeries]:
         """The level's coefficient of ``y`` and the transformed germ it is
         read from."""
         cfg = self.config
@@ -187,27 +184,24 @@ class ApproximationSystem(ExpansionSystem):
             t = d - PowerSeries.constant(cfg.center, b)
         m = multiplicity(t)
         c = Fraction(0) if is_infinite(m) else t.coefficient(m)
-        return (ASCoef(c=c, m=m) if b is None else ASCoef3(b=b, c=c, m=m)), t
+        return ASCoef(c=c, m=m, b=b), t
 
     def check_coefficient(self, c: Any) -> Optional[Fraction]:
-        """The derivative term ``b`` of a ``KD`` coefficient, ``None`` for the
-        other transforms; :class:`DomainError` unless ``c`` is an
-        :class:`ASCoef3` for ``KD`` and an :class:`ASCoef` otherwise."""
+        """The derivative term ``b`` of ``c``; :class:`DomainError` unless
+        ``c`` is an :class:`ASCoef` whose ``b`` is set exactly when the
+        transform is ``KD``."""
         transform = self.config.transform
-        if transform == TRANSFORM_KD:
-            if not isinstance(c, ASCoef3):
-                raise DomainError(f"KD systems need ASCoef3 coefficients, got {c!r}")
-            return c.b
-        if not isinstance(c, ASCoef):
-            raise DomainError(f"{transform} systems need ASCoef coefficients, got {c!r}")
-        return None
+        if not isinstance(c, ASCoef) or (c.b is None) == (transform == TRANSFORM_KD):
+            need = "with" if transform == TRANSFORM_KD else "without"
+            raise DomainError(f"{transform} systems need ASCoef {need} b, got {c!r}")
+        return c.b
 
     # -- system maps ----------------------------------------------------------
 
-    def project(self, i: int, y: PowerSeries) -> ASCoefficient:
+    def project(self, i: int, y: PowerSeries) -> ASCoef:
         return self._transformed(y)[0]
 
-    def step(self, i: int, y: PowerSeries) -> tuple[ASCoefficient, PowerSeries]:
+    def step(self, i: int, y: PowerSeries) -> tuple[ASCoef, PowerSeries]:
         cfg = self.config
         coefficient, t = self._transformed(y)
         if is_infinite(coefficient.m):
@@ -224,7 +218,7 @@ class ApproximationSystem(ExpansionSystem):
         return self.step(i, y)[1]
 
     def reconstruct(
-        self, i: int, c: ASCoefficient, tail: PowerSeries
+        self, i: int, c: ASCoef, tail: PowerSeries
     ) -> Optional[PowerSeries]:
         cfg = self.config
         b = self.check_coefficient(c)

@@ -20,7 +20,6 @@ from typing import Any, Callable, List, Optional, Sequence
 
 from .analysis import METRICS, convergence_report, export, render_value
 from .approx import NL_LOGEXP, NL_POWER, ApproximationSystem, ASConfig
-from .coefficients import ASCoef3
 from .core import ExpansionSystem, coefficient_code, convergent, order_of
 from .errors import (
     DomainError,
@@ -257,7 +256,7 @@ def _cmd_as_run(args: argparse.Namespace) -> int:
     code = coefficient_code(system, y, depth)
     print("c: " + " ".join(render_value(c.c, approx) for c in code))
     print("m: " + " ".join(render_value(c.m, approx) for c in code))
-    if code and isinstance(code[0], ASCoef3):
+    if code and code[0].b is not None:
         print("b: " + " ".join(render_value(c.b, approx) for c in code))
     return 0
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 
 class _Infinity:
@@ -65,31 +65,19 @@ def is_infinite(value: object) -> bool:
 
 @dataclass(frozen=True)
 class ASCoef:
-    """Coefficient emitted by a D- or K-transform approximation system.
+    """Coefficient emitted by an approximation system.
 
     Attributes:
         c: leading coefficient of the transformed element.
         m: its multiplicity (index of the leading term); ``INF`` on the
             neutral branch.
+        b: derivative of the element at the expansion point, set exactly
+            for the ``KD`` transform and ``None`` for ``D`` and ``K``.
     """
 
     c: Fraction
     m: ExtendedInt
-
-
-@dataclass(frozen=True)
-class ASCoef3:
-    """Coefficient emitted by a K.D-transform approximation system.
-
-    Attributes:
-        b: derivative of the element at the expansion point.
-        c: leading coefficient of the fully transformed element.
-        m: its multiplicity; ``INF`` on the neutral branch.
-    """
-
-    b: Fraction
-    c: Fraction
-    m: ExtendedInt
+    b: Optional[Fraction] = None
 
 
 @dataclass(frozen=True)

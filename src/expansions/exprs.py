@@ -342,6 +342,9 @@ class _SeriesEnv(_Env):
                 raise DomainError(
                     f"{text} series is available at center 0 only, not {self.center}"
                 )
+            if text == "tan":
+                cos = self._table(_TABLES["cos"])
+                return self._table(_TABLES["sin"]).divide(cos, self.order)
             return self._table(_TABLES[text])
         raise ParseError(f"unknown name {tok.text!r}", tok.pos)
 
@@ -387,22 +390,10 @@ def _fill_parity(start: int, sign: int) -> Callable[[List[Fraction]], None]:
     return fill
 
 
-def _fill_tan(coeffs: List[Fraction]) -> None:
-    # a' = 1 + a^2 with a(0) = 0; the x^k coefficient of a^2 only involves
-    # indices below k, so the recurrence closes.
-    order = len(coeffs) - 1
-    if order >= 1:
-        coeffs[1] = Fraction(1)
-    for k in range(1, order):
-        square = sum(coeffs[i] * coeffs[k - i] for i in range(1, k))
-        coeffs[k + 1] = (Fraction(1 if k == 0 else 0) + square) / (k + 1)
-
-
 _TABLES = {
     "sin": _fill_parity(1, -1),
     "cos": _fill_parity(0, -1),
     "cosh": _fill_parity(0, 1),
-    "tan": _fill_tan,
 }
 
 

@@ -6,7 +6,10 @@ defining equations sample-wise (it is a checker, not a prover):
 
 * ``map_element(i, neutral_i) == neutral'_i``,
 * ``map_element(i+1, expand_i(y)) == expand'_i(map_element(i, y))``,
-* ``map_coeff(i, project_i(y)) == project'_i(map_element(i, y))``.
+* ``map_coeff(i, project_i(y)) == project'_i(map_element(i, y))``,
+
+and, for a morphism that claims bijectivity, that its inverses undo the maps
+on every stage and on every projected coefficient.
 
 :func:`shift_isomorphism` builds the canonical isomorphic system obtained by
 splitting each expansion step as ``E_i = E2_i . E1_i`` with ``E1_i`` a
@@ -58,8 +61,9 @@ class HomReport:
     """Outcome of :func:`verify_homomorphism`.
 
     When ``ok`` is false, ``equation`` names the first failing identity
-    (``"neutral"``, ``"expansion"`` or ``"coefficient"``), with the level and
-    the index of the offending sample (``None`` for the neutral check).
+    (``"neutral"``, ``"expansion"``, ``"coefficient"`` or ``"inverse"``), with
+    the level and the index of the offending sample (``None`` for the neutral
+    check).
     """
 
     ok: bool
@@ -117,6 +121,18 @@ def verify_homomorphism(
                         level=i,
                         sample_index=s_idx,
                         detail=f"inverse(map y) = {back} != y = {stage}",
+                    )
+                if morphism.inv_coeff is None or i == depth:
+                    continue  # coefficients are read below depth, as above
+                coeff = src.project(i, stage)
+                back_c = morphism.inv_coeff(i, morphism.map_coeff(i, coeff))
+                if not src.coefficients_equal(i, back_c, coeff):
+                    return HomReport(
+                        ok=False,
+                        equation="inverse",
+                        level=i,
+                        sample_index=s_idx,
+                        detail=f"inverse(map P_{i} y) = {back_c} != P_{i} y = {coeff}",
                     )
     return HomReport(ok=True)
 

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .approx import ASConfig, ASCoefficient, ApproximationSystem, NL_POWER, TRANSFORM_K
-from .coefficients import is_infinite
+from .approx import ASConfig, ApproximationSystem, NL_POWER, TRANSFORM_K
+from .coefficients import ASCoef, is_infinite
 from .errors import DomainError, QuadratureFailure, SingularityOnPath
 from .series import PowerSeries
 
@@ -161,7 +161,7 @@ def _inverse(cfg: ASConfig, level: int) -> Callable[[complex], complex]:
 
 def eval_convergent_path(
     system: ApproximationSystem,
-    code: Sequence[ASCoefficient],
+    code: Sequence[ASCoef],
     path: Sequence[complex],
     tol: float = 1e-10,
     max_panels: int = 8192,

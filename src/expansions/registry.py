@@ -101,7 +101,9 @@ def _sample_germ(
     # raise coefficient denominators to roughly the product of the alpha
     # schedule, so richer samples make the exact arithmetic explode without
     # exercising anything new.  Transforms that shed a coefficient per level
-    # (KD) need longer samples to stay conclusive at depth six.
+    # (KD) get longer samples.  The guards, which draw nothing, keep the germ
+    # nonzero past its constant and past x; a later stage can still vanish to
+    # its known order, and its code then raises TruncationInconclusive.
     def sample(rng: random.Random) -> PowerSeries:
         length = rng.randint(*length_range)
         coeffs = [constant]
@@ -114,6 +116,8 @@ def _sample_germ(
             )
         if coeffs[1] == 0:
             coeffs[1] = Fraction(1, 2)
+        if not any(coeffs[2:]):
+            coeffs[2] = Fraction(1, 2)
         return PowerSeries.truncated(0, coeffs)
 
     return sample

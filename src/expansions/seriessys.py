@@ -85,15 +85,16 @@ def _validate_polynomial(y: Any) -> None:
 
 
 @functools.cache
-def _factorial_basis(k: int, step: int) -> PowerSeries:
-    """``x(x - step)...(x - (k-1) step) / k!``, built once per ``(k, step)``.
+def _factorial_basis(k: int, step: int, sign: int = 1) -> PowerSeries:
+    """``sign^k x(x - step)...(x - (k-1) step) / k!``, built once per
+    ``(k, step, sign)``.
 
     ``PowerSeries`` is immutable, so every caller may share the table entry.
     """
     acc = PowerSeries.of(1)
     for j in range(k):
         acc = acc * PowerSeries.of(-j * step, 1)
-    return acc * Fraction(1, math.factorial(k))
+    return acc * Fraction(sign**k, math.factorial(k))
 
 
 def binomial_basis(k: int) -> PowerSeries:
@@ -107,18 +108,21 @@ def rising_basis(k: int) -> PowerSeries:
 
 
 class _NewtonBase(ExpansionSystem):
-    """Value at 0, then a difference operator (the system's ``expand``).
+    """Value at 0, then the difference ``s * (p(x + h) - p(x))``.
 
-    Reconstruction is Newton interpolation: with a basis ``B_k`` that
-    vanishes at 0 for ``k > 0`` and whose difference is ``B_{k-1}``, the
-    preimage of ``(c, tail)`` is ``c + sum_k B_k * (diff^(k-1) tail)(0)``.
+    Reconstruction is Newton interpolation through the basis
+    ``B_k = (s h)^k x(x - h)...(x - (k-1) h) / k!``, which vanishes at 0 for
+    ``k > 0`` and whose difference is ``B_{k-1}``: the preimage of
+    ``(c, tail)`` is ``c + sum_k B_k * (diff^(k-1) tail)(0)``.
     """
 
     kind = "polynomial"
     coefficient_order_kind = ORDER_STANDARD
+    h: int
+    s: int
 
     def basis(self, k: int) -> PowerSeries:
-        raise NotImplementedError
+        return _factorial_basis(k, self.h, self.s * self.h)
 
     def neutral(self, i: int) -> PowerSeries:
         return PowerSeries.zero()
@@ -128,6 +132,10 @@ class _NewtonBase(ExpansionSystem):
 
     def project(self, i: int, y: PowerSeries) -> Fraction:
         return y(_ZERO)
+
+    def expand(self, i: int, y: PowerSeries) -> PowerSeries:
+        moved = y.shift(self.h)
+        return moved - y if self.s > 0 else y - moved
 
     def reconstruct(self, i: int, c: Fraction, tail: PowerSeries) -> PowerSeries:
         out = PowerSeries.of(c)
@@ -148,12 +156,7 @@ class NewtonForwardSystem(_NewtonBase):
     """
 
     name = "newton-forward"
-
-    def basis(self, k: int) -> PowerSeries:
-        return binomial_basis(k)
-
-    def expand(self, i: int, y: PowerSeries) -> PowerSeries:
-        return y.shift(1) - y
+    h, s = 1, 1
 
 
 class NewtonBackwardSystem(_NewtonBase):
@@ -164,12 +167,7 @@ class NewtonBackwardSystem(_NewtonBase):
     """
 
     name = "newton-backward"
-
-    def basis(self, k: int) -> PowerSeries:
-        return rising_basis(k)
-
-    def expand(self, i: int, y: PowerSeries) -> PowerSeries:
-        return y - y.shift(-1)
+    h, s = -1, -1
 
 
 class NewtonReflectedSystem(_NewtonBase):
@@ -180,12 +178,7 @@ class NewtonReflectedSystem(_NewtonBase):
     """
 
     name = "newton-reflected"
-
-    def basis(self, k: int) -> PowerSeries:
-        return rising_basis(k) * (-1) ** k
-
-    def expand(self, i: int, y: PowerSeries) -> PowerSeries:
-        return y.shift(-1) - y
+    h, s = -1, 1
 
 
 class FourierSystem(ExpansionSystem):

@@ -240,4 +240,5 @@ def test_render_value_conventions() -> None:
     assert render_value(Interval(F(1, 3), F(1, 2)), approx_digits=4) == "[0.3333,0.5]"
     assert render_value(ComplexRational.of(1, -2)) == "1-2 i"
     assert render_value(ASCoef(c=F(1, 2), m=0)) == "(1/2,0)"
+    assert render_value(ASCoef(c=F(3), m=1, b=F(1, 2))) == "(1/2,3,1)"
     assert render_value((F(1, 2), INF)) == "(1/2,inf)"

@@ -97,6 +97,18 @@ def test_broken_inverse_is_caught() -> None:
     assert not report.ok and report.equation == "inverse"
 
 
+def test_broken_coefficient_inverse_is_caught() -> None:
+    # The reflection negates coefficients, so the identity is not the inverse
+    # of its coefficient map: the level-0 value 2 comes back as -2.
+    broken = newton_reflection_morphism()
+    broken.inv_coeff = lambda i, c: c
+    report = verify_homomorphism(broken, [X * X * X - X + Polynomial.of(2)], 4)
+    assert not report.ok
+    assert report.equation == "inverse"
+    assert report.level == 0
+    assert report.sample_index == 0
+
+
 def test_reflection_composition_is_identity() -> None:
     refl = newton_reflection_morphism()
     composed = Morphism(

@@ -126,15 +126,22 @@ def test_quadrature_budget_exhaustion() -> None:
 
 
 def test_wrong_coefficient_kind_is_a_domain_error() -> None:
-    # An integer is no coefficient at all; an ASCoef lacks the KD tower's
-    # derivative term.  Both are refused, as reconstruct refuses them.
+    # An integer is no coefficient at all; the KD tower needs the derivative
+    # term b and the D and K towers carry none.  The path evaluation refuses
+    # each, as reconstruct does, and takes the right kind.
     with pytest.raises(DomainError):
         eval_convergent_path(build_system("as-d-power-half"), [3], [0, 0.5])
-    kd = build_system("as-kd-power-3")
-    with pytest.raises(DomainError):
-        eval_convergent_path(kd, [ASCoef(c=F(1), m=1)], [0, 0.5])
-    with pytest.raises(DomainError):
-        kd.reconstruct(0, ASCoef(c=F(1), m=1), kd.neutral(1))
+    with_b, without_b = ASCoef(c=F(1), m=1, b=F(2)), ASCoef(c=F(1), m=1)
+    for system_id, wrong, right in (("as-d-power-half", with_b, without_b),
+                                    ("as-k-power-2", with_b, without_b),
+                                    ("as-kd-power-3", without_b, with_b)):
+        sysm = build_system(system_id)
+        with pytest.raises(DomainError):
+            eval_convergent_path(sysm, [wrong], [0, 0.5])
+        with pytest.raises(DomainError):
+            sysm.reconstruct(0, wrong, sysm.neutral(1))
+        eval_convergent_path(sysm, [right], [0, 0.5])
+        assert sysm.reconstruct(0, right, sysm.neutral(1)) is not None
 
 
 INV_SQRT_SCALES = (F(1), F(1, 2), F(3, 4), F(-1, 2), F(2, 3))

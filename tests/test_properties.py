@@ -53,7 +53,10 @@ def test_registry_samples_roundtrip(system_id, seed):
     assert head_coincidence(system, y, depth)
 
 
-@pytest.mark.parametrize("system_id", [sid for sid in system_ids() if sid.startswith("as-")])
+AS_SYSTEMS = [sid for sid in system_ids() if sid.startswith("as-")]
+
+
+@pytest.mark.parametrize("system_id", AS_SYSTEMS)
 @settings(max_examples=20, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_as_registry_samples_roundtrip(system_id, rng):
@@ -63,11 +66,29 @@ def test_as_registry_samples_roundtrip(system_id, rng):
         try:
             coefficient_code(system, y, n)
         except TruncationInconclusive:
-            # e.g. 1 + x/2 + O(x^11): a stage that vanishes to its known order
-            # has no certified multiplicity, which is the documented refusal
+            # e.g. the KD draw 1 + x/2 + x^2/2 + O(x^20): a stage that vanishes
+            # to its known order has no certified multiplicity, which is the
+            # documented refusal
             break
         assert head_coincidence(system, y, n)
         assert roundtrip_check(system, y, n)
+
+
+class _ZeroRandom(random.Random):
+    """Draws 0 wherever the range allows it, else the range's nearest end."""
+
+    def randint(self, a, b):
+        return min(max(a, 0), b)
+
+
+@pytest.mark.parametrize("system_id", AS_SYSTEMS)
+def test_as_sampler_never_draws_a_germ_that_vanishes_past_x(system_id):
+    y = sample_element(system_id, _ZeroRandom())
+    assert any(y.coeffs[2:])
+    # KD reads its first stage from x^2 on, so the draw 1 + x/2 + x^2/2 is
+    # conclusive to depth 1 there and to depth 2 for D and K
+    depth = 1 if system_id.startswith("as-kd") else 2
+    assert len(coefficient_code(build_system(system_id), y, depth)) == depth
 
 
 @bounded
