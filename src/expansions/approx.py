@@ -133,6 +133,11 @@ class ApproximationSystem(ExpansionSystem):
         suffix = "logexp" if config.nonlinearity == NL_LOGEXP else "power"
         self.name = name or f"as-{config.transform.lower()}-{suffix}"
 
+    @property
+    def center(self) -> Fraction:
+        """Expansion point of the germs, ``config.center``."""
+        return self.config.center
+
     # -- spaces ------------------------------------------------------------
 
     def neutral(self, i: int) -> PowerSeries:

@@ -1,9 +1,11 @@
 """Command-line frontend.
 
-Subcommands wrap the library one-to-one and render with the analysis
+One pipeline runs every verb: ``_main`` fills unset options from the
+``--config`` JSON file (keyed by the long flag names; explicit flags win),
+builds the system, parses ``--input`` and hands all three to the verb's
+handler.  Handlers wrap the library one-to-one and render with the analysis
 serializers, so stdout is deterministic: identical invocations produce
-identical bytes.  Options may also come from a ``--config`` JSON file keyed
-by the long flag names; explicit flags win.
+identical bytes.
 
 Exit codes: 0 success; 2 parse/domain errors; 3 exhausted precision or
 truncated knowledge; 4 an improper convergent where a proper one was demanded.
@@ -16,7 +18,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .analysis import METRICS, convergence_report, export, render_value
 from .approx import NL_LOGEXP, NL_POWER, ApproximationSystem, ASConfig
@@ -109,33 +111,39 @@ def _get(args: argparse.Namespace, attr: str, default: Any) -> Any:
 
 
 def _parse_element(system: ExpansionSystem, text: str, args: argparse.Namespace) -> Any:
-    if isinstance(system, ApproximationSystem):
-        center = system.config.center
-    else:
-        center = Fraction(getattr(system, "center", 0))
     return parse_expression(
         text,
         system.kind,
         order=int(_get(args, "series_order", DEFAULT_SERIES_ORDER)),
         bits=int(_get(args, "bits", DEFAULT_BITS)),
-        center=center,
+        center=Fraction(getattr(system, "center", 0)),
     )
+
+
+def _build_as_system(args: argparse.Namespace) -> ApproximationSystem:
+    transform = str(_require(args, "transform")).upper()
+    nonlinearity = str(_require(args, "nonlinearity"))
+    order = int(_get(args, "series_order", 64))
+    alphas = None
+    if nonlinearity == NL_POWER:
+        alphas = parse_alpha_schedule(str(_require(args, "alpha")))
+    config = ASConfig(
+        transform=transform, nonlinearity=nonlinearity, alphas=alphas, order=order
+    )
+    return ApproximationSystem(config)
 
 
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_systems_list(args: argparse.Namespace) -> int:
+def _cmd_systems_list(args: argparse.Namespace, system: None, y: None) -> int:
     for system_id in system_ids():
         entry = get_entry(system_id)
         print(f"{entry.id:<18} {entry.kind:<11} {entry.description}")
     return 0
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
-    _apply_config(args)
-    system = build_system(_require(args, "system"))
-    y = _parse_element(system, _require(args, "input"), args)
+def _cmd_expand(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int:
     depth = int(_require(args, "depth"))
     approx = getattr(args, "approx", None)
     code = coefficient_code(system, y, depth)
@@ -143,10 +151,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_convergent(args: argparse.Namespace) -> int:
-    _apply_config(args)
-    system = build_system(_require(args, "system"))
-    y = _parse_element(system, _require(args, "input"), args)
+def _cmd_convergent(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int:
     n = int(_require(args, "order"))
     approx = getattr(args, "approx", None)
     trace = convergent(system, y, n)
@@ -160,22 +165,14 @@ def _cmd_convergent(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_order(args: argparse.Namespace) -> int:
-    _apply_config(args)
-    system = build_system(_require(args, "system"))
-    y = _parse_element(system, _require(args, "input"), args)
+def _cmd_order(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int:
     print(str(order_of(system, y, int(_require(args, "max")))))
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    _apply_config(args)
-    system = build_system(_require(args, "system"))
-    y = _parse_element(system, _require(args, "input"), args)
+def _cmd_report(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int:
     n_max = int(_require(args, "nmax"))
     metric = args.metric or ("abs" if system.kind == "real" else "coeff-head")
-    if metric not in METRICS:
-        raise DomainError(f"unknown metric {metric!r}")
     fmt = args.format or "csv"
     out = _require(args, "out")
     report = convergence_report(system, y, n_max, metric)
@@ -197,25 +194,27 @@ _BUILTIN_MORPHISMS = {
 }
 
 
-def builtin_morphism(spec_id: str) -> Morphism:
-    """Construct one of the named built-in morphisms."""
+def _spec(spec_id: str) -> Tuple[str, Callable[[], Morphism]]:
+    """The source system id and the constructor of a built-in morphism."""
     if spec_id not in _BUILTIN_MORPHISMS:
         raise DomainError(f"unknown morphism spec {spec_id!r}")
-    return _BUILTIN_MORPHISMS[spec_id][1]()
+    return _BUILTIN_MORPHISMS[spec_id]
+
+
+def builtin_morphism(spec_id: str) -> Morphism:
+    """Construct one of the named built-in morphisms."""
+    return _spec(spec_id)[1]()
 
 
 def morphism_samples(spec_id: str, count: int, rng: random.Random) -> List[Any]:
     """Draw verification samples for a built-in morphism's source system."""
-    if spec_id not in _BUILTIN_MORPHISMS:
-        raise DomainError(f"unknown morphism spec {spec_id!r}")
+    sampler = get_entry(_spec(spec_id)[0]).sampler
     if count < 0:
         raise DomainError(f"negative sample count {count}")
-    sampler = get_entry(_BUILTIN_MORPHISMS[spec_id][0]).sampler
     return [sampler(rng) for _ in range(count)]
 
 
-def _cmd_morphism_verify(args: argparse.Namespace) -> int:
-    _apply_config(args)
+def _cmd_morphism_verify(args: argparse.Namespace, system: None, y: None) -> int:
     spec_id = _require(args, "spec")
     count = int(_get(args, "samples", 20))
     depth = int(_get(args, "depth", 6))
@@ -234,23 +233,7 @@ def _cmd_morphism_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_as_system(args: argparse.Namespace) -> ApproximationSystem:
-    transform = str(_require(args, "transform")).upper()
-    nonlinearity = str(_require(args, "nonlinearity"))
-    order = int(_get(args, "series_order", 64))
-    alphas = None
-    if nonlinearity == NL_POWER:
-        alphas = parse_alpha_schedule(str(_require(args, "alpha")))
-    config = ASConfig(
-        transform=transform, nonlinearity=nonlinearity, alphas=alphas, order=order
-    )
-    return ApproximationSystem(config)
-
-
-def _cmd_as_run(args: argparse.Namespace) -> int:
-    _apply_config(args)
-    system = _build_as_system(args)
-    y = _parse_element(system, _require(args, "input"), args)
+def _cmd_as_run(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int:
     depth = int(_require(args, "depth"))
     approx = getattr(args, "approx", None)
     code = coefficient_code(system, y, depth)
@@ -261,10 +244,7 @@ def _cmd_as_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_as_eval(args: argparse.Namespace) -> int:
-    _apply_config(args)
-    system = _build_as_system(args)
-    y = _parse_element(system, _require(args, "input"), args)
+def _cmd_as_eval(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int:
     n = int(_require(args, "order"))
     tol = float(_get(args, "tol", 1e-10))
     path = parse_path(str(_require(args, "path")))
@@ -287,6 +267,8 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
 
 def _add_common(parser: argparse.ArgumentParser, *extra: str) -> None:
     _add_config(parser)
+    # the system the pipeline builds before parsing --input
+    parser.set_defaults(build=lambda args: build_system(_require(args, "system")))
     parser.add_argument("--system", help="system id from `systems list`")
     parser.add_argument("--input", help="element expression")
     parser.add_argument("--bits", type=int, help="certified-real precision bits")
@@ -304,6 +286,11 @@ def _add_common(parser: argparse.ArgumentParser, *extra: str) -> None:
             parser.add_argument("--order", type=int, help="convergent index")
         elif name == "max":
             parser.add_argument("--max", type=int, help="depth bound")
+        elif name == "germ":
+            parser.add_argument("--transform", choices=("d", "k", "kd", "D", "K", "KD"))
+            parser.add_argument("--nonlinearity", choices=(NL_POWER, NL_LOGEXP))
+            parser.add_argument("--alpha", help="exponent schedule")
+            parser.set_defaults(build=_build_as_system)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,17 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     as_sub = as_cmd.add_subparsers(dest="subcommand", required=True)
 
     as_run = as_sub.add_parser("run", help="coefficient code of a germ")
-    _add_common(as_run, "depth")
-    as_run.add_argument("--transform", choices=("d", "k", "kd", "D", "K", "KD"))
-    as_run.add_argument("--nonlinearity", choices=(NL_POWER, NL_LOGEXP))
-    as_run.add_argument("--alpha", help="exponent schedule")
+    _add_common(as_run, "depth", "germ")
     as_run.set_defaults(handler=_cmd_as_run)
 
     as_eval = as_sub.add_parser("eval", help="evaluate a convergent along a path")
-    _add_common(as_eval, "order")
-    as_eval.add_argument("--transform", choices=("d", "k", "kd", "D", "K", "KD"))
-    as_eval.add_argument("--nonlinearity", choices=(NL_POWER, NL_LOGEXP))
-    as_eval.add_argument("--alpha", help="exponent schedule")
+    _add_common(as_eval, "order", "germ")
     as_eval.add_argument("--path", help="semicolon-separated re,im points")
     as_eval.add_argument("--tol", type=float, help="quadrature tolerance")
     as_eval.set_defaults(handler=_cmd_as_eval)
@@ -388,9 +369,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _main(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler: Callable[[argparse.Namespace], int] = args.handler
+    build = getattr(args, "build", None)
     try:
-        return handler(args)
+        _apply_config(args)
+        system = y = None
+        if build is not None:
+            system = build(args)
+            y = _parse_element(system, _require(args, "input"), args)
+        return args.handler(args, system, y)
     except ParseError as exc:
         return _fail("ParseError", exc)
     except _ImproperDemand as exc:

@@ -15,13 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Optional, Union
 
 
+@total_ordering
 class _Infinity:
     """Infinity, above every ``int`` and ``Fraction``.
 
-    Only the module-level singleton ``INF`` exists; equality is identity.
+    Only the module-level singleton ``INF`` exists; equality is identity, and
+    ``>``, ``<=`` and ``>=`` follow from ``<`` and it.
     """
 
     __slots__ = ()
@@ -35,21 +38,6 @@ class _Infinity:
     def __lt__(self, other: object) -> bool:
         if isinstance(other, (_Infinity, int, Fraction)):
             return False
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, (_Infinity, int, Fraction)):
-            return other is not self
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, (_Infinity, int, Fraction)):
-            return other is self
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (_Infinity, int, Fraction)):
-            return True
         return NotImplemented
 
 

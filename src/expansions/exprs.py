@@ -280,6 +280,12 @@ class _ScalarEnv(_Env):
         except ZeroDivisionError:
             raise DomainError("division by zero") from None
 
+    def pow(self, a: Any, k: int) -> Any:
+        try:
+            return a ** k
+        except ZeroDivisionError:
+            raise DomainError("division by zero") from None
+
 
 class _SeriesEnv(_Env):
     """Series about ``center``.
@@ -426,7 +432,7 @@ class _TrigEnv(_Env):
         if k < 0:
             if not a.without_modes(0).is_zero():
                 raise DomainError("negative powers only apply to scalars")
-            return TrigPolynomial.basis(0, CONE / self.pow(a, -k).amplitude(0))
+            return self.div(TrigPolynomial.basis(0, CONE), self.pow(a, -k))
         acc = TrigPolynomial.basis(0, CONE)
         for _ in range(k):
             acc = acc * a

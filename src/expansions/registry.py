@@ -102,8 +102,11 @@ def _sample_germ(
     # schedule, so richer samples make the exact arithmetic explode without
     # exercising anything new.  Transforms that shed a coefficient per level
     # (KD) get longer samples.  The guards, which draw nothing, keep the germ
-    # nonzero past its constant and past x; a later stage can still vanish to
-    # its known order, and its code then raises TruncationInconclusive.
+    # nonzero past its constant and past x: a draw that vanishes past x gets
+    # the fixed tail (k mod 3 + 1)/2, whose codes do not terminate (a short
+    # tail such as x^2/2 is itself a finite convergent).  A later stage can
+    # still vanish to its known order, and its code then raises
+    # TruncationInconclusive.
     def sample(rng: random.Random) -> PowerSeries:
         length = rng.randint(*length_range)
         coeffs = [constant]
@@ -117,7 +120,7 @@ def _sample_germ(
         if coeffs[1] == 0:
             coeffs[1] = Fraction(1, 2)
         if not any(coeffs[2:]):
-            coeffs[2] = Fraction(1, 2)
+            coeffs[2:] = [Fraction(k % 3 + 1, 2) for k in range(2, len(coeffs))]
         return PowerSeries.truncated(0, coeffs)
 
     return sample

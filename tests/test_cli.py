@@ -8,13 +8,15 @@ the exact bytes a shell user sees.
 import io
 import json
 import random
+import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from expansions import DomainError
-from expansions.cli import main, morphism_samples
+from expansions.cli import build_parser, main, morphism_samples
 from expansions.registry import system_ids
 
 
@@ -499,3 +501,148 @@ def test_as_eval_out_of_float_range_exits_2(args, kind):
     code, out, err = run_cli("as", "eval", "--transform", "d", *args)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {kind}:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--system", "cf", "--input", "0^-1", "--depth", "2"),
+    ("expand", "--system", "cf", "--input", "(1/2-1/2)^-3", "--depth", "2"),
+    ("expand", "--system", "fourier", "--input", "0^-1", "--depth", "2"),
+    ("expand", "--system", "fourier", "--input", "(E(0)-1)^-1", "--depth", "2"),
+    ("as", "run", "--transform", "d", "--nonlinearity", "power", "--alpha", "i^-1",
+     "--input", "exp(x)", "--depth", "2"),
+])
+def test_zero_to_a_negative_power_exits_2(argv):
+    assert run_cli(*argv) == (2, "", "error: DomainError: division by zero\n")
+
+
+# ---------------------------------------------------------------------------
+# every long option, as a flag and through --config
+# ---------------------------------------------------------------------------
+
+#: one command line per subcommand that sets each of its long options, with
+#: values that differ from the defaults
+_EVERY_OPTION = {
+    ("expand",): {
+        "system": "base10", "input": "pi-3", "bits": "8", "series-order": "8",
+        "approx": "3", "depth": "6",
+    },
+    ("convergent",): {
+        "system": "base10", "input": "pi-3", "bits": "64", "series-order": "8",
+        "approx": "3", "order": "3", "emit": "trace",
+    },
+    ("order",): {
+        "system": "taylor", "input": "exp", "bits": "64", "series-order": "4",
+        "approx": "3", "max": "6",
+    },
+    ("report",): {
+        "system": "as-d-power-half", "input": "sqrt(1/(1 - x))", "bits": "64",
+        "series-order": "16", "approx": "3", "nmax": "1", "metric": "grid-sup",
+        "out": "report.out", "format": "json",
+    },
+    ("morphism", "verify"): {"spec": "cf-shift", "samples": "3", "depth": "3", "seed": "5"},
+    ("as", "run"): {
+        "system": "unused", "input": "exp(x)", "bits": "64", "series-order": "3",
+        "approx": "3", "depth": "3", "transform": "k", "nonlinearity": "power",
+        "alpha": "2",
+    },
+    ("as", "eval"): {
+        "system": "unused", "input": "sqrt(1/(1 - x))", "bits": "64",
+        "series-order": "16", "approx": "3", "order": "3", "transform": "d",
+        "nonlinearity": "power", "alpha": "1/2", "path": "0;0,12", "tol": "1e-2",
+    },
+}
+
+
+def _long_options(command):
+    args = build_parser().parse_args(list(command))
+    return {opt[2:] for action in args.config_parser._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt not in ("--help", "--config")}
+
+
+def test_every_option_table_covers_every_long_option():
+    for command, options in _EVERY_OPTION.items():
+        assert set(options) == _long_options(command), command
+
+
+def _run_options(command, flags, config):
+    """Run ``command`` in the current directory with ``flags`` as flags and
+    ``config`` through a ``--config`` file; return the result and the text of
+    the report it wrote, if any."""
+    cfg = Path("cfg.json")
+    cfg.write_text(json.dumps(config))
+    argv = [f for key, value in flags.items() for f in (f"--{key}", value)]
+    result = run_cli(*command, *argv, "--config", str(cfg))
+    report = Path("report.out")
+    written = report.read_text() if report.exists() else None
+    report.unlink(missing_ok=True)
+    return result, written
+
+
+@pytest.mark.parametrize("command, option", [
+    pytest.param(command, option, id=" ".join(command) + " --" + option)
+    for command, options in _EVERY_OPTION.items() for option in options
+])
+def test_every_option_reads_the_same_from_config(tmp_path, monkeypatch, command, option):
+    monkeypatch.chdir(tmp_path)
+    options = _EVERY_OPTION[command]
+    others = {key: value for key, value in options.items() if key != option}
+    assert (_run_options(command, others, {option: options[option]})
+            == _run_options(command, options, {}))
+
+
+def test_every_option_changes_some_output(tmp_path, monkeypatch):
+    # otherwise the table above could not tell a lost config value from a
+    # kept one; a passing verify prints no sample, so --seed cannot show
+    monkeypatch.chdir(tmp_path)
+    inert = set().union(*_EVERY_OPTION.values())
+    for command, options in _EVERY_OPTION.items():
+        full = _run_options(command, options, {})
+        for option in options:
+            others = {key: value for key, value in options.items() if key != option}
+            if _run_options(command, others, {}) != full:
+                inert.discard(option)
+    assert inert == {"seed"}
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+
+def _readme_examples():
+    """argv and expected stdout lines of each ``$ expansions`` example in
+    README's Command line block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        lines = chunk.splitlines()
+        command = lines.pop(0)
+        while command.endswith("\\"):
+            command = command[:-1] + lines.pop(0)
+        assert command.startswith("$ expansions ")
+        argv = shlex.split(command)[2:]
+        verb = " ".join(word for word in argv[:2] if not word.startswith("-"))
+        examples.append(pytest.param(argv, lines, id=verb))
+    return examples
+
+
+@pytest.mark.parametrize("argv, lines", _readme_examples())
+def test_readme_examples(tmp_path, monkeypatch, argv, lines):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    if argv[:2] != ["as", "eval"]:
+        assert out.splitlines() == lines
+        return
+    # as in test_as_eval_along_real_segment, the value is pinned to 14
+    # decimals and the error only below 1e-12: quadrature digits past that
+    # are not part of the contract
+    (value, error, panels), (want_value, want_error, want_panels) = out.splitlines(), lines
+    prefix = len("value: 1.") + 14
+    assert value[:prefix] == want_value[:prefix]
+    assert float(error.split(": ")[1]) < 1e-12
+    assert float(want_error.split(": ")[1]) < 1e-12
+    assert panels == want_panels

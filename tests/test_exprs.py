@@ -67,6 +67,18 @@ def test_unknown_context_rejected():
         parse_expression("1", "quaternion")
 
 
+@pytest.mark.parametrize("text, context", [
+    ("0^-1", "real"),
+    ("(1/2-1/2)^-3", "real"),
+    ("0^-1", "trig"),
+    ("(E(0)-1)^-1", "trig"),
+])
+def test_zero_to_a_negative_power_is_a_domain_error(text, context):
+    # a DomainError like 1/0, not a bare ZeroDivisionError
+    with pytest.raises(DomainError, match="^division by zero$"):
+        parse_expression(text, context)
+
+
 # ---------------------------------------------------------------------------
 # Germ context
 # ---------------------------------------------------------------------------

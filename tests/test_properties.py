@@ -66,9 +66,8 @@ def test_as_registry_samples_roundtrip(system_id, rng):
         try:
             coefficient_code(system, y, n)
         except TruncationInconclusive:
-            # e.g. the KD draw 1 + x/2 + x^2/2 + O(x^20): a stage that vanishes
-            # to its known order has no certified multiplicity, which is the
-            # documented refusal
+            # a stage that vanishes to its known order has no certified
+            # multiplicity, which is the documented refusal
             break
         assert head_coincidence(system, y, n)
         assert roundtrip_check(system, y, n)
@@ -85,10 +84,9 @@ class _ZeroRandom(random.Random):
 def test_as_sampler_never_draws_a_germ_that_vanishes_past_x(system_id):
     y = sample_element(system_id, _ZeroRandom())
     assert any(y.coeffs[2:])
-    # KD reads its first stage from x^2 on, so the draw 1 + x/2 + x^2/2 is
-    # conclusive to depth 1 there and to depth 2 for D and K
-    depth = 1 if system_id.startswith("as-kd") else 2
-    assert len(coefficient_code(build_system(system_id), y, depth)) == depth
+    # the fix-up tail must not be a short finite convergent, whose code
+    # would be inconclusive a few levels down
+    assert len(coefficient_code(build_system(system_id), y, 4)) == 4
 
 
 @bounded
