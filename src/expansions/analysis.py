@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .approx import ApproximationSystem
-from .certified import Interval
+from .certified import Interval, MobiusInterval
 from .coefficients import ASCoef, ComplexRational, _Infinity
 from .core import (
     ORDER_NONE,
@@ -65,6 +65,8 @@ def render_value(value: Any, approx_digits: Optional[int] = None) -> str:
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, MobiusInterval):
+        value = value.enclosure()
     if isinstance(value, Interval):
         digits = approx_digits if approx_digits is not None else _INTERVAL_DIGITS
         lo = _decimal_str(value.lo, digits, ROUND_FLOOR)
@@ -120,6 +122,8 @@ class ConvergenceReport:
 
 def _abs_distance(y: Any, approximant: Any) -> Any:
     diff = y - approximant
+    if isinstance(diff, MobiusInterval):
+        diff = diff.enclosure()
     if isinstance(diff, Interval):
         return diff.abs().hi
     return abs(diff)

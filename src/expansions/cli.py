@@ -8,7 +8,9 @@ serializers, so stdout is deterministic: identical invocations produce
 identical bytes.
 
 Exit codes: 0 success; 2 parse/domain errors; 3 exhausted precision or
-truncated knowledge; 4 an improper convergent where a proper one was demanded.
+truncated knowledge, after ``expand`` has printed the coefficients certified
+before the failing level; 4 an improper convergent where a proper one was
+demanded.
 """
 
 from __future__ import annotations
@@ -143,11 +145,13 @@ def _cmd_systems_list(args: argparse.Namespace, system: None, y: None) -> int:
     return 0
 
 
-def _cmd_expand(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int:
-    depth = int(_require(args, "depth"))
+def _print_code(args: argparse.Namespace, code: Sequence[Any]) -> None:
     approx = getattr(args, "approx", None)
-    code = coefficient_code(system, y, depth)
     print(" ".join(render_value(c, approx) for c in code))
+
+
+def _cmd_expand(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int:
+    _print_code(args, coefficient_code(system, y, int(_require(args, "depth"))))
     return 0
 
 
@@ -382,6 +386,10 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     except _ImproperDemand as exc:
         return _fail("Improper", exc, code=4)
     except (PrecisionExhausted, TruncationInconclusive, QuadratureFailure) as exc:
+        # what expand certified before the failing level is still printed
+        prefix = getattr(exc, "prefix", ())
+        if prefix and args.handler is _cmd_expand:
+            _print_code(args, prefix)
         return _fail(type(exc).__name__, exc, code=3)
     except (DomainError, UnsupportedInContext, SingularityOnPath) as exc:
         return _fail(type(exc).__name__, exc)

@@ -18,7 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, UnsupportedInContext
+from .errors import (
+    DomainError,
+    PrecisionExhausted,
+    TruncationInconclusive,
+    UnsupportedInContext,
+)
 
 #: Possible values of :attr:`ExpansionSystem.coefficient_order_kind`.
 ORDER_STANDARD = "standard"
@@ -154,17 +159,26 @@ def trajectory(system: ExpansionSystem, y: Any, n: int) -> List[Any]:
 
 
 def coefficient_code(system: ExpansionSystem, y: Any, n: int) -> List[Any]:
-    """First ``n`` coefficients ``[c_0, ..., c_{n-1}]`` of ``y``."""
+    """First ``n`` coefficients ``[c_0, ..., c_{n-1}]`` of ``y``.
+
+    A ``PrecisionExhausted`` or ``TruncationInconclusive`` raised at some
+    level carries that ``level`` and the ``prefix`` of coefficients certified
+    before it.
+    """
     if n < 0:
         raise DomainError(f"negative depth {n}")
     if n == 0:
         return []
     system.validate(0, y)
-    code = []
-    for i in range(n - 1):
-        c, y = system.step(i, y)
-        code.append(c)
-    code.append(system.project(n - 1, y))
+    code: List[Any] = []
+    try:
+        for i in range(n - 1):
+            c, y = system.step(i, y)
+            code.append(c)
+        code.append(system.project(n - 1, y))
+    except (PrecisionExhausted, TruncationInconclusive) as exc:
+        exc.level, exc.prefix = len(code), code
+        raise
     return code
 
 

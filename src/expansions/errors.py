@@ -8,6 +8,8 @@ exception for it here.
 
 from __future__ import annotations
 
+from typing import Any, Optional, Sequence
+
 
 class ExpansionError(Exception):
     """Base class for all errors raised by this package."""
@@ -18,8 +20,12 @@ class PrecisionExhausted(ExpansionError):
 
     Raised e.g. when an interval straddles an integer and a floor is demanded,
     or when it straddles zero and a neutrality test is demanded.  The remedy is
-    to retry with a larger precision budget.
+    to retry with a larger precision budget.  Raised out of a coefficient
+    code, it carries the failing ``level`` and the certified ``prefix``.
     """
+
+    level: Optional[int] = None
+    prefix: Sequence[Any] = ()
 
 
 class DomainError(ExpansionError):
@@ -30,8 +36,12 @@ class TruncationInconclusive(ExpansionError):
     """A truncated series does not carry enough coefficients to answer the question.
 
     Distinct from :class:`PrecisionExhausted`: this is about *order* (number of
-    stored coefficients), not numeric precision.
+    stored coefficients), not numeric precision.  Raised out of a coefficient
+    code, it carries the failing ``level`` and the certified ``prefix``.
     """
+
+    level: Optional[int] = None
+    prefix: Sequence[Any] = ()
 
 
 class QuadratureFailure(ExpansionError):

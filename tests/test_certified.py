@@ -2,13 +2,23 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expansions import Interval, PrecisionExhausted, e_interval, pi_interval, sqrt_interval
+from expansions import (
+    DomainError,
+    Interval,
+    MobiusInterval,
+    PrecisionExhausted,
+    e_interval,
+    pi_interval,
+    sqrt_interval,
+)
+from expansions.certified import MAX_BITS
 
 # 40-digit brackets, cross-checked against standard tables
 PI_LO = Fraction("3.14159265358979323846264338327950288419")
@@ -205,3 +215,82 @@ def test_operators_follow_the_endpoint_oracle(a, b):
     _check(lambda: math.floor(a), floors[0] if floors[0] == floors[1] else None)
     _check(lambda: math.ceil(a), ceils[0] if ceils[0] == ceils[1] else None)
     _check(lambda: bool(a), _decided(alo > 0 or ahi < 0, alo == ahi == 0))
+
+
+def test_bits_beyond_the_limit_are_refused_before_any_work():
+    tracemalloc.start()
+    try:
+        for build in (lambda bits: sqrt_interval(2, bits), pi_interval, e_interval):
+            for bits in (MAX_BITS + 1, 10 ** 11):
+                with pytest.raises(DomainError, match=f"at most {MAX_BITS}, got {bits}"):
+                    build(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # an exact root spends no bits, so any budget is accepted
+    assert sqrt_interval(Fraction(9, 4), 10 ** 11) == Interval.exact(Fraction(3, 2))
+
+
+# -- the Möbius remainder against the Interval it stands for ---------------
+
+_exact = st.one_of(st.integers(-20, 20), _fractions)
+_steps = st.lists(st.tuples(st.sampled_from(("+", "-", "r-", "*", "/", "r/", "neg")), _exact),
+                  max_size=6)
+
+
+def _outcome(op):
+    """The result of ``op``, or the type and message of what it raised."""
+    try:
+        return op()
+    except (PrecisionExhausted, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+_APPLY = {
+    "+": lambda y, k: y + k,
+    "-": lambda y, k: y - k,
+    "r-": lambda y, k: k - y,
+    "*": lambda y, k: y * k,
+    "/": lambda y, k: y / k,
+    "r/": lambda y, k: k / y,
+    "neg": lambda y, k: -y,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_intervals, _steps, _exact)
+def test_mobius_steps_equal_the_interval_steps(start, steps, k):
+    # every exact step gives the enclosure the Interval step gives, and each
+    # predicate answers, or raises, as on that Interval
+    iv, m = start, MobiusInterval.of(start)
+    assert m.enclosure() == iv
+    for name, operand in steps:
+        iv_next = _outcome(lambda: _APPLY[name](iv, operand))
+        m_next = _outcome(lambda: _APPLY[name](m, operand))
+        if isinstance(iv_next, tuple):
+            assert m_next == iv_next
+            return
+        assert isinstance(m_next, MobiusInterval)
+        iv, m = iv_next, m_next
+        assert m.enclosure() == iv == m
+        for predicate in (math.floor, math.ceil, bool, lambda y: y < k, lambda y: y > k):
+            assert _outcome(lambda: predicate(m)) == _outcome(lambda: predicate(iv))
+
+
+def test_mobius_falls_back_to_its_enclosure():
+    iv = Interval(Fraction(1, 3), Fraction(1, 2))
+    m = 2 * MobiusInterval.of(iv)
+    other = Interval(Fraction(-1, 5), Fraction(1, 7))
+    assert m.enclosure() == Interval(Fraction(2, 3), Fraction(1))
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        assert op(m, other) == op(m.enclosure(), other)
+        assert op(other, m) == op(other, m.enclosure())
+        assert op(m, m) == op(m.enclosure(), m.enclosure())
+    assert m ** 2 == m.enclosure() ** 2
+    assert str(m) == str(m.enclosure()) and hash(m) == hash(m.enclosure())
+    with pytest.raises(PrecisionExhausted, match="straddling zero"):
+        m / other
+    # certified equality of two remainders is undecided, as on Interval
+    with pytest.raises(PrecisionExhausted, match="sign undecidable"):
+        not (m - MobiusInterval.of(m.enclosure()))

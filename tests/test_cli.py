@@ -7,8 +7,10 @@ the exact bytes a shell user sees.
 
 import io
 import json
+import os
 import random
 import shlex
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -254,6 +256,21 @@ def test_exit_code_precision_exhausted():
     assert err.startswith("error: PrecisionExhausted:")
 
 
+def test_expand_prints_the_certified_prefix_before_exit_3():
+    # 256 bits certify 100 partial quotients of sqrt(2) - 1, not the 101st
+    argv = ("--system", "cf", "--input", "sqrt(2)-1", "--depth", "101")
+    code, out, err = run_cli("expand", *argv)
+    assert (code, out) == (3, " ".join(["2"] * 100) + "\n")
+    assert err.startswith("error: PrecisionExhausted: floor undecidable on [")
+    assert err.count("\n") == 1
+    # rendered as expand renders a code
+    code, out, _ = run_cli("expand", *argv, "--approx", "3")
+    assert (code, out) == (3, " ".join(["2"] * 100) + "\n")
+    # other verbs print no prefix
+    assert run_cli("convergent", "--system", "cf", "--input", "sqrt(2)-1",
+                   "--order", "101") == (3, "", err)
+
+
 def test_exit_code_truncated_knowledge():
     code, _, err = run_cli(
         "order",
@@ -269,6 +286,29 @@ def test_exit_code_truncated_knowledge():
 # ---------------------------------------------------------------------------
 # config files and determinism
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["sqrt(2)-1", "pi-3", "e-2"])
+def test_exit_code_bits_beyond_the_limit(text):
+    code, out, err = run_cli("expand", "--system", "cf", "--input", text,
+                             "--bits", "100000000000", "--depth", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: DomainError: bits must be at most 1048576, got 100000000000\n"
+
+
+def test_exit_code_bits_beyond_the_limit_spares_exact_inputs():
+    code, out, err = run_cli("expand", "--system", "cf", "--input", "1/3",
+                             "--bits", "100000000000", "--depth", "3")
+    assert (code, out, err) == (0, "3 inf inf\n", "")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "expansions", "systems", "list"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli("systems", "list")[1]
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):

@@ -3,6 +3,7 @@ systems through the generic round trip, the ring identities of exact
 polynomials, and the polynomial systems' refusal of series that are not exact
 polynomials at 0."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,16 +13,20 @@ from hypothesis import strategies as st
 
 import expansions
 from expansions import (
+    INF,
     DomainError,
     Interval,
     Polynomial,
     PowerSeries,
+    PrecisionExhausted,
     TruncationInconclusive,
+    base_f_expansion,
     build_system,
     coefficient_code,
     head_coincidence,
     isolate_roots_01,
     parse_expression,
+    reciprocal_f_expansion,
     roundtrip_check,
     sample_element,
     sup_norm_le,
@@ -34,6 +39,7 @@ from expansions.polynomials import (
     is_nonneg_on_01,
     sup_norm_enclosure,
 )
+from expansions.registry import SHUFFLE_SIGMA
 from expansions.seriessys import NormTaylorSystem
 
 POLYNOMIAL_SYSTEMS = ("newton-forward", "newton-backward", "newton-reflected", "norm-taylor")
@@ -203,3 +209,105 @@ def test_negative_power_is_reciprocal_power(a, k):
         value = parse_expression(f"{base}^-{k}", "real")
         assert isinstance(value, kind)
         assert value == parse_expression(f"1/{base}^{k}", "real")
+
+
+# -- certified digit steps against the Interval steps written out ----------
+
+
+def _nonsquare(k):
+    return k + 1 if math.isqrt(k) ** 2 == k else k
+
+
+def _square(q):
+    return all(math.isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
+
+
+@st.composite
+def irrational_texts(draw):
+    """An irrational in (0, 1) from a sqrt, pi, e or quotient family."""
+    family = draw(st.integers(0, 4))
+    k = draw(st.integers(1, 9))
+    if family == 0:
+        a = _nonsquare(draw(st.integers(2, 999)))
+        return f"sqrt({a}) - {math.isqrt(a)}"
+    if family == 1:
+        return f"(pi - 3) * {k}/{k + 1}"
+    if family == 2:
+        return f"(e - 2) * {k}/{k + 1}"
+    if family == 3:
+        a, b = _nonsquare(draw(st.integers(2, 99))), _nonsquare(draw(st.integers(2, 99)))
+        return f"(sqrt({a}) - {math.isqrt(a)}) / (sqrt({b}) + {k % 5 + 1})"
+    q = draw(st.fractions(Fraction(1, 50), Fraction(49, 50), max_denominator=50)
+             .filter(lambda q: not _square(q)))
+    return f"sqrt({q})"
+
+
+def _floor_step(y, base, labels):
+    v = y * base
+    d = math.floor(v)
+    return labels[d], v - d
+
+
+def _cf_step(y):
+    if not y:
+        return INF, 0 * y
+    v = 1 / y
+    d = math.floor(v)
+    return d, v - d
+
+
+def _egyptian_step(y):
+    if not y:
+        return INF, 0 * y
+    q = math.ceil(1 / y)
+    return q, y - Fraction(1, q)
+
+
+def _engel_step(y):
+    if not y:
+        return INF, 0 * y
+    q = math.ceil(1 / y)
+    return q, y * q - 1
+
+
+DIGITS = list(range(10))
+
+#: system -> its step on a plain Interval
+REFERENCE_STEPS = {
+    "base10": (build_system("base10"), lambda y: _floor_step(y, 10, DIGITS)),
+    "base10-shuffled": (build_system("base10-shuffled"),
+                        lambda y: _floor_step(y, 10, SHUFFLE_SIGMA)),
+    "cf": (build_system("cf"), _cf_step),
+    "egyptian": (build_system("egyptian"), _egyptian_step),
+    "engel": (build_system("engel"), _engel_step),
+    "f-linear10": (base_f_expansion(10), lambda y: _floor_step(y, 10, DIGITS)),
+    "f-reciprocal": (reciprocal_f_expansion(), _cf_step),
+}
+
+
+def _reference_code(step, y, depth):
+    """(code, level of PrecisionExhausted or None, its message)."""
+    code = []
+    try:
+        for _ in range(depth):
+            c, y = step(y)
+            code.append(c)
+    except PrecisionExhausted as exc:
+        return code, len(code), str(exc)
+    return code, None, None
+
+
+@pytest.mark.parametrize("name", REFERENCE_STEPS)
+@settings(max_examples=15, deadline=None)
+@given(irrational_texts(), st.integers(64, 1024))
+def test_certified_codes_match_interval_steps(name, text, bits):
+    # the Möbius remainder certifies the same digits, stops at the same
+    # level and says the same as the Interval steps do
+    system, step = REFERENCE_STEPS[name]
+    y = parse_expression(text, "real", bits=bits)
+    assert isinstance(y, Interval)
+    try:
+        got = coefficient_code(system, y, bits), None, None
+    except PrecisionExhausted as exc:
+        got = exc.prefix, exc.level, str(exc)
+    assert got == _reference_code(step, y, bits)

@@ -1,6 +1,7 @@
 """Tests for the concrete real-number systems: positional bases, continued
 fractions, Egyptian fractions, Engel series, and the f-expansion family."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,16 +14,20 @@ from expansions import (
     DomainError,
     EgyptianSystem,
     EngelSystem,
+    FExpansionSystem,
     Interval,
+    MobiusInterval,
     PrecisionExhausted,
     base_f_expansion,
     coefficient_code,
+    convergence_report,
     convergent,
     magnitude_prefix,
     order_of,
     parse_expression,
     pi_interval,
     reciprocal_f_expansion,
+    render_value,
     roundtrip_check,
     trajectory,
 )
@@ -251,6 +256,51 @@ def test_f_expansion_cross_checks_on_intervals(text) -> None:
         assert _exhausted_at(f_like, y) == _exhausted_at(named, y) > 40
 
 
+@pytest.mark.parametrize("text, bits, code, level", [
+    ("sqrt(2)-1", 8, [0, 1, 3], 3),
+    ("sqrt(9/10)", 8, [3, 1, 0], 3),
+    ("sqrt(99/100)", 8, [3, 3], 2),
+    ("sqrt(9/10)", 32, [3, 1, 0, 2, 0, 1, 1, 1, 0, 0, 0, 0], None),
+    ("sqrt(99/100)", 32, [3, 3, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0], None),
+])
+def test_non_mobius_f_expansion_runs_on_the_enclosure(text, bits, code, level) -> None:
+    # y*y is no Möbius step, so 4*y*y falls back to the Interval enclosure:
+    # the code (pinned), the failing level and its message are those of the
+    # same steps on a plain Interval; only the forward code is read here
+    square = FExpansionSystem("square", f=lambda y: 4 * y * y,
+                              f_inv=lambda w: None, in_image=lambda w: False)
+    y = stage = parse_expression(text, "real", bits=bits)
+    reference, message = [], None
+    try:
+        for _ in range(12):
+            v = 4 * stage * stage
+            reference.append(math.floor(v))
+            stage = v - reference[-1]
+    except PrecisionExhausted as exc:
+        message = str(exc)
+    if level is None:
+        assert coefficient_code(square, y, 12) == reference == code
+        return
+    with pytest.raises(PrecisionExhausted) as info:
+        coefficient_code(square, y, 12)
+    assert (info.value.prefix, info.value.level) == (reference, len(reference)) == (code, level)
+    assert str(info.value) == message
+
+
+def test_a_certified_stage_is_an_input_again() -> None:
+    # past level 0 a trajectory holds Möbius remainders; each one expands,
+    # validates, renders and reports as the Interval it stands for
+    cf = ContinuedFractionSystem()
+    y = parse_expression("sqrt(2)-1", "real", bits=256)
+    stages = trajectory(cf, y, 3)
+    assert all(isinstance(stage, MobiusInterval) for stage in stages[1:])
+    assert coefficient_code(cf, stages[3], 5) == coefficient_code(cf, y, 8)[3:]
+    enclosure = stages[3].enclosure()
+    assert render_value(stages[3]) == render_value(enclosure)
+    assert (convergence_report(cf, stages[3], 3).rows
+            == convergence_report(cf, enclosure, 3).rows)
+
+
 def test_reconstruct_rejects_foreign_coefficients() -> None:
     # the named systems raise on a coefficient outside their alphabet; the
     # bare f-expansion refutes an out-of-range digit by its image check
@@ -320,16 +370,17 @@ def test_interval_equality_is_certified_or_undecided() -> None:
 
 def test_code_inverts_once_per_level(monkeypatch) -> None:
     # project and expand share 1/y and its floor or ceiling: one reciprocal
-    # and one rounding per emitted coefficient, not two per expanded level
+    # and one rounding per emitted coefficient, not two per expanded level;
+    # the steps run on the Möbius remainder the input enclosure becomes
     calls = {"reciprocal": 0, "floor": 0, "ceil": 0}
     for name in calls:
-        method = getattr(Interval, name)
+        method = getattr(MobiusInterval, name)
 
         def counted(self, _method=method, _name=name):
             calls[_name] += 1
             return _method(self)
 
-        monkeypatch.setattr(Interval, name, counted)
+        monkeypatch.setattr(MobiusInterval, name, counted)
     for system, text, n, rounding in (
         (ContinuedFractionSystem(), "sqrt(2)-1", 20, "floor"),
         (EgyptianSystem(), "sqrt(1/2)", 5, "ceil"),
