@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .approx import ApproximationSystem
-from .certified import Interval, MobiusInterval
+from .certified import Interval
 from .coefficients import ASCoef, ComplexRational, _Infinity
 from .core import (
     ORDER_NONE,
@@ -65,8 +65,6 @@ def render_value(value: Any, approx_digits: Optional[int] = None) -> str:
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, MobiusInterval):
-        value = value.enclosure()
     if isinstance(value, Interval):
         digits = approx_digits if approx_digits is not None else _INTERVAL_DIGITS
         lo = _decimal_str(value.lo, digits, ROUND_FLOOR)
@@ -96,10 +94,12 @@ def render_value(value: Any, approx_digits: Optional[int] = None) -> str:
 
 # -- convergence reports -----------------------------------------------------
 
-#: metric id -> element kinds it applies to
+#: metric id -> element kinds it applies to; ``report`` defaults to the first
+#: that applies.  coeff-head re-expands each convergent 8 levels deep, which a
+#: truncated germ cannot certify past n = 0, so germs take grid-sup.
 METRICS = {
     "abs": ("real",),
-    "coeff-head": ("real", "series", "polynomial", "trig", "germ"),
+    "coeff-head": ("real", "series", "polynomial", "trig"),
     "grid-sup": ("germ",),
 }
 
@@ -122,8 +122,6 @@ class ConvergenceReport:
 
 def _abs_distance(y: Any, approximant: Any) -> Any:
     diff = y - approximant
-    if isinstance(diff, MobiusInterval):
-        diff = diff.enclosure()
     if isinstance(diff, Interval):
         return diff.abs().hi
     return abs(diff)

@@ -176,7 +176,7 @@ def _cmd_order(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int
 
 def _cmd_report(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int:
     n_max = int(_require(args, "nmax"))
-    metric = args.metric or ("abs" if system.kind == "real" else "coeff-head")
+    metric = args.metric or next(m for m, kinds in METRICS.items() if system.kind in kinds)
     fmt = args.format or "csv"
     out = _require(args, "out")
     report = convergence_report(system, y, n_max, metric)
@@ -271,18 +271,24 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
 
 def _add_common(parser: argparse.ArgumentParser, *extra: str) -> None:
     _add_config(parser)
-    # the system the pipeline builds before parsing --input
-    parser.set_defaults(build=lambda args: build_system(_require(args, "system")))
-    parser.add_argument("--system", help="system id from `systems list`")
+    # a germ parser builds its system from --transform, --nonlinearity and
+    # --alpha and parses no real, so it takes no --system or --bits
+    germ = "germ" in extra
+    if not germ:
+        # the system the pipeline builds before parsing --input
+        parser.set_defaults(build=lambda args: build_system(_require(args, "system")))
+        parser.add_argument("--system", help="system id from `systems list`")
     parser.add_argument("--input", help="element expression")
-    parser.add_argument("--bits", type=int, help="certified-real precision bits")
+    if not germ:
+        parser.add_argument("--bits", type=int, help="certified-real precision bits")
     parser.add_argument(
         "--series-order", type=int, dest="series_order",
         help="knowledge order for inexact series",
     )
-    parser.add_argument(
-        "--approx", type=int, help="render numbers as decimals with this many digits"
-    )
+    if "approx" in extra:
+        parser.add_argument(
+            "--approx", type=int, help="render numbers as decimals with this many digits"
+        )
     for name in extra:
         if name == "depth":
             parser.add_argument("--depth", type=int, help="number of coefficients")
@@ -310,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     systems_list.set_defaults(handler=_cmd_systems_list)
 
     expand = sub.add_parser("expand", help="coefficient code of an element")
-    _add_common(expand, "depth")
+    _add_common(expand, "approx", "depth")
     expand.set_defaults(handler=_cmd_expand)
 
     conv = sub.add_parser("convergent", help="n-th convergent of an element")
-    _add_common(conv, "order")
+    _add_common(conv, "approx", "order")
     conv.add_argument("--emit", choices=("value", "trace"), default=None)
     conv.set_defaults(handler=_cmd_convergent)
 
@@ -323,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     order.set_defaults(handler=_cmd_order)
 
     report = sub.add_parser("report", help="convergence report to a file")
-    _add_common(report)
+    _add_common(report, "approx")
     report.add_argument("--nmax", type=int, help="largest convergent index")
     report.add_argument("--metric", choices=tuple(METRICS), help="distance metric")
     report.add_argument("--out", help="output file path")
@@ -344,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     as_sub = as_cmd.add_subparsers(dest="subcommand", required=True)
 
     as_run = as_sub.add_parser("run", help="coefficient code of a germ")
-    _add_common(as_run, "depth", "germ")
+    _add_common(as_run, "approx", "depth", "germ")
     as_run.set_defaults(handler=_cmd_as_run)
 
     as_eval = as_sub.add_parser("eval", help="evaluate a convergent along a path")

@@ -9,14 +9,14 @@ Every step here is a Möbius map of the remainder (``b*y - d``, ``1/y - q``,
 ``y - 1/q``, ``q*y - 1``), spelled with ``math.floor``, ``math.ceil``, ``<``,
 ``not y`` (zero test) and ``0 * y`` (zero of the same kind).  The spelling
 runs on exact ``Fraction`` values and on certified remainders of irrational
-inputs: a step turns an :class:`~expansions.certified.Interval` input into a
-:class:`~expansions.certified.MobiusInterval`, so n steps compose to one
-integer matrix ``(a*x + b) / (c*x + d)`` of the input ``x``, and each level
-costs a few integer products instead of two reduced ``Fraction`` endpoints.
-On an enclosure the predicates are certified, so a too-narrow precision
-budget surfaces as :class:`~expansions.errors.PrecisionExhausted` (with the
-message of the equal ``Interval``) rather than a wrong digit.  A map ``f``
-that is not Möbius, such as ``4*y*y``, runs on the enclosure instead.
+inputs: an :class:`~expansions.certified.Interval` holds its value as an
+integer matrix over the input enclosure, so n steps compose to one matrix
+``(a*x + b) / (c*x + d)`` of the input ``x``, and each level costs a few
+integer products instead of two reduced ``Fraction`` endpoints.  On an
+enclosure the predicates are certified, so a too-narrow precision budget
+surfaces as :class:`~expansions.errors.PrecisionExhausted` rather than a
+wrong digit.  A map ``f`` that is not Möbius, such as ``4*y*y``, multiplies
+two intervals, which runs on their endpoints.
 """
 
 from __future__ import annotations
@@ -25,18 +25,17 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
-from .certified import Interval, MobiusInterval
+from .certified import Interval
 from .coefficients import INF, ExtendedInt, is_infinite
 from .core import ORDER_REVERSED, ORDER_STANDARD, ExpansionSystem
 from .errors import DomainError
 
-Real = Union[Fraction, Interval, MobiusInterval]
+Real = Union[Fraction, Interval]
 
 
 class _UnitIntervalSystem(ExpansionSystem):
     """Shared behaviour of systems whose every level is ``[0, 1)``; a
-    subclass supplies ``_step``, which ``step`` runs on a Möbius remainder
-    for an enclosure, and ``project``/``expand`` read its halves."""
+    subclass supplies ``step``, and ``project``/``expand`` read its halves."""
 
     kind = "real"
 
@@ -44,8 +43,6 @@ class _UnitIntervalSystem(ExpansionSystem):
         return Fraction(0)
 
     def validate(self, i: int, y: Any) -> None:
-        if isinstance(y, MobiusInterval):
-            y = y.enclosure()
         if not isinstance(y, (Fraction, Interval)):
             raise DomainError(f"expected Fraction or Interval, got {type(y).__name__}")
         # Refute an enclosure only when it lies wholly outside.  Name the
@@ -54,13 +51,6 @@ class _UnitIntervalSystem(ExpansionSystem):
         if hi < 0 or lo >= 1:
             side = "below 0" if hi < 0 else "at or above 1"
             raise DomainError(f"element lies outside [0, 1), {side}")
-
-    def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
-        # the one place an input enclosure becomes a Möbius remainder, whose
-        # steps are integer matrix updates
-        if isinstance(y, Interval):
-            y = MobiusInterval.of(y)
-        return self._step(i, y)
 
     def project(self, i: int, y: Any) -> ExtendedInt:
         return self.step(i, y)[0]
@@ -118,7 +108,7 @@ class FExpansionSystem(_UnitIntervalSystem):
                 "the neutral element would not expand to itself"
             )
 
-    def _step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
+    def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
         v = self.f(y)
         if is_infinite(v):
             return v, 0 * y
@@ -176,8 +166,8 @@ class BaseSystem(FExpansionSystem):
                 self._sigma_inv[image] = d
             self.name = f"base{base}-shuffled"
 
-    def _step(self, i: int, y: Any) -> Tuple[int, Any]:
-        d, rest = super()._step(i, y)
+    def step(self, i: int, y: Any) -> Tuple[int, Any]:
+        d, rest = super().step(i, y)
         return self._sigma[d], rest
 
     def reconstruct(self, i: int, c: int, tail: Any) -> Optional[Any]:
@@ -220,7 +210,7 @@ class _UnitFractionSystem(_UnitIntervalSystem):
 
     coefficient_order_kind = ORDER_REVERSED
 
-    def _step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
+    def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
         if not y:
             return INF, 0 * y
         q = math.ceil(1 / y)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from expansions import (
     DomainError,
     Interval,
-    MobiusInterval,
     PrecisionExhausted,
     e_interval,
     pi_interval,
@@ -232,7 +231,7 @@ def test_bits_beyond_the_limit_are_refused_before_any_work():
     assert sqrt_interval(Fraction(9, 4), 10 ** 11) == Interval.exact(Fraction(3, 2))
 
 
-# -- the Möbius remainder against the Interval it stands for ---------------
+# -- matrix steps against an endpoint reference -----------------------------
 
 _exact = st.one_of(st.integers(-20, 20), _fractions)
 _steps = st.lists(st.tuples(st.sampled_from(("+", "-", "r-", "*", "/", "r/", "neg")), _exact),
@@ -258,39 +257,93 @@ _APPLY = {
 }
 
 
+def _reference_step(lo, hi, name, k):
+    """The exact step on the two ``Fraction`` endpoints, sorted, or what an
+    enclosure refuses: division by exact zero and a reciprocal across 0."""
+    if name == "/" and k == 0 or name == "r/" and lo == 0 == hi:
+        return ZeroDivisionError, "reciprocal of exact zero"
+    if name == "r/" and lo <= 0 <= hi:
+        return PrecisionExhausted, f"cannot invert interval straddling zero: [{lo}, {hi}]"
+    return tuple(sorted(_APPLY[name](x, k) for x in (lo, hi)))
+
+
+def _undecided(what, lo, hi):
+    return PrecisionExhausted, f"{what} undecidable on [{lo}, {hi}]"
+
+
+def _reference_predicates(lo, hi, k):
+    """floor, ceil, truth, ``< k`` and ``> k`` answered from the endpoints."""
+    k = Fraction(k)
+    order_below = f"order of [{lo}, {hi}] and [{k}, {k}] undecidable"
+    order_above = f"order of [{k}, {k}] and [{lo}, {hi}] undecidable"
+    return (
+        math.floor(lo) if math.floor(lo) == math.floor(hi) else _undecided("floor", lo, hi),
+        math.ceil(lo) if math.ceil(lo) == math.ceil(hi) else _undecided("ceiling", lo, hi),
+        True if lo > 0 or hi < 0 else False if lo == hi == 0 else _undecided("sign", lo, hi),
+        True if hi < k else False if lo >= k else (PrecisionExhausted, order_below),
+        True if lo > k else False if hi <= k else (PrecisionExhausted, order_above),
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(_intervals, _steps, _exact)
 def test_mobius_steps_equal_the_interval_steps(start, steps, k):
-    # every exact step gives the enclosure the Interval step gives, and each
-    # predicate answers, or raises, as on that Interval
-    iv, m = start, MobiusInterval.of(start)
-    assert m.enclosure() == iv
+    # every exact step is a matrix step; its endpoints, and each predicate's
+    # answer or message, are those of the same step on the two endpoints
+    y, ends = start, (start.lo, start.hi)
     for name, operand in steps:
-        iv_next = _outcome(lambda: _APPLY[name](iv, operand))
-        m_next = _outcome(lambda: _APPLY[name](m, operand))
-        if isinstance(iv_next, tuple):
-            assert m_next == iv_next
+        expected = _reference_step(*ends, name, operand)
+        got = _outcome(lambda: _APPLY[name](y, operand))
+        if not isinstance(expected[0], Fraction):
+            assert got == expected
             return
-        assert isinstance(m_next, MobiusInterval)
-        iv, m = iv_next, m_next
-        assert m.enclosure() == iv == m
-        for predicate in (math.floor, math.ceil, bool, lambda y: y < k, lambda y: y > k):
-            assert _outcome(lambda: predicate(m)) == _outcome(lambda: predicate(iv))
+        assert isinstance(got, Interval)
+        y, ends = got, expected
+        assert (y.lo, y.hi) == ends
+        predicates = (math.floor, math.ceil, bool, lambda v: v < k, lambda v: v > k)
+        answers = tuple(_outcome(lambda: p(y)) for p in predicates)
+        assert answers == _reference_predicates(*ends, k)
 
 
 def test_mobius_falls_back_to_its_enclosure():
-    iv = Interval(Fraction(1, 3), Fraction(1, 2))
-    m = 2 * MobiusInterval.of(iv)
+    # after matrix steps, an operation with another Interval runs on the
+    # endpoints: it equals the same operation on Interval(lo, hi)
+    m = 2 * (1 / Interval(Fraction(2), Fraction(3))) - Fraction(1, 3)
+    flat = Interval(m.lo, m.hi)
     other = Interval(Fraction(-1, 5), Fraction(1, 7))
-    assert m.enclosure() == Interval(Fraction(2, 3), Fraction(1))
-    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
-        assert op(m, other) == op(m.enclosure(), other)
-        assert op(other, m) == op(other, m.enclosure())
-        assert op(m, m) == op(m.enclosure(), m.enclosure())
-    assert m ** 2 == m.enclosure() ** 2
-    assert str(m) == str(m.enclosure()) and hash(m) == hash(m.enclosure())
+    assert flat == Interval(Fraction(1, 3), Fraction(2, 3))
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+               lambda a, b: a / b, lambda a, b: (a < b, a > b)):
+        assert _outcome(lambda: op(m, other)) == _outcome(lambda: op(flat, other))
+        assert _outcome(lambda: op(other, m)) == _outcome(lambda: op(other, flat))
+        assert _outcome(lambda: op(m, m)) == _outcome(lambda: op(flat, flat))
+    assert m ** 2 == flat ** 2 and m ** -3 == flat ** -3 and m.abs() == flat.abs()
     with pytest.raises(PrecisionExhausted, match="straddling zero"):
         m / other
-    # certified equality of two remainders is undecided, as on Interval
+    # certified equality of two enclosures is undecided
     with pytest.raises(PrecisionExhausted, match="sign undecidable"):
-        not (m - MobiusInterval.of(m.enclosure()))
+        not (m - flat)
+
+
+def test_reversed_endpoints_are_refused():
+    with pytest.raises(ValueError, match="empty interval: lo=1/2 > hi=1/3"):
+        Interval(Fraction(1, 2), Fraction(1, 3))
+    with pytest.raises(ValueError, match="empty interval: lo=1 > hi=-7/2"):
+        Interval(Fraction(1), Fraction(-7, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_intervals, _steps)
+def test_a_stepped_interval_compares_and_prints_as_its_endpoints(start, steps):
+    y = start
+    for name, operand in steps:
+        stepped = _outcome(lambda: _APPLY[name](y, operand))
+        if not isinstance(stepped, Interval):
+            break
+        y = stepped
+    flat = Interval(y.lo, y.hi)
+    assert y == flat and flat == y and not y != flat
+    assert hash(y) == hash(flat) == hash((y.lo, y.hi))
+    assert str(y) == str(flat) == f"[{y.lo},{y.hi}]"
+    assert repr(y) == repr(flat) == f"Interval(lo={y.lo!r}, hi={y.hi!r})"
+    assert y != Interval(y.lo, y.hi + 1) and y != (y.lo, y.hi)

@@ -149,6 +149,31 @@ def test_report_json_deterministic(tmp_path):
     assert [row["n"] for row in doc["rows"]] == [0, 1, 2, 3]
 
 
+_GERM_REPORTS = [
+    pytest.param(("--system", "as-k-power-2", "--input", "exp(x)"), id="as-k-power-2"),
+    pytest.param(("--system", "as-d-logexp", "--input", "exp(x)-1"), id="as-d-logexp"),
+    pytest.param(("--system", "as-d-power-half", "--input", "sqrt(1/(1 - x))"),
+                 id="as-d-power-half"),
+]
+
+
+@pytest.mark.parametrize("element", _GERM_REPORTS)
+def test_report_on_a_germ_system_defaults_to_grid_sup(tmp_path, element):
+    # coeff-head re-expands truncated-germ convergents, which cannot certify
+    # past n = 0, so germs default to grid-sup and refuse coeff-head
+    path = tmp_path / "r.json"
+    code, out, err = run_cli("report", *element, "--nmax", "1", "--format", "json",
+                             "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    doc = json.loads(path.read_text())
+    assert doc["metric_id"] == "grid-sup"
+    assert [row["n"] for row in doc["rows"]] == [0, 1]
+    code, out, err = run_cli("report", *element, "--nmax", "1", "--metric", "coeff-head",
+                             "--out", str(tmp_path / "r.csv"))
+    assert (code, out) == (2, "")
+    assert err == "error: DomainError: metric 'coeff-head' does not apply to 'germ' elements\n"
+
+
 # ---------------------------------------------------------------------------
 # morphism verify
 # ---------------------------------------------------------------------------
@@ -391,7 +416,6 @@ def test_exit_code_out_of_range_counts_and_digits(tmp_path):
          "--approx", "0"),
         ("expand", *third, "--depth", "3", "--approx", "0"),
         ("expand", *third, "--depth", "3", "--config", str(cfg)),
-        ("order", *third, "--max", "3", "--approx", "-1"),
         ("morphism", "verify", "--spec", "decimal-shift", "--samples", "-3"),
     ):
         code, out, err = run_cli(*argv)
@@ -571,25 +595,30 @@ _EVERY_OPTION = {
         "approx": "3", "order": "3", "emit": "trace",
     },
     ("order",): {
-        "system": "taylor", "input": "exp", "bits": "64", "series-order": "4",
-        "approx": "3", "max": "6",
+        "system": "taylor", "input": "exp", "bits": "64", "series-order": "4", "max": "6",
     },
     ("report",): {
-        "system": "as-d-power-half", "input": "sqrt(1/(1 - x))", "bits": "64",
-        "series-order": "16", "approx": "3", "nmax": "1", "metric": "grid-sup",
-        "out": "report.out", "format": "json",
+        "system": "base10", "input": "pi-3", "bits": "64", "series-order": "16",
+        "approx": "3", "nmax": "1", "metric": "coeff-head", "out": "report.out",
+        "format": "json",
     },
     ("morphism", "verify"): {"spec": "cf-shift", "samples": "3", "depth": "3", "seed": "5"},
     ("as", "run"): {
-        "system": "unused", "input": "exp(x)", "bits": "64", "series-order": "3",
-        "approx": "3", "depth": "3", "transform": "k", "nonlinearity": "power",
-        "alpha": "2",
+        "input": "exp(x)", "series-order": "3", "approx": "3", "depth": "3",
+        "transform": "k", "nonlinearity": "power", "alpha": "2",
     },
     ("as", "eval"): {
-        "system": "unused", "input": "sqrt(1/(1 - x))", "bits": "64",
-        "series-order": "16", "approx": "3", "order": "3", "transform": "d",
-        "nonlinearity": "power", "alpha": "1/2", "path": "0;0,12", "tol": "1e-2",
+        "input": "sqrt(1/(1 - x))", "series-order": "16", "order": "3",
+        "transform": "d", "nonlinearity": "power", "alpha": "1/2", "path": "0;0,12",
+        "tol": "1e-2",
     },
+}
+
+#: options these commands do not take: they would change no output
+_REFUSED_OPTIONS = {
+    ("as", "run"): {"system": "base10", "bits": "64"},
+    ("as", "eval"): {"system": "base10", "bits": "64", "approx": "3"},
+    ("order",): {"approx": "3"},
 }
 
 
@@ -603,6 +632,21 @@ def _long_options(command):
 def test_every_option_table_covers_every_long_option():
     for command, options in _EVERY_OPTION.items():
         assert set(options) == _long_options(command), command
+
+
+@pytest.mark.parametrize("command, option", [
+    pytest.param(command, option, id=" ".join(command) + " --" + option)
+    for command, options in _REFUSED_OPTIONS.items() for option in options
+])
+def test_an_option_that_changes_nothing_is_refused(capsys, command, option):
+    # a full command line of the table above plus one option it lacks
+    flags = {**_EVERY_OPTION[command], option: _REFUSED_OPTIONS[command][option]}
+    argv = [f for key, value in flags.items() for f in (f"--{key}", value)]
+    with pytest.raises(SystemExit) as info:
+        main([*command, *argv])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: --{option}" in captured.err
 
 
 def _run_options(command, flags, config):

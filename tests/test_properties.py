@@ -272,7 +272,7 @@ def _engel_step(y):
 
 DIGITS = list(range(10))
 
-#: system -> its step on a plain Interval
+#: system -> its step, as a formula on an Interval
 REFERENCE_STEPS = {
     "base10": (build_system("base10"), lambda y: _floor_step(y, 10, DIGITS)),
     "base10-shuffled": (build_system("base10-shuffled"),
@@ -301,8 +301,8 @@ def _reference_code(step, y, depth):
 @settings(max_examples=15, deadline=None)
 @given(irrational_texts(), st.integers(64, 1024))
 def test_certified_codes_match_interval_steps(name, text, bits):
-    # the Möbius remainder certifies the same digits, stops at the same
-    # level and says the same as the Interval steps do
+    # the systems' steps certify the same digits, stop at the same level
+    # and say the same as the four formulas written above
     system, step = REFERENCE_STEPS[name]
     y = parse_expression(text, "real", bits=bits)
     assert isinstance(y, Interval)

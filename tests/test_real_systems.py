@@ -16,7 +16,6 @@ from expansions import (
     EngelSystem,
     FExpansionSystem,
     Interval,
-    MobiusInterval,
     PrecisionExhausted,
     base_f_expansion,
     coefficient_code,
@@ -264,9 +263,10 @@ def test_f_expansion_cross_checks_on_intervals(text) -> None:
     ("sqrt(99/100)", 32, [3, 3, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0], None),
 ])
 def test_non_mobius_f_expansion_runs_on_the_enclosure(text, bits, code, level) -> None:
-    # y*y is no Möbius step, so 4*y*y falls back to the Interval enclosure:
-    # the code (pinned), the failing level and its message are those of the
-    # same steps on a plain Interval; only the forward code is read here
+    # y*y is no Möbius step, so 4*y*y multiplies two Intervals on their
+    # endpoints: the code (pinned), the failing level and its message are
+    # those of the same steps written in the test; only the forward code is
+    # read here
     square = FExpansionSystem("square", f=lambda y: 4 * y * y,
                               f_inv=lambda w: None, in_image=lambda w: False)
     y = stage = parse_expression(text, "real", bits=bits)
@@ -288,17 +288,18 @@ def test_non_mobius_f_expansion_runs_on_the_enclosure(text, bits, code, level) -
 
 
 def test_a_certified_stage_is_an_input_again() -> None:
-    # past level 0 a trajectory holds Möbius remainders; each one expands,
-    # validates, renders and reports as the Interval it stands for
+    # past level 0 a trajectory holds matrix-stepped Intervals; each one
+    # expands, validates, renders and reports as Interval(lo, hi) does
     cf = ContinuedFractionSystem()
     y = parse_expression("sqrt(2)-1", "real", bits=256)
     stages = trajectory(cf, y, 3)
-    assert all(isinstance(stage, MobiusInterval) for stage in stages[1:])
+    assert all(isinstance(stage, Interval) for stage in stages)
     assert coefficient_code(cf, stages[3], 5) == coefficient_code(cf, y, 8)[3:]
-    enclosure = stages[3].enclosure()
-    assert render_value(stages[3]) == render_value(enclosure)
+    flat = Interval(stages[3].lo, stages[3].hi)
+    assert coefficient_code(cf, flat, 5) == coefficient_code(cf, stages[3], 5)
+    assert render_value(stages[3]) == render_value(flat)
     assert (convergence_report(cf, stages[3], 3).rows
-            == convergence_report(cf, enclosure, 3).rows)
+            == convergence_report(cf, flat, 3).rows)
 
 
 def test_reconstruct_rejects_foreign_coefficients() -> None:
@@ -370,17 +371,16 @@ def test_interval_equality_is_certified_or_undecided() -> None:
 
 def test_code_inverts_once_per_level(monkeypatch) -> None:
     # project and expand share 1/y and its floor or ceiling: one reciprocal
-    # and one rounding per emitted coefficient, not two per expanded level;
-    # the steps run on the Möbius remainder the input enclosure becomes
+    # and one rounding per emitted coefficient, not two per expanded level
     calls = {"reciprocal": 0, "floor": 0, "ceil": 0}
     for name in calls:
-        method = getattr(MobiusInterval, name)
+        method = getattr(Interval, name)
 
         def counted(self, _method=method, _name=name):
             calls[_name] += 1
             return _method(self)
 
-        monkeypatch.setattr(MobiusInterval, name, counted)
+        monkeypatch.setattr(Interval, name, counted)
     for system, text, n, rounding in (
         (ContinuedFractionSystem(), "sqrt(2)-1", 20, "floor"),
         (EgyptianSystem(), "sqrt(1/2)", 5, "ceil"),
