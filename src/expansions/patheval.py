@@ -8,25 +8,37 @@ so evaluating it away from the center means integrating along a path — and
 for fractional inverse exponents ``U_k(w) = w**(1/alpha_k)`` the power must be
 continued analytically along that path, not computed on the principal branch.
 
-The evaluator shares one adaptive panel subdivision of the polyline across
-all levels of the tower.  Every panel carries the same Chebyshev–Lobatto
-nodes, so "integrand values at the nodes -> running integral at the nodes"
-(interpolate, integrate from the panel start, evaluate) is one fixed linear
-map: the cumulative Clenshaw–Curtis rule (Trefethen, "Is Gauss quadrature
-better than Clenshaw–Curtis?", SIAM Review 50(1), 2008).  Its weights come
-from the closed form of ``integral_{-1}^{cos theta} T_k`` and are built once,
-on first use.  One bottom-up sweep evaluates every level at every node with
-one weighted sum per node.  A naive recursive quadrature would re-evaluate
-the whole tower beneath every node and cost ``nodes**depth``; the shared
-sweep costs ``nodes * panels * depth``.
+The evaluator marches the polyline panel by panel.  Every panel carries
+the same Chebyshev–Lobatto nodes, so "integrand values at the nodes ->
+integral from the panel start at the nodes" (interpolate, integrate,
+evaluate) is one fixed linear map: the cumulative Clenshaw–Curtis rule
+(Trefethen, "Is Gauss quadrature better than Clenshaw–Curtis?", SIAM Review
+50(1), 2008).  Its weights come from the closed form of
+``integral_{-1}^{cos theta} T_k`` and are built once, on first use.  One
+bottom-up sweep of a panel evaluates every level at its nodes with one
+weighted sum per node, starting from each level's running integral at the
+panel start.  A naive recursive quadrature would re-evaluate the whole tower
+beneath every node and cost ``nodes**depth``; the sweep costs ``nodes *
+panels * depth``.
 
-Error control is the standard trailing-coefficient estimate: the last two
-Chebyshev coefficients of each panel's interpolant (two more fixed weight
-rows), summed over panels and levels; panels that carry too much of it are
-halved and the sweep rerun.  Numerically vanishing arguments to a fractional
-power, a log-branch argument, or a reciprocal raise
-:class:`~expansions.errors.SingularityOnPath`; failure to meet the tolerance
-within the panel budget raises :class:`~expansions.errors.QuadratureFailure`.
+Every level's running integral is causal along the path: a panel depends
+only on the panels before it.  So the panels are taken in path order from a
+stack seeded with the path's segments, with local error control as in ODE
+step-size control (Hairer, Nørsett & Wanner, *Solving Ordinary Differential
+Equations I*).  The error estimate of a panel is the standard
+trailing-coefficient one, the last two Chebyshev coefficients of its
+interpolant (two more fixed weight rows), summed over the levels.  A panel
+is accepted when the estimates of the accepted panels and its own stay
+within the tolerance's share of the path length they cover, so a panel may
+spend what the panels before it left unused (near a pole, rounding alone
+can keep an estimate above the panel's own share at any width).  An
+accepted panel's running integrals and branch states are committed and it
+is never visited again.  Otherwise its two halves go back on the stack, and
+the states it reached are dropped.  Numerically vanishing arguments to a
+fractional power, a log-branch argument, or a reciprocal, and values that
+leave float range, raise :class:`~expansions.errors.SingularityOnPath`;
+failure to meet the tolerance within the panel budget raises
+:class:`~expansions.errors.QuadratureFailure`.
 """
 
 from __future__ import annotations
@@ -62,10 +74,11 @@ class PathValue:
             exact references (``tests/test_patheval.py``) it overstates the
             achieved error: ``as-d-power-half`` convergents of
             ``(1 - s x)^(-1/2)`` (polynomials; depths 1-6, endpoints within
-            0.6 of 0) reach ``|value - exact| <= 2e-16`` at ``error <= 4e-15``;
+            0.6 of 0) reach ``|value - exact| <= 3e-16`` at ``error <= 4e-15``;
             the criterion-12 loop (depths 1-4) reaches ``|value - ODE
-            solution| <= 5e-16`` at ``error <= 1e-12``.
-        panels: number of panels in the final subdivision.
+            solution| <= 5e-16`` at ``error <= 1e-12``.  It is at most the
+            tolerance it was asked for.
+        panels: number of accepted panels.
     """
 
     value: complex
@@ -74,10 +87,19 @@ class PathValue:
 
 
 def evaluate_series(series: PowerSeries, z: complex) -> complex:
-    """Horner evaluation of the stored coefficients at ``z``."""
+    """Horner evaluation of the stored coefficients at ``z``.
+
+    Raises:
+        DomainError: the center or a coefficient is beyond float range.
+    """
+    try:
+        shift = z - float(series.center)
+        coeffs = [float(c) for c in series.coeffs]
+    except OverflowError:
+        raise DomainError("series coefficient beyond float range") from None
     acc = 0j
-    for c in reversed(series.coeffs):
-        acc = acc * (z - complex(float(series.center))) + complex(float(c))
+    for c in reversed(coeffs):
+        acc = acc * shift + c
     return acc
 
 
@@ -118,43 +140,51 @@ def _rule() -> Tuple[Tuple[float, ...], _Rows, _Rows]:
     return xi, tuple(cumulative), tuple(map(tuple, coeffs[n - 1:]))
 
 
-def _check_finite(w: complex) -> complex:
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise SingularityOnPath(f"non-finite value {w!r} along the path")
-    return w
+_Branch = Optional[float]
+_Inverse = Callable[[List[complex], _Branch], Tuple[List[complex], _Branch]]
 
 
-def _inverse(cfg: ASConfig, level: int) -> Callable[[complex], complex]:
-    """The level's inverse nonlinearity.  A fractional power continues its
-    logarithm along the ordered stream of nodes it is called on."""
+def _inverse(cfg: ASConfig, level: int) -> _Inverse:
+    """The level's inverse nonlinearity on one panel's nodes.
+
+    It maps the node values and the branch state at the panel start to the
+    inverse values and the branch state at its end.  Only a fractional power
+    has a state: the argument of the last node it saw, from which it
+    continues the logarithm along the path.  The state is passed in and
+    returned, never kept, so a rejected panel is rolled back by not
+    committing what it returned.
+    """
     if cfg.nonlinearity != NL_POWER:
-        return lambda w: _check_finite(cmath.exp(w))
+        return lambda ws, branch: (list(map(cmath.exp, ws)), branch)
     e = 1 / cfg.alpha(level)
     if e.denominator == 1:
         k = int(e)
 
-        def integer_power(w: complex) -> complex:
-            if k < 0 and abs(w) < _TINY:
-                raise SingularityOnPath(
-                    f"argument {w!r} too close to a pole along the path"
-                )
-            return _check_finite(w ** k)
+        def integer_power(ws: List[complex], branch: _Branch) -> Tuple[List[complex], _Branch]:
+            if k < 0:
+                for w in ws:
+                    if abs(w) < _TINY:
+                        raise SingularityOnPath(
+                            f"argument {w!r} too close to a pole along the path"
+                        )
+            return [w ** k for w in ws], branch
 
         return integer_power
     exponent = float(e)
-    last_arg: Optional[float] = None
 
-    def fractional_power(w: complex) -> complex:
-        nonlocal last_arg
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)) or abs(w) < _TINY:
-            raise SingularityOnPath(
-                f"argument {w!r} too close to the branch point along the path"
-            )
-        arg = cmath.phase(w)
-        if last_arg is not None:
-            arg += _TWO_PI * round((last_arg - arg) / _TWO_PI)
-        last_arg = arg
-        return _check_finite(cmath.exp(exponent * complex(math.log(abs(w)), arg)))
+    def fractional_power(ws: List[complex], branch: _Branch) -> Tuple[List[complex], _Branch]:
+        out = []
+        for w in ws:
+            if not cmath.isfinite(w) or abs(w) < _TINY:
+                raise SingularityOnPath(
+                    f"argument {w!r} too close to the branch point along the path"
+                )
+            arg = cmath.phase(w)
+            if branch is not None:
+                arg += _TWO_PI * round((branch - arg) / _TWO_PI)
+            branch = arg
+            out.append(cmath.exp(exponent * complex(math.log(abs(w)), arg)))
+        return out, branch
 
     return fractional_power
 
@@ -174,7 +204,13 @@ def eval_convergent_path(
         system: the approximation system the code came from.
         code: coefficients ``c_0 .. c_{n-1}``.
         path: complex waypoints; ``path[0]`` must equal the center.
-        tol: target for the accumulated quadrature error estimate.
+        tol: bound on the accumulated quadrature error estimate: after
+            every accepted panel the estimate is at most the tolerance's
+            share of the path length covered, so the returned ``error`` is
+            at most ``tol``.
+        max_panels: bound on the accepted plus the pending panels.
+        max_rounds: bound on how many times one segment of the path can be
+            halved.
 
     Raises:
         DomainError: ``tol`` not positive (or NaN), an empty path, a
@@ -182,7 +218,8 @@ def eval_convergent_path(
             coefficient of the wrong kind or beyond float range.
         SingularityOnPath: see module docs; also a value that overflows
             float range along the path.
-        QuadratureFailure: tolerance unreachable within the panel budget.
+        QuadratureFailure: tolerance unreachable within the panel budget or
+            the halving depth.
     """
     if not tol > 0:
         raise DomainError(f"quadrature tolerance must be positive, got {tol}")
@@ -214,72 +251,71 @@ def eval_convergent_path(
         # Degenerate path: the value at the center.
         return PathValue(value=conv + 0j, error=0.0, panels=0)
 
-    panels: List[Tuple[complex, complex]] = list(segments)
     xi, cumulative, trailing = _rule()
+    # Level 0 is read at the path's end only, so it needs the last row alone.
+    rows_at = [cumulative[-1:]] + [cumulative] * (n - 1)
+    inverses = [_inverse(cfg, k) for k in range(n)]
+    integral = cfg.transform != TRANSFORM_K
+    length = sum(abs(b - a) for a, b in segments)
+    # Committed state after the accepted panels: per level, the running
+    # integral from the path start and the branch state.
+    running = [0j] * n
+    branch: List[_Branch] = [None] * n
+    value, total_err, accepted, covered = conv, 0.0, 0, 0.0
+    pending = [(a, b, 0) for a, b in reversed(segments)]
 
-    for _ in range(max_rounds):
-        # One bottom-up sweep over the shared panel subdivision.
-        node_points: List[List[complex]] = [
-            [0.5 * (a + b) + 0.5 * (b - a) * x for x in xi] for a, b in panels
-        ]
-        tail_values: List[List[complex]] = [[conv] * len(xi) for _ in panels]
-        total_err = 0.0
-        panel_err = [0.0] * len(panels)
-
+    while pending:
+        a, b, halvings = pending.pop()
+        half = 0.5 * (b - a)
+        shifted = [0.5 * (a + b) - x0 + half * x for x in xi]
+        tail = [conv] * len(xi)
+        ends = list(running)
+        branches = list(branch)
+        err = 0.0
         try:
+            # One bottom-up sweep of every level over this panel's nodes.
             for k in range(n - 1, -1, -1):
                 c_k, m_k, b_k = levels[k]
-                inverse = _inverse(cfg, k)
-                out_panels: List[List[complex]] = []
-                running = 0j  # cumulative integral from the path start
-                for p, (a, b) in enumerate(panels):
-                    pts = node_points[p]
-                    integrand = [
-                        c_k * (z - x0) ** m_k * inverse(w)
-                        for z, w in zip(pts, tail_values[p])
-                    ]
-                    if cfg.transform == TRANSFORM_K:
-                        out_panels.append([conv + v for v in integrand])
-                        continue
-                    half = 0.5 * (b - a)
-                    err = abs(half) * sum(
-                        abs(sum(map(mul, row, integrand))) for row in trailing
-                    )
-                    panel_err[p] = max(panel_err[p], err)
-                    total_err += err
-                    cums = [
-                        running + half * sum(map(mul, row, integrand)) for row in cumulative
-                    ]
-                    running = cums[-1]
-                    vals = [conv + cum for cum in cums]
-                    if b_k is not None:
-                        vals = [v + b_k * (z - x0) for v, z in zip(vals, pts)]
-                    out_panels.append(vals)
-                tail_values = out_panels
+                f, branches[k] = inverses[k](tail, branch[k])
+                if m_k:
+                    f = [s ** m_k * v for s, v in zip(shifted, f)]
+                if not integral:
+                    if not all(map(cmath.isfinite, f)):
+                        err = math.nan
+                    tail = [conv + c_k * v for v in f]
+                    continue
+                scale = half * c_k
+                err += abs(scale) * sum(abs(sum(map(mul, row, f))) for row in trailing)
+                start = running[k]
+                cums = [start + scale * sum(map(mul, row, f)) for row in rows_at[k]]
+                ends[k] = cums[-1]
+                tail = [conv + cum for cum in cums]
+                if b_k is not None:
+                    tail = [v + b_k * s for v, s in zip(tail, shifted[-len(tail):])]
         except OverflowError as exc:
             raise SingularityOnPath(f"overflow along the path ({exc})") from None
+        # NaN and inf propagate through the weighted sums into the estimate,
+        # so no panel is accepted or halved before every level is checked.
+        if not math.isfinite(err):
+            raise SingularityOnPath(f"non-finite value along the path from {a} to {b}")
 
-        if total_err <= tol or cfg.transform == TRANSFORM_K:
-            return PathValue(
-                value=tail_values[-1][-1], error=total_err, panels=len(panels)
-            )
-
-        # Halve the panels that carry more than their share of the estimate.
-        budget = tol / (2 * max(len(panels), 1))
-        refined: List[Tuple[complex, complex]] = []
-        for (a, b), err in zip(panels, panel_err):
-            if err > budget:
-                mid = 0.5 * (a + b)
-                refined.extend([(a, mid), (mid, b)])
-            else:
-                refined.append((a, b))
-        if len(refined) == len(panels) or len(refined) > max_panels:
+        # The error so far may use the tolerance's share of the length so far,
+        # so a panel may spend what the panels before it left unused.
+        width = abs(b - a)
+        if total_err + err <= tol * min(1.0, (covered + width) / length):
+            running, branch = ends, branches
+            value, total_err, accepted = tail[-1], total_err + err, accepted + 1
+            covered += width
+            continue
+        if halvings >= max_rounds or accepted + len(pending) + 2 > max_panels:
             raise QuadratureFailure(
-                f"error estimate {total_err:.3e} above tolerance {tol:.3e} "
-                f"with {len(panels)} panels"
+                f"error estimate {total_err + err:.3e} above the share of tolerance "
+                f"{tol:.3e} for the path covered, after {halvings} halvings of a panel, "
+                f"with {accepted} panels accepted and {len(pending)} pending"
             )
-        panels = refined
+        mid = 0.5 * (a + b)
+        pending += [(mid, b, halvings + 1), (a, mid, halvings + 1)]
 
-    raise QuadratureFailure(
-        f"tolerance {tol:.3e} not reached after {max_rounds} refinement rounds"
-    )
+    if not cmath.isfinite(value):
+        raise SingularityOnPath(f"non-finite value {value!r} at the end of the path")
+    return PathValue(value=value, error=total_err, panels=accepted)

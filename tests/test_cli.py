@@ -558,6 +558,8 @@ def test_as_eval_refuses_a_tolerance_that_cannot_be_met(tol):
       "--order", "1", "--path", "0,0.5"), "DomainError"),
     (("--nonlinearity", "power", "--alpha", "1/2", "--input", "sqrt(1/(1-x))",
       "--order", "3", "--path", "nan,0.5"), "DomainError"),
+    (("--nonlinearity", "power", "--alpha", "1/2", "--input", "1+10^150*x+10^150*x^2",
+      "--order", "3", "--path", "0,0;1e100,1e100"), "SingularityOnPath"),
 ])
 def test_as_eval_out_of_float_range_exits_2(args, kind):
     # overflow along the path, a code coefficient beyond float range and a
@@ -565,6 +567,16 @@ def test_as_eval_out_of_float_range_exits_2(args, kind):
     code, out, err = run_cli("as", "eval", "--transform", "d", *args)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {kind}:") and err.count("\n") == 1
+
+
+def test_report_on_a_coefficient_beyond_float_range_exits_2(tmp_path):
+    # the grid-sup metric evaluates the germ itself at each grid point
+    code, out, err = run_cli("report", "--system", "as-d-power-half",
+                             "--input", "1/(1-10^400*x)", "--nmax", "1",
+                             "--out", str(tmp_path / "r.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: DomainError:") and err.count("\n") == 1
+    assert "beyond float range" in err
 
 
 @pytest.mark.parametrize("argv", [

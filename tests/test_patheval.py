@@ -5,6 +5,7 @@ powers and the failure modes (poles on the path, exhausted panel budget)."""
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,9 +28,23 @@ from expansions import (
     germ_from_polynomial,
     parse_expression,
 )
+from expansions import patheval
 from expansions.patheval import NODES_PER_PANEL, _rule
 
 F = Fraction
+
+
+@pytest.fixture(autouse=True)
+def error_within_tolerance(monkeypatch):
+    """Every successful path evaluation in this module reports an error
+    estimate within its tolerance."""
+
+    def checked(system, code, path, tol=1e-10, **budgets):
+        got = patheval.eval_convergent_path(system, code, path, tol, **budgets)
+        assert got.error <= tol, (got, tol)
+        return got
+
+    monkeypatch.setattr(sys.modules[__name__], "eval_convergent_path", checked)
 
 
 def binomial_germ(center: Fraction, alpha: Fraction, n: int, sign: int = 1) -> PowerSeries:
@@ -123,6 +138,35 @@ def test_quadrature_budget_exhaustion() -> None:
     loop = [1, 1 + 1.5j, -1.6 + 1.5j, -1.6 - 1.5j, 1 - 1.5j, 1]
     with pytest.raises(QuadratureFailure):
         eval_convergent_path(sysm, code, loop, tol=1e-30, max_panels=4, max_rounds=3)
+
+
+def test_a_rejected_panel_rolls_back_the_branch_state() -> None:
+    # as-kd-power-3 inverts with w^(1/3), whose logarithm is continued node by
+    # node.  This loop halves its segments, so rejected panels advance the
+    # branch state of that level; the accepted panels must not see it.
+    sysm = build_system("as-kd-power-3")
+    code = coefficient_code(sysm, parse_expression("exp(x)", "series", order=32), 3)
+    path = [0, 2 + 2j, -2 + 2j, -2 - 2j, 0]
+    got = eval_convergent_path(sysm, code, path, tol=1e-12)
+    assert got.panels > len(path) - 1
+    assert abs(got.value - (0.26976634619251816 + 0.04582402886649488j)) < 1e-10
+    # the same path with every segment split at its midpoint
+    split = path[:1] + [z for a, b in zip(path, path[1:]) for z in (0.5 * (a + b), b)]
+    assert abs(eval_convergent_path(sysm, code, split, tol=1e-12).value - got.value) < 1e-10
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_a_panel_near_a_pole_spends_what_the_panels_before_it_left(tol) -> None:
+    # exp(x) under D / power -1 is the tower 1 + int 1/(1 - log(1 + t)), whose
+    # integrand has a pole at e - 1.  Close to it, rounding alone keeps a
+    # panel's estimate above its length share of the tolerance at any width;
+    # the smooth panels before it used almost none of theirs.
+    sysm = ApproximationSystem(ASConfig(transform="D", nonlinearity="power",
+                                        alphas=constant_alpha(-1)))
+    code = coefficient_code(sysm, parse_expression("exp(x)", "series", order=32), 3)
+    got = eval_convergent_path(sysm, code, [0, 1.718], tol=tol)
+    # mpmath.quad at 30 digits
+    assert abs(got.value - 23.772852397775048) < 1e-11
 
 
 def test_wrong_coefficient_kind_is_a_domain_error() -> None:
