@@ -621,7 +621,7 @@ _EVERY_OPTION = {
     },
     ("as", "eval"): {
         "input": "sqrt(1/(1 - x))", "series-order": "16", "order": "3",
-        "transform": "d", "nonlinearity": "power", "alpha": "1/2", "path": "0;0,12",
+        "transform": "d", "nonlinearity": "power", "alpha": "-1", "path": "0;0,12",
         "tol": "1e-2",
     },
 }

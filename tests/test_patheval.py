@@ -29,7 +29,7 @@ from expansions import (
     parse_expression,
 )
 from expansions import patheval
-from expansions.patheval import NODES_PER_PANEL, _rule
+from expansions.patheval import NODES_PER_PANEL, _integrate, _rule
 
 F = Fraction
 
@@ -268,6 +268,60 @@ def test_cumulative_rule_integrates_polynomials_exactly() -> None:
         values = [math.cos(k * math.acos(x)) for x in xi]  # T_k at the nodes
         top = [sum(w * v for w, v in zip(row, values)) for row in trailing]
         assert top == pytest.approx([float(k == n - 1), float(k == n)], abs=1e-14), k
+
+
+def test_folded_rule_matches_the_unfolded_rows() -> None:
+    # The sweep applies the rule to the even and odd parts of the node values
+    # under i -> N - i; every node's integral and both trailing coefficients
+    # must be what the rows of _rule() give on the values themselves.
+    _, cumulative, trailing = _rule()
+    rng = random.Random(17)
+    for _ in range(50):
+        f = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) * 10 ** rng.uniform(-3, 3)
+             for _ in range(NODES_PER_PANEL + 1)]
+        bound = 1e-14 * sum(map(abs, f))
+        unfolded = [sum(w * v for w, v in zip(row, f)) for row in cumulative]
+        assert unfolded[0] == 0
+        sums, top = _integrate(f, every_node=True)
+        assert len(sums) == NODES_PER_PANEL
+        for got, want in zip(sums, unfolded[1:]):
+            assert abs(got - want) <= bound
+        last, top_last = _integrate(f, every_node=False)
+        assert last == sums[-1:] and top_last == top
+        for got, row in zip(top, trailing):
+            assert abs(got - sum(w * v for w, v in zip(row, f))) <= bound
+
+
+_N, _H = NODES_PER_PANEL, NODES_PER_PANEL // 2
+BAD_NODES = [(0,), (_N,), (_H,), (5,), (_N - 5,), (5, _N - 5)]
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex(math.inf), complex(-math.inf, 1)])
+@pytest.mark.parametrize("nodes", BAD_NODES)
+def test_a_bad_value_at_any_node_is_a_singularity(monkeypatch, nodes, bad) -> None:
+    # The fold pairs node i with node N - i; a NaN or an inf at one node, or
+    # at both of a mirrored pair, must still make the estimate non-finite.
+    f = [complex(math.cos(i), math.sin(i)) for i in range(_N + 1)]
+    for i in nodes:
+        f[i] = bad
+    _, top = _integrate(f, every_node=False)
+    assert not math.isfinite(abs(top[0]) + abs(top[1]))
+    # and so the sweep refuses the panel
+    inverse = patheval._inverse
+
+    def spoiled(cfg, level):
+        def apply(ws, branch):
+            values, branch = inverse(cfg, level)(ws, branch)
+            for i in nodes:
+                values[i] = bad
+            return values, branch
+        return apply
+
+    monkeypatch.setattr(patheval, "_inverse", spoiled)
+    sysm = build_system("as-d-power-half")
+    code = coefficient_code(sysm, parse_expression("sqrt(1/(1 - x))", "series", order=16), 3)
+    with pytest.raises(SingularityOnPath):
+        eval_convergent_path(sysm, code, [0, 0.5])
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), -math.inf])
