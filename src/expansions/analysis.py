@@ -140,39 +140,29 @@ def _coeff_head_distance(
     return Fraction(0)
 
 
-def _grid_sup_distance(
-    system: ApproximationSystem,
-    y: Any,
-    code: Sequence[Any],
-    grid: Sequence[float],
-    tol: float,
-) -> float:
+#: points of [0, 1/2] where ``grid-sup`` compares a germ with its convergent,
+#: and the quadrature tolerance of the path evaluation there
+GRID_SUP_POINTS = tuple(complex(j / 16) for j in range(9))
+GRID_SUP_TOL = 1e-9
+
+
+def _grid_sup_distance(system: ApproximationSystem, y: Any, code: Sequence[Any]) -> float:
     worst = 0.0
     center = complex(system.config.center)
-    for t in grid:
-        point = complex(t)
+    for point in GRID_SUP_POINTS:
         reference = evaluate_series(y, point)
-        if point == center:
-            approx = complex(system.config.constant_term)
-        else:
-            approx = eval_convergent_path(system, code, [center, point], tol=tol).value
+        approx = eval_convergent_path(system, code, [center, point], tol=GRID_SUP_TOL).value
         worst = max(worst, abs(reference - approx))
     return worst
 
 
 def convergence_report(
-    system: ExpansionSystem,
-    y: Any,
-    n_max: int,
-    metric: str = "abs",
-    grid: Optional[Sequence[float]] = None,
-    tol: float = 1e-9,
+    system: ExpansionSystem, y: Any, n_max: int, metric: str = "abs"
 ) -> ConvergenceReport:
     """Tabulate distance(y, y^[n]) for n = 0..n_max under the named metric.
 
     Improper rows carry no distance.  The metric must match the system's
-    element kind; ``grid``/``tol`` only apply to the path-evaluated
-    ``grid-sup`` metric.
+    element kind.
     """
     if metric not in METRICS:
         raise DomainError(f"unknown metric {metric!r}")
@@ -184,8 +174,6 @@ def convergence_report(
         raise DomainError(f"negative n_max {n_max}")
     # coeff-head compares codes 8 coefficients past the deepest convergent
     code = coefficient_code(system, y, n_max + 8 if metric == "coeff-head" else n_max)
-    if grid is None:
-        grid = [j / 16 for j in range(9)]
     rows: List[ReportRow] = []
     for n in range(n_max + 1):
         trace = convergent_from_code(system, code[:n])
@@ -198,7 +186,7 @@ def convergence_report(
         elif metric == "coeff-head":
             distance = _coeff_head_distance(system, code, trace.value)
         else:
-            distance = _grid_sup_distance(system, y, code[:n], grid, tol)  # type: ignore[arg-type]
+            distance = _grid_sup_distance(system, y, code[:n])  # type: ignore[arg-type]
         rows.append(ReportRow(n=n, proper=True, distance=distance, coeffs=head))
     return ConvergenceReport(
         system_id=system.name,

@@ -1,21 +1,24 @@
 """Certified real arithmetic on closed intervals with exact rational endpoints.
 
-An :class:`Interval` encloses one real number.  It is held as the image of an
-integer enclosure ``[p0, p1]`` under an integer Möbius map
-``(a*p + b) / (c*p + d)`` (Gosper, HAKMEM item 101), so each digit step on a
-remainder (``b*y - d``, ``1/y - q``, ``y - 1/q``, ``q*y - 1``) is a few
-integer products: arithmetic with an exact ``int`` or ``Fraction``, negation
-and the reciprocal of an interval of certified sign each compose one small
-matrix.  Arithmetic between two intervals, ``**`` and ``abs`` run on the
-endpoints and start a new identity map.  Field operations are exact
-(endpoints stay rational, enclosures never silently widen).  Irrational
-constructors (:func:`sqrt_interval`, :func:`pi_interval`, :func:`e_interval`)
-take an explicit ``bits`` budget, at most :data:`MAX_BITS`, and return a
-dyadic enclosure of width at most ``2**-bits``; pi and e are integer
-fixed-point sums whose terms are exact floors, widened by their counted ulp
-error (number of terms + 2).  Predicates either answer with certainty or
-raise :class:`~expansions.errors.PrecisionExhausted` — they never guess — and
-are Python's numeric protocol (``math.floor``, ``math.ceil``, ``<``, ``>``,
+An :class:`Interval` encloses one real number.  It holds its two endpoints
+as unreduced fractions ``n0/e0`` and ``n1/e1`` with positive denominators.
+An exact ``+ - * /`` with an ``int`` or ``Fraction`` (on either side),
+negation and the reciprocal of an interval of certified sign map both
+fractions by one integer Möbius map ``(al*y + be) / (ga*y + de)`` whose
+denominator is positive on the interval (Gosper, HAKMEM item 101), so each
+digit step on a remainder (``b*y - d``, ``1/y - q``, ``y - 1/q``,
+``q*y - 1``) is a few integer products and no gcd.  Arithmetic between two
+intervals, ``**`` and ``abs`` run on the reduced endpoints.  Field
+operations are exact (endpoints stay rational, enclosures never silently
+widen).  Predicates decide from the two fractions by integer ``//`` and
+signs.  Irrational constructors (:func:`sqrt_interval`, :func:`pi_interval`,
+:func:`e_interval`) take an explicit ``bits`` budget, at most
+:data:`MAX_BITS`, and return a dyadic enclosure of width at most
+``2**-bits``; pi and e are integer fixed-point sums whose terms are exact
+floors, widened by their counted ulp error (number of terms + 2).
+Predicates either answer with certainty or raise
+:class:`~expansions.errors.PrecisionExhausted` — they never guess — and are
+Python's numeric protocol (``math.floor``, ``math.ceil``, ``<``, ``>``,
 truth as certified nonzero), so code written for ``Fraction`` runs on
 enclosures unchanged.  ``==`` is structural; certified equality is
 ``not (a - b)``.
@@ -48,30 +51,25 @@ def _exact_parts(value: object) -> Optional[Tuple[int, int]]:
 class Interval:
     """Closed interval ``[lo, hi]`` with exact ``Fraction`` endpoints.
 
-    The interval is ``(a*p + b) / (c*p + d)`` for the integer ``p`` ranging
-    over ``[p0, p1]``, with ``c*p + d`` positive there.  ``Interval(lo, hi)``
-    and :meth:`exact` build the identity map over the endpoints' common
-    denominator ``D``, folded into ``d``.  The map is monotone on
-    ``[p0, p1]``, so the interval is spanned by the two endpoint images
-    ``n0/e0`` and ``n1/e1``, which each matrix step carries along; ``lo`` and
-    ``hi`` are their reduced ``Fraction``s, computed on first read and kept.
+    The endpoints are held as the two unreduced fractions ``n0/e0`` and
+    ``n1/e1`` with ``e0, e1 > 0``, in either order: a Möbius step maps each
+    one to its image, and a decreasing map swaps them.  ``lo`` and ``hi``
+    are their reduced ``Fraction``s in increasing order, computed on first
+    read and kept.
 
     Certified operators ``math.floor``, ``math.ceil``, ``<``, ``>`` and
     ``bool`` (nonzero) call :meth:`floor`, :meth:`ceil`, :meth:`lt` and
-    :meth:`sign`, which decide from the endpoint images by integer ``//`` and
+    :meth:`sign`, which decide from the two fractions by integer ``//`` and
     signs.  ``==``, ``hash``, ``str`` and ``repr`` are those of the pair
     ``(lo, hi)``: ``==`` compares endpoints, not enclosed numbers.
     """
 
-    __slots__ = ("a", "b", "c", "d", "p0", "p1", "_ends", "_bounds")
+    __slots__ = ("_ends", "_bounds")
 
     def __init__(self, lo: Fraction, hi: Fraction) -> None:
-        den = lo.denominator // math.gcd(lo.denominator, hi.denominator) * hi.denominator
-        p0, p1 = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
-        if p0 > p1:
+        if lo > hi:
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-        self.a, self.b, self.c, self.d, self.p0, self.p1 = 1, 0, 0, den, p0, p1
-        self._ends = (p0, den, p1, den)
+        self._ends = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
         self._bounds: Optional[Tuple[Fraction, Fraction]] = (lo, hi)
 
     @staticmethod
@@ -81,13 +79,10 @@ class Interval:
 
     def _compose(self, al: int, be: int, ga: int, de: int) -> "Interval":
         """``(al*y + be) / (ga*y + de)`` of this interval ``y``; the caller
-        keeps ``ga*y + de`` positive on it."""
-        a, b, c, d = self.a, self.b, self.c, self.d
+        keeps ``ga*y + de`` positive on it, so the images' denominators stay
+        positive."""
         n0, e0, n1, e1 = self._ends
         out = Interval.__new__(Interval)
-        out.a, out.b = al * a + be * c, al * b + be * d
-        out.c, out.d = ga * a + de * c, ga * b + de * d
-        out.p0, out.p1 = self.p0, self.p1
         out._ends = (al * n0 + be * e0, ga * n0 + de * e0, al * n1 + be * e1, ga * n1 + de * e1)
         out._bounds = None
         return out
@@ -119,7 +114,7 @@ class Interval:
         return self.lo == self.hi
 
     # -- arithmetic (exact, never widens beyond the true image) ----------
-    # with an exact number: one matrix step; with an interval: the endpoints
+    # with an exact number: one Möbius step; with an interval: the endpoints
 
     def __add__(self, other: object) -> "Interval":
         parts = _exact_parts(other)
@@ -214,7 +209,7 @@ class Interval:
             return Interval(-hi, -lo)
         return Interval(_ZERO, max(-lo, hi))
 
-    # -- certified predicates, from the endpoint images --------------------
+    # -- certified predicates, from the two fractions ---------------------
 
     def sign(self) -> int:
         """Certified sign (-1, 0, +1) of the enclosed number."""

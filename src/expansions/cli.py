@@ -20,7 +20,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .analysis import METRICS, convergence_report, export, render_value
 from .approx import NL_LOGEXP, NL_POWER, ApproximationSystem, ASConfig
@@ -141,7 +141,7 @@ def _build_as_system(args: argparse.Namespace) -> ApproximationSystem:
 def _cmd_systems_list(args: argparse.Namespace, system: None, y: None) -> int:
     for system_id in system_ids():
         entry = get_entry(system_id)
-        print(f"{entry.id:<18} {entry.kind:<11} {entry.description}")
+        print(f"{entry.id:<18} {entry.factory().kind:<11} {entry.description}")
     return 0
 
 
@@ -187,32 +187,24 @@ def _cmd_report(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> in
     return 0
 
 
-_BUILTIN_MORPHISMS = {
-    "newton-reflection": ("newton-forward", lambda: newton_reflection_morphism()),
-    "decimal-shift": ("base10", lambda: decimal_shift_morphism()[1]),
-    "cf-shift": ("cf", lambda: cf_shift_morphism()[1]),
-    "as-d-shift": (
-        "as-d-power-half",
-        lambda: as_d_shift_morphism(build_system("as-d-power-half"))[1],
-    ),
+_BUILTIN_MORPHISMS: Dict[str, Callable[[], Morphism]] = {
+    "newton-reflection": newton_reflection_morphism,
+    "decimal-shift": lambda: decimal_shift_morphism()[1],
+    "cf-shift": lambda: cf_shift_morphism()[1],
+    "as-d-shift": lambda: as_d_shift_morphism(build_system("as-d-power-half"))[1],
 }
-
-
-def _spec(spec_id: str) -> Tuple[str, Callable[[], Morphism]]:
-    """The source system id and the constructor of a built-in morphism."""
-    if spec_id not in _BUILTIN_MORPHISMS:
-        raise DomainError(f"unknown morphism spec {spec_id!r}")
-    return _BUILTIN_MORPHISMS[spec_id]
 
 
 def builtin_morphism(spec_id: str) -> Morphism:
     """Construct one of the named built-in morphisms."""
-    return _spec(spec_id)[1]()
+    if spec_id not in _BUILTIN_MORPHISMS:
+        raise DomainError(f"unknown morphism spec {spec_id!r}")
+    return _BUILTIN_MORPHISMS[spec_id]()
 
 
 def morphism_samples(spec_id: str, count: int, rng: random.Random) -> List[Any]:
     """Draw verification samples for a built-in morphism's source system."""
-    sampler = get_entry(_spec(spec_id)[0]).sampler
+    sampler = get_entry(builtin_morphism(spec_id).source.name).sampler
     if count < 0:
         raise DomainError(f"negative sample count {count}")
     return [sampler(rng) for _ in range(count)]

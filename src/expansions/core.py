@@ -163,7 +163,8 @@ def coefficient_code(system: ExpansionSystem, y: Any, n: int) -> List[Any]:
 
     A ``PrecisionExhausted`` or ``TruncationInconclusive`` raised at some
     level carries that ``level`` and the ``prefix`` of coefficients certified
-    before it.
+    before it, plus that level's own coefficient when ``project`` still
+    reads it after ``step`` ran out of known order there.
     """
     if n < 0:
         raise DomainError(f"negative depth {n}")
@@ -177,6 +178,14 @@ def coefficient_code(system: ExpansionSystem, y: Any, n: int) -> List[Any]:
             code.append(c)
         code.append(system.project(n - 1, y))
     except (PrecisionExhausted, TruncationInconclusive) as exc:
+        # A germ's known order runs out in ``expand`` one level before
+        # ``project`` reads past it; a real step fails on its coefficient's
+        # own predicate, which projecting again would only repeat.
+        if isinstance(exc, TruncationInconclusive) and len(code) < n - 1:
+            try:
+                code.append(system.project(len(code), y))
+            except TruncationInconclusive:
+                pass
         exc.level, exc.prefix = len(code), code
         raise
     return code

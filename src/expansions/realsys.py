@@ -9,10 +9,9 @@ Every step here is a Möbius map of the remainder (``b*y - d``, ``1/y - q``,
 ``y - 1/q``, ``q*y - 1``), spelled with ``math.floor``, ``math.ceil``, ``<``,
 ``not y`` (zero test) and ``0 * y`` (zero of the same kind).  The spelling
 runs on exact ``Fraction`` values and on certified remainders of irrational
-inputs: an :class:`~expansions.certified.Interval` holds its value as an
-integer matrix over the input enclosure, so n steps compose to one matrix
-``(a*x + b) / (c*x + d)`` of the input ``x``, and each level costs a few
-integer products instead of two reduced ``Fraction`` endpoints.  On an
+inputs: an :class:`~expansions.certified.Interval` maps the two unreduced
+fractions of its endpoints by each such map, so each level costs a few
+integer products instead of reducing two ``Fraction`` endpoints.  On an
 enclosure the predicates are certified, so a too-narrow precision budget
 surfaces as :class:`~expansions.errors.PrecisionExhausted` rather than a
 wrong digit.  A map ``f`` that is not Möbius, such as ``4*y*y``, multiplies
@@ -260,26 +259,6 @@ class EngelSystem(_UnitFractionSystem):
         if not tail < Fraction(1, c - 1):
             return None
         return (1 + tail) / c
-
-
-def base_f_expansion(base: int) -> FExpansionSystem:
-    """The base-``base`` system presented as an f-expansion (``f(x) = b*x``)."""
-    return FExpansionSystem(
-        name=f"f-linear{base}",
-        f=lambda y: base * y,
-        f_inv=lambda w: w / base,
-        in_image=lambda w: not w < 0 and w < base,
-    )
-
-
-def reciprocal_f_expansion() -> FExpansionSystem:
-    """The continued fraction system presented as an f-expansion (``f(x) = 1/x``)."""
-    return FExpansionSystem(
-        name="f-reciprocal",
-        f=_reciprocal,
-        f_inv=lambda w: 1 / w,
-        in_image=lambda w: 1 < w,
-    )
 
 
 def magnitude_prefix(y: Fraction) -> Tuple[int, Fraction]:

@@ -49,7 +49,6 @@ SHUFFLE_SIGMA = tuple((3 * d) % 10 for d in range(10))
 @dataclass(frozen=True)
 class RegistryEntry:
     id: str
-    kind: str
     description: str
     factory: Callable[[], ExpansionSystem]
     sampler: Callable[[random.Random], Any]
@@ -126,98 +125,97 @@ def _sample_germ(
     return sample
 
 
-def _as_factory(
-    transform: str, nonlinearity: str, alpha: Fraction
-) -> Callable[[], ApproximationSystem]:
+def _as_entry(
+    system_id: str,
+    description: str,
+    transform: str,
+    nonlinearity: str,
+    alpha: Fraction,
+    sampler: Callable[[random.Random], PowerSeries],
+) -> RegistryEntry:
     def build() -> ApproximationSystem:
         alphas = None if nonlinearity == NL_LOGEXP else constant_alpha(alpha)
         return ApproximationSystem(
-            ASConfig(transform=transform, nonlinearity=nonlinearity, alphas=alphas)
+            ASConfig(transform=transform, nonlinearity=nonlinearity, alphas=alphas),
+            system_id,
         )
 
-    return build
+    return RegistryEntry(system_id, description, build, sampler)
 
 
 _ENTRIES: List[RegistryEntry] = [
     RegistryEntry(
-        "base10", "real", "decimal digits on [0,1)",
+        "base10", "decimal digits on [0,1)",
         lambda: BaseSystem(10), _sample_unit_rational,
     ),
     RegistryEntry(
-        "base10-shuffled", "real", "decimal with permuted digit labels",
+        "base10-shuffled", "decimal with permuted digit labels",
         lambda: BaseSystem(10, digit_permutation=SHUFFLE_SIGMA),
         _sample_unit_rational,
     ),
     RegistryEntry(
-        "cf", "real", "continued fraction partial quotients on [0,1)",
+        "cf", "continued fraction partial quotients on [0,1)",
         ContinuedFractionSystem, _sample_unit_rational,
     ),
     RegistryEntry(
-        "egyptian", "real", "greedy unit-fraction denominators on [0,1)",
+        "egyptian", "greedy unit-fraction denominators on [0,1)",
         EgyptianSystem, _sample_unit_rational,
     ),
     RegistryEntry(
-        "engel", "real", "Engel series denominators on [0,1)",
+        "engel", "Engel series denominators on [0,1)",
         EngelSystem, _sample_unit_rational,
     ),
     RegistryEntry(
-        "taylor", "series", "Taylor coefficients of a germ",
+        "taylor", "Taylor coefficients of a germ",
         TaylorSystem, _sample_polynomial,
     ),
     RegistryEntry(
-        "newton-forward", "polynomial", "forward-difference coefficients",
+        "newton-forward", "forward-difference coefficients",
         NewtonForwardSystem, _sample_polynomial,
     ),
     RegistryEntry(
-        "newton-backward", "polynomial", "backward-difference coefficients",
+        "newton-backward", "backward-difference coefficients",
         NewtonBackwardSystem, _sample_polynomial,
     ),
     RegistryEntry(
-        "newton-reflected", "polynomial", "reflected-difference coefficients",
+        "newton-reflected", "reflected-difference coefficients",
         NewtonReflectedSystem, _sample_polynomial,
     ),
     RegistryEntry(
-        "fourier", "trig", "paired-mode amplitudes of trig polynomials",
+        "fourier", "paired-mode amplitudes of trig polynomials",
         FourierSystem, _sample_trig,
     ),
     RegistryEntry(
-        "norm-taylor", "polynomial", "Taylor system restricted by sup-norm 1",
+        "norm-taylor", "Taylor system restricted by sup-norm 1",
         NormTaylorSystem, _sample_bounded_polynomial,
     ),
-    RegistryEntry(
-        "as-d-power-half", "germ", "derivative transform, power 1/2",
-        _as_factory(TRANSFORM_D, NL_POWER, Fraction(1, 2)),
-        _sample_germ(Fraction(1)),
+    _as_entry(
+        "as-d-power-half", "derivative transform, power 1/2",
+        TRANSFORM_D, NL_POWER, Fraction(1, 2), _sample_germ(Fraction(1)),
     ),
-    RegistryEntry(
-        "as-d-power-neg1", "germ", "derivative transform, power -1",
-        _as_factory(TRANSFORM_D, NL_POWER, Fraction(-1)),
-        _sample_germ(Fraction(1)),
+    _as_entry(
+        "as-d-power-neg1", "derivative transform, power -1",
+        TRANSFORM_D, NL_POWER, Fraction(-1), _sample_germ(Fraction(1)),
     ),
-    RegistryEntry(
-        "as-d-logexp", "germ", "derivative transform, log nonlinearity",
-        _as_factory(TRANSFORM_D, NL_LOGEXP, Fraction(0)),
-        _sample_germ(Fraction(0)),
+    _as_entry(
+        "as-d-logexp", "derivative transform, log nonlinearity",
+        TRANSFORM_D, NL_LOGEXP, Fraction(0), _sample_germ(Fraction(0)),
     ),
-    RegistryEntry(
-        "as-k-power-2", "germ", "pointwise transform, power 2",
-        _as_factory(TRANSFORM_K, NL_POWER, Fraction(2)),
-        _sample_germ(Fraction(1)),
+    _as_entry(
+        "as-k-power-2", "pointwise transform, power 2",
+        TRANSFORM_K, NL_POWER, Fraction(2), _sample_germ(Fraction(1)),
     ),
-    RegistryEntry(
-        "as-k-power-neg1", "germ", "pointwise transform, power -1",
-        _as_factory(TRANSFORM_K, NL_POWER, Fraction(-1)),
-        _sample_germ(Fraction(1)),
+    _as_entry(
+        "as-k-power-neg1", "pointwise transform, power -1",
+        TRANSFORM_K, NL_POWER, Fraction(-1), _sample_germ(Fraction(1)),
     ),
-    RegistryEntry(
-        "as-k-logexp", "germ", "pointwise transform, log nonlinearity",
-        _as_factory(TRANSFORM_K, NL_LOGEXP, Fraction(0)),
-        _sample_germ(Fraction(0)),
+    _as_entry(
+        "as-k-logexp", "pointwise transform, log nonlinearity",
+        TRANSFORM_K, NL_LOGEXP, Fraction(0), _sample_germ(Fraction(0)),
     ),
-    RegistryEntry(
-        "as-kd-power-3", "germ", "combined transform, power 3",
-        _as_factory(TRANSFORM_KD, NL_POWER, Fraction(3)),
-        _sample_germ(
+    _as_entry(
+        "as-kd-power-3", "combined transform, power 3",
+        TRANSFORM_KD, NL_POWER, Fraction(3), _sample_germ(
             Fraction(1), length_range=(19, 22), numerator_bound=3,
             denominator_shift=2,
         ),

@@ -19,7 +19,7 @@ import pytest
 
 from expansions import DomainError
 from expansions.cli import build_parser, main, morphism_samples
-from expansions.registry import system_ids
+from expansions.registry import build_system, system_ids
 
 
 def run_cli(*argv):
@@ -42,6 +42,10 @@ def test_systems_list_covers_registry():
     assert len(lines) == len(system_ids())
     listed = [line.split()[0] for line in lines]
     assert listed == list(system_ids())
+
+
+def test_each_registry_id_names_its_system():
+    assert all(build_system(system_id).name == system_id for system_id in system_ids())
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +170,7 @@ def test_report_on_a_germ_system_defaults_to_grid_sup(tmp_path, element):
                              "--out", str(path))
     assert (code, out, err) == (0, "", "")
     doc = json.loads(path.read_text())
+    assert doc["system_id"] == element[1]
     assert doc["metric_id"] == "grid-sup"
     assert [row["n"] for row in doc["rows"]] == [0, 1]
     code, out, err = run_cli("report", *element, "--nmax", "1", "--metric", "coeff-head",
@@ -294,6 +299,17 @@ def test_expand_prints_the_certified_prefix_before_exit_3():
     # other verbs print no prefix
     assert run_cli("convergent", "--system", "cf", "--input", "sqrt(2)-1",
                    "--order", "101") == (3, "", err)
+
+
+@pytest.mark.parametrize("text, depth, words", [("series(1,2,3)", 4, 3), ("exp(x)", 40, 33)])
+def test_expand_prints_the_last_known_taylor_coefficient(text, depth, words):
+    # the failing level's coefficient is certified; only its remainder is not
+    code, out, err = run_cli("expand", "--system", "taylor", "--input", text,
+                             "--depth", str(depth))
+    assert code == 3 and len(out.split()) == words
+    assert out.startswith("1 2 3\n" if words == 3 else "1 1 1/2 1/6 ")
+    assert err == ("error: TruncationInconclusive: shifting down an order-0 germ"
+                   " leaves no known coefficients\n")
 
 
 def test_exit_code_truncated_knowledge():

@@ -135,6 +135,37 @@ def test_germ_function_argument_restriction():
         parse_expression("tan(x^2)", "germ")
 
 
+def test_series_literal_is_truncated_and_keeps_its_zeros():
+    g = parse_expression("series(1,2,0,0)", "series")
+    assert not g.exact
+    assert g.known_order == 3
+    assert g.coeffs == (F(1), F(2), F(0), F(0))
+
+
+def test_poly_literal_is_exact():
+    p = parse_expression("poly(1,2,0,0)", "series")
+    assert p.exact
+    assert p == PowerSeries.exact_poly(0, [1, 2])
+
+
+def test_series_literal_takes_the_at_clause():
+    g = parse_expression("series(1,2) at 1/2", "series")
+    assert g.center == F(1, 2)
+    assert g.coeffs == (F(1), F(2))
+
+
+@pytest.mark.parametrize("text, context, message, position", [
+    ("series()", "series", "expected a value, found ')'", 7),
+    ("series(pi)", "series", "pi is not exact here", 7),
+    ("poly(1,2)", "polynomial", "unknown name 'poly'", 0),
+])
+def test_coefficient_literal_errors(text, context, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_expression(text, context)
+    assert exc.value.position == position
+    assert str(exc.value) == f"{message} (at position {position})"
+
+
 # ---------------------------------------------------------------------------
 # Polynomial and trig contexts
 # ---------------------------------------------------------------------------

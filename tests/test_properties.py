@@ -20,13 +20,11 @@ from expansions import (
     PowerSeries,
     PrecisionExhausted,
     TruncationInconclusive,
-    base_f_expansion,
     build_system,
     coefficient_code,
     head_coincidence,
     isolate_roots_01,
     parse_expression,
-    reciprocal_f_expansion,
     roundtrip_check,
     sample_element,
     sup_norm_le,
@@ -280,8 +278,6 @@ REFERENCE_STEPS = {
     "cf": (build_system("cf"), _cf_step),
     "egyptian": (build_system("egyptian"), _egyptian_step),
     "engel": (build_system("engel"), _engel_step),
-    "f-linear10": (base_f_expansion(10), lambda y: _floor_step(y, 10, DIGITS)),
-    "f-reciprocal": (reciprocal_f_expansion(), _cf_step),
 }
 
 

@@ -17,7 +17,6 @@ from expansions import (
     FExpansionSystem,
     Interval,
     PrecisionExhausted,
-    base_f_expansion,
     coefficient_code,
     convergence_report,
     convergent,
@@ -25,7 +24,6 @@ from expansions import (
     order_of,
     parse_expression,
     pi_interval,
-    reciprocal_f_expansion,
     render_value,
     roundtrip_check,
     trajectory,
@@ -215,46 +213,6 @@ def test_engel_golden_identity_membership() -> None:
         assert nums[-1] == 0
 
 
-def test_f_expansion_cross_checks() -> None:
-    base_like = base_f_expansion(10)
-    cf_like = reciprocal_f_expansion()
-    base = BaseSystem(10)
-    cf = ContinuedFractionSystem()
-    rng = random.Random(108)
-    for _ in range(50):
-        q = rng.randrange(2, 1000)
-        y = F(rng.randrange(0, q), q)
-        n = rng.randrange(0, 7)
-        assert coefficient_code(base_like, y, n) == coefficient_code(base, y, n)
-        assert coefficient_code(cf_like, y, n) == coefficient_code(cf, y, n)
-        assert trajectory(cf_like, y, n) == trajectory(cf, y, n)
-
-
-def _exhausted_at(system, y) -> int:
-    """Number of certified steps before ``PrecisionExhausted``."""
-    depth = 0
-    with pytest.raises(PrecisionExhausted):
-        while depth <= 4096:
-            _, y = system.step(depth, y)
-            depth += 1
-    return depth
-
-
-@pytest.mark.parametrize("text", ["pi-3", "e-2", "sqrt(2)-1"])
-def test_f_expansion_cross_checks_on_intervals(text) -> None:
-    # the named systems and the bare f-expansions agree on enclosures too:
-    # codes, stages, convergents and the step at which precision runs out
-    y = parse_expression(text, "real", bits=256)
-    pairs = ((base_f_expansion(10), BaseSystem(10)),
-             (reciprocal_f_expansion(), ContinuedFractionSystem()))
-    for f_like, named in pairs:
-        assert coefficient_code(f_like, y, 40) == coefficient_code(named, y, 40)
-        assert trajectory(f_like, y, 40) == trajectory(named, y, 40)
-        a, b = convergent(f_like, y, 40), convergent(named, y, 40)
-        assert (a.stages, a.improper_at) == (b.stages, b.improper_at)
-        assert _exhausted_at(f_like, y) == _exhausted_at(named, y) > 40
-
-
 @pytest.mark.parametrize("text, bits, code, level", [
     ("sqrt(2)-1", 8, [0, 1, 3], 3),
     ("sqrt(9/10)", 8, [3, 1, 0], 3),
@@ -303,15 +261,13 @@ def test_a_certified_stage_is_an_input_again() -> None:
 
 
 def test_reconstruct_rejects_foreign_coefficients() -> None:
-    # the named systems raise on a coefficient outside their alphabet; the
-    # bare f-expansion refutes an out-of-range digit by its image check
+    # the named systems raise on a coefficient outside their alphabet
     for c in (10, -1, F(1, 2)):
         with pytest.raises(DomainError):
             BaseSystem(10).reconstruct(0, c, F(0))
     for c in (0, -3, F(3, 2)):
         with pytest.raises(DomainError):
             ContinuedFractionSystem().reconstruct(0, c, F(0))
-    assert base_f_expansion(10).reconstruct(0, 10, F(0)) is None
 
 
 def test_magnitude_prefix() -> None:
@@ -393,8 +349,7 @@ def test_code_inverts_once_per_level(monkeypatch) -> None:
         assert len(code) == n
         assert calls["reciprocal"] == calls[rounding] == n
     # base-b digits share b*y and its floor: one floor per emitted digit
-    for system in (BaseSystem(10), build_system("base10-shuffled"),
-                   base_f_expansion(10)):
+    for system in (BaseSystem(10), build_system("base10-shuffled")):
         y = parse_expression("pi-3", "real", bits=256)
         for name in calls:
             calls[name] = 0

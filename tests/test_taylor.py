@@ -1,5 +1,6 @@
 """Tests for coefficient peel-off on power-series germs."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from expansions import (
     coefficient_code,
     convergent,
     order_of,
+    parse_expression,
     properness_profile,
     roundtrip_check,
     trajectory,
@@ -76,3 +78,17 @@ def test_knowledge_exhaustion() -> None:
     assert coefficient_code(sysm, germ, 3) == [F(1), F(2), F(3)]
     with pytest.raises(TruncationInconclusive):
         coefficient_code(sysm, germ, 4)
+
+
+@pytest.mark.parametrize("text, prefix", [
+    ("series(1,2,3)", [F(1), F(2), F(3)]),
+    ("exp(x)", [1 / F(math.factorial(k)) for k in range(33)]),
+])
+def test_exhaustion_keeps_the_coefficient_of_the_failing_level(text, prefix) -> None:
+    # the coefficient of the last known level is certified although its
+    # remainder is not, so the prefix ends with it
+    germ = parse_expression(text, "series", order=32)
+    with pytest.raises(TruncationInconclusive) as info:
+        coefficient_code(TaylorSystem(), germ, 40)
+    assert info.value.prefix == prefix
+    assert info.value.level == len(prefix)
