@@ -94,9 +94,10 @@ def render_value(value: Any, approx_digits: Optional[int] = None) -> str:
 
 # -- convergence reports -----------------------------------------------------
 
-#: metric id -> element kinds it applies to; ``report`` defaults to the first
-#: that applies.  coeff-head re-expands each convergent 8 levels deep, which a
-#: truncated germ cannot certify past n = 0, so germs take grid-sup.
+#: metric id -> element kinds it applies to; :func:`convergence_report`
+#: defaults to the first that applies.  coeff-head re-expands each convergent
+#: 8 levels deep, which a truncated germ cannot certify past n = 0, so germs
+#: take grid-sup.
 METRICS = {
     "abs": ("real",),
     "coeff-head": ("real", "series", "polynomial", "trig"),
@@ -157,13 +158,15 @@ def _grid_sup_distance(system: ApproximationSystem, y: Any, code: Sequence[Any])
 
 
 def convergence_report(
-    system: ExpansionSystem, y: Any, n_max: int, metric: str = "abs"
+    system: ExpansionSystem, y: Any, n_max: int, metric: Optional[str] = None
 ) -> ConvergenceReport:
     """Tabulate distance(y, y^[n]) for n = 0..n_max under the named metric.
 
     Improper rows carry no distance.  The metric must match the system's
-    element kind.
+    element kind; without one, the first in :data:`METRICS` that does.
     """
+    if metric is None:
+        metric = next((m for m, kinds in METRICS.items() if system.kind in kinds), "abs")
     if metric not in METRICS:
         raise DomainError(f"unknown metric {metric!r}")
     if system.kind not in METRICS[metric]:
@@ -322,8 +325,12 @@ def separation_check(
     return SeparationReport(system_id=system.name, depth=depth, rows=tuple(rows))
 
 
+#: deepest convergent of the midpoint that :func:`finite_order_witness` tries
+_WITNESS_MAX_DEPTH = 64
+
+
 def finite_order_witness(
-    system: ExpansionSystem, a: Any, b: Any, max_depth: int = 64
+    system: ExpansionSystem, a: Any, b: Any
 ) -> Tuple[Any, OrderResult]:
     """Find a finite-order element strictly between ``a`` and ``b``.
 
@@ -334,7 +341,7 @@ def finite_order_witness(
     if not a < b:
         raise DomainError("witness search needs a < b")
     mid = (a + b) / 2
-    for n in range(1, max_depth + 1):
+    for n in range(1, _WITNESS_MAX_DEPTH + 1):
         trace = convergent(system, mid, n)
         if not trace.proper:
             continue
@@ -344,7 +351,7 @@ def finite_order_witness(
             if result.finite:
                 return w, result
     raise DomainError(
-        f"no finite-order element found in ({a}, {b}) to depth {max_depth}"
+        f"no finite-order element found in ({a}, {b}) to depth {_WITNESS_MAX_DEPTH}"
     )
 
 

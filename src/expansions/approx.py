@@ -267,8 +267,3 @@ def detect_cycle(values: Sequence[Any], max_period: int) -> Optional[int]:
         if s + 2 * p <= n:
             return p
     return None
-
-
-def germ_from_polynomial(coeffs: Sequence[object], center: object = 0) -> PowerSeries:
-    """Exact germ from ascending coefficients in powers of ``(x - center)``."""
-    return PowerSeries.exact_poly(center, [Fraction(c) for c in coeffs])

@@ -8,9 +8,9 @@ serializers, so stdout is deterministic: identical invocations produce
 identical bytes.
 
 Exit codes: 0 success; 2 parse/domain errors; 3 exhausted precision or
-truncated knowledge, after ``expand`` has printed the coefficients certified
-before the failing level; 4 an improper convergent where a proper one was
-demanded.
+truncated knowledge, after ``expand`` and ``as run`` have printed the
+coefficients certified before the failing level; 4 an improper convergent
+where a proper one was demanded.
 """
 
 from __future__ import annotations
@@ -150,8 +150,16 @@ def _print_code(args: argparse.Namespace, code: Sequence[Any]) -> None:
     print(" ".join(render_value(c, approx) for c in code))
 
 
-def _cmd_expand(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int:
-    _print_code(args, coefficient_code(system, y, int(_require(args, "depth"))))
+def _print_as_code(args: argparse.Namespace, code: Sequence[Any]) -> None:
+    approx = getattr(args, "approx", None)
+    print("c: " + " ".join(render_value(c.c, approx) for c in code))
+    print("m: " + " ".join(render_value(c.m, approx) for c in code))
+    if code and code[0].b is not None:
+        print("b: " + " ".join(render_value(c.b, approx) for c in code))
+
+
+def _cmd_code(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int:
+    args.print_code(args, coefficient_code(system, y, int(_require(args, "depth"))))
     return 0
 
 
@@ -176,10 +184,9 @@ def _cmd_order(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int
 
 def _cmd_report(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int:
     n_max = int(_require(args, "nmax"))
-    metric = args.metric or next(m for m, kinds in METRICS.items() if system.kind in kinds)
     fmt = args.format or "csv"
     out = _require(args, "out")
-    report = convergence_report(system, y, n_max, metric)
+    report = convergence_report(system, y, n_max, args.metric)
     try:
         export(report, fmt, out, getattr(args, "approx", None))
     except OSError as exc:
@@ -226,17 +233,6 @@ def _cmd_morphism_verify(args: argparse.Namespace, system: None, y: None) -> int
             f" sample={report.sample_index}"
         )
         print(f"detail: {report.detail}")
-    return 0
-
-
-def _cmd_as_run(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int:
-    depth = int(_require(args, "depth"))
-    approx = getattr(args, "approx", None)
-    code = coefficient_code(system, y, depth)
-    print("c: " + " ".join(render_value(c.c, approx) for c in code))
-    print("m: " + " ".join(render_value(c.m, approx) for c in code))
-    if code and code[0].b is not None:
-        print("b: " + " ".join(render_value(c.b, approx) for c in code))
     return 0
 
 
@@ -309,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     expand = sub.add_parser("expand", help="coefficient code of an element")
     _add_common(expand, "approx", "depth")
-    expand.set_defaults(handler=_cmd_expand)
+    expand.set_defaults(handler=_cmd_code, print_code=_print_code)
 
     conv = sub.add_parser("convergent", help="n-th convergent of an element")
     _add_common(conv, "approx", "order")
@@ -343,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     as_run = as_sub.add_parser("run", help="coefficient code of a germ")
     _add_common(as_run, "approx", "depth", "germ")
-    as_run.set_defaults(handler=_cmd_as_run)
+    as_run.set_defaults(handler=_cmd_code, print_code=_print_as_code)
 
     as_eval = as_sub.add_parser("eval", help="evaluate a convergent along a path")
     _add_common(as_eval, "order", "germ")
@@ -384,10 +380,10 @@ def _main(argv: Optional[Sequence[str]]) -> int:
     except _ImproperDemand as exc:
         return _fail("Improper", exc, code=4)
     except (PrecisionExhausted, TruncationInconclusive, QuadratureFailure) as exc:
-        # what expand certified before the failing level is still printed
+        # a code verb still prints what it certified before the failing level
         prefix = getattr(exc, "prefix", ())
-        if prefix and args.handler is _cmd_expand:
-            _print_code(args, prefix)
+        if prefix and hasattr(args, "print_code"):
+            args.print_code(args, prefix)
         return _fail(type(exc).__name__, exc, code=3)
     except (DomainError, UnsupportedInContext, SingularityOnPath) as exc:
         return _fail(type(exc).__name__, exc)

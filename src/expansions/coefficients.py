@@ -109,9 +109,6 @@ class ComplexRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)

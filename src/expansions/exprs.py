@@ -498,11 +498,6 @@ def parse_expression(
     return value
 
 
-def parse_scalar(text: str, bits: int = 256) -> Any:
-    """Parse a real scalar: exact ``Fraction`` or certified ``Interval``."""
-    return parse_expression(text, "real", bits=bits)
-
-
 def parse_alpha_schedule(text: str) -> Callable[[int], Fraction]:
     """Parse an exponent schedule: a constant, a comma list (last value
     repeats), or an index expression in ``i`` such as ``1/(i+2)``."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 
 from .approx import ApproximationSystem
 from .coefficients import is_infinite
@@ -77,64 +77,46 @@ def verify_homomorphism(
     morphism: Morphism, samples: Sequence[Any], depth: int
 ) -> HomReport:
     """Check the homomorphism equations on each sample's trajectory."""
+    for violation in _violations(morphism, samples, depth):
+        return HomReport(False, *violation)
+    return HomReport(ok=True)
+
+
+def _violations(
+    morphism: Morphism, samples: Sequence[Any], depth: int
+) -> Iterator[Tuple[str, int, Optional[int], str]]:
+    """``(equation, level, sample_index, detail)`` of each failing check, in
+    the order the checks run; the caller stops at the first."""
     src, tgt = morphism.source, morphism.target
     for i in range(depth + 1):
         mapped = morphism.map_element(i, src.neutral(i))
         if not tgt.elements_equal(i, mapped, tgt.neutral(i)):
-            return HomReport(
-                ok=False,
-                equation="neutral",
-                level=i,
-                detail=f"map(neutral_{i}) = {mapped} != {tgt.neutral(i)}",
-            )
+            yield "neutral", i, None, f"map(neutral_{i}) = {mapped} != {tgt.neutral(i)}"
     for s_idx, y in enumerate(samples):
         stages = trajectory(src, y, depth)
         for i in range(depth):
             lhs = morphism.map_element(i + 1, stages[i + 1])
             rhs = tgt.expand(i, morphism.map_element(i, stages[i]))
             if not tgt.elements_equal(i + 1, lhs, rhs):
-                return HomReport(
-                    ok=False,
-                    equation="expansion",
-                    level=i,
-                    sample_index=s_idx,
-                    detail=f"map(E_{i} y) = {lhs} != E'_{i}(map y) = {rhs}",
-                )
+                yield "expansion", i, s_idx, f"map(E_{i} y) = {lhs} != E'_{i}(map y) = {rhs}"
             lhs_c = morphism.map_coeff(i, src.project(i, stages[i]))
             rhs_c = tgt.project(i, morphism.map_element(i, stages[i]))
             if not tgt.coefficients_equal(i, lhs_c, rhs_c):
-                return HomReport(
-                    ok=False,
-                    equation="coefficient",
-                    level=i,
-                    sample_index=s_idx,
-                    detail=f"map(P_{i} y) = {lhs_c} != P'_{i}(map y) = {rhs_c}",
-                )
-        if morphism.claims_bijective:
-            assert morphism.inv_element is not None
-            for i, stage in enumerate(stages):
-                back = morphism.inv_element(i, morphism.map_element(i, stage))
-                if not src.elements_equal(i, back, stage):
-                    return HomReport(
-                        ok=False,
-                        equation="inverse",
-                        level=i,
-                        sample_index=s_idx,
-                        detail=f"inverse(map y) = {back} != y = {stage}",
-                    )
-                if morphism.inv_coeff is None or i == depth:
-                    continue  # coefficients are read below depth, as above
-                coeff = src.project(i, stage)
-                back_c = morphism.inv_coeff(i, morphism.map_coeff(i, coeff))
-                if not src.coefficients_equal(i, back_c, coeff):
-                    return HomReport(
-                        ok=False,
-                        equation="inverse",
-                        level=i,
-                        sample_index=s_idx,
-                        detail=f"inverse(map P_{i} y) = {back_c} != P_{i} y = {coeff}",
-                    )
-    return HomReport(ok=True)
+                yield "coefficient", i, s_idx, f"map(P_{i} y) = {lhs_c} != P'_{i}(map y) = {rhs_c}"
+        if not morphism.claims_bijective:
+            continue
+        assert morphism.inv_element is not None
+        for i, stage in enumerate(stages):
+            back = morphism.inv_element(i, morphism.map_element(i, stage))
+            if not src.elements_equal(i, back, stage):
+                yield "inverse", i, s_idx, f"inverse(map y) = {back} != y = {stage}"
+            if morphism.inv_coeff is None or i == depth:
+                continue  # coefficients are read below depth, as above
+            coeff = src.project(i, stage)
+            back_c = morphism.inv_coeff(i, morphism.map_coeff(i, coeff))
+            if not src.coefficients_equal(i, back_c, coeff):
+                detail = f"inverse(map P_{i} y) = {back_c} != P_{i} y = {coeff}"
+                yield "inverse", i, s_idx, detail
 
 
 def translate_convergent(

@@ -68,6 +68,10 @@ from .series import PowerSeries
 
 _TWO_PI = 2 * math.pi
 _TINY = 1e-9
+#: Bounds of the march: accepted plus pending panels, and halvings of one
+#: segment of the path.
+_MAX_PANELS = 8192
+_MAX_HALVINGS = 60
 
 #: Each panel carries the Lobatto nodes ``-cos(pi j / NODES_PER_PANEL)``,
 #: ``j = 0 .. NODES_PER_PANEL``.
@@ -258,8 +262,6 @@ def eval_convergent_path(
     code: Sequence[ASCoef],
     path: Sequence[complex],
     tol: float = 1e-10,
-    max_panels: int = 8192,
-    max_rounds: int = 60,
 ) -> PathValue:
     """Evaluate the convergent with the given coefficient code at the end of
     ``path`` (a polyline starting at the system's center).
@@ -272,9 +274,6 @@ def eval_convergent_path(
             every accepted panel the estimate is at most the tolerance's
             share of the path length covered, so the returned ``error`` is
             at most ``tol``.
-        max_panels: bound on the accepted plus the pending panels.
-        max_rounds: bound on how many times one segment of the path can be
-            halved.
 
     Raises:
         DomainError: ``tol`` not positive (or NaN), an empty path, a
@@ -373,7 +372,7 @@ def eval_convergent_path(
             value, total_err, accepted = tail[-1], total_err + err, accepted + 1
             covered += width
             continue
-        if halvings >= max_rounds or accepted + len(pending) + 2 > max_panels:
+        if halvings >= _MAX_HALVINGS or accepted + len(pending) + 2 > _MAX_PANELS:
             raise QuadratureFailure(
                 f"error estimate {total_err + err:.3e} above the share of tolerance "
                 f"{tol:.3e} for the path covered, after {halvings} halvings of a panel, "

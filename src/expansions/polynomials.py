@@ -76,7 +76,7 @@ def square_free_part(p: Polynomial) -> Polynomial:
     """Same roots as ``p``, all simple."""
     if p.degree < 1:
         return p
-    g = gcd_poly(p, p.derivative())
+    g = gcd_poly(p, p.differentiate())
     if g.degree < 1:
         return p
     return divmod_poly(p, g)[0]
@@ -274,10 +274,10 @@ def sup_norm_enclosure(p: Polynomial, width: object = Fraction(1, 10**6)) -> Int
     width = Fraction(width)
     if p.is_zero():
         return Interval.exact(0)
-    crit = square_free_part(p.derivative())
+    crit = square_free_part(p.differentiate())
     intervals = _isolate_square_free(crit)
     # |p'| <= sum |coeff| on [0, 1] bounds the variation over a short interval.
-    slope = sum(abs(c) for c in p.derivative().coeffs) or _ONE
+    slope = sum(abs(c) for c in p.differentiate().coeffs) or _ONE
     w = Fraction(1, 64)
     while True:
         lo = max(abs(p(_ZERO)), abs(p(_ONE)))
@@ -299,7 +299,7 @@ def argmax_abs_enclosure(p: Polynomial, width: object = Fraction(1, 10**6)) -> I
     width = Fraction(width)
     best: Optional[Tuple[Fraction, Interval]] = None
     candidates: List[Interval] = [Interval.exact(0), Interval.exact(1)]
-    crit = square_free_part(p.derivative())
+    crit = square_free_part(p.differentiate())
     for iv in _isolate_square_free(crit):
         a, b = refine_root(crit, iv, width)
         candidates.append(Interval(a, b))

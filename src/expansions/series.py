@@ -381,8 +381,6 @@ class PowerSeries:
             )
         return self._stream(len(cs) - 1, lambda k, v: (k + 1) * v[0][k + 1], (self, 1))
 
-    derivative = differentiate
-
     def integrate(self, constant: object = 0) -> "PowerSeries":
         constant = Fraction(constant)
         cs = self.coeffs

@@ -8,7 +8,7 @@ structural equality is mathematical equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .coefficients import CZERO, ComplexRational
 
@@ -37,9 +37,6 @@ class TrigPolynomial:
             if mode == k:
                 return a
         return CZERO
-
-    def modes(self) -> Iterable[int]:
-        return (mode for mode, _ in self.terms)
 
     def max_mode(self) -> Optional[int]:
         """Largest ``|k|`` with nonzero amplitude; ``None`` for zero."""

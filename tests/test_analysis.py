@@ -109,6 +109,18 @@ def test_grid_sup_metric() -> None:
         convergence_report(BaseSystem(10), F(1, 3), 2, metric="grid-sup")
 
 
+@pytest.mark.parametrize("system_id, y, metric", [
+    ("cf", F(7, 10), "abs"),
+    ("newton-forward", Polynomial.of(1, 2, 3), "coeff-head"),
+    ("as-d-power-half", PowerSeries.of(1, 1, 1), "grid-sup"),
+])
+def test_default_metric_is_the_first_that_applies(system_id, y, metric) -> None:
+    # the same rule as the CLI's report: the first METRICS entry for the kind
+    report = convergence_report(build_system(system_id), y, 2)
+    assert report.metric_id == metric
+    assert report == convergence_report(build_system(system_id), y, 2, metric)
+
+
 def test_metric_validation() -> None:
     with pytest.raises(DomainError):
         convergence_report(BaseSystem(10), F(1, 3), 2, metric="nope")

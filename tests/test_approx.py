@@ -14,6 +14,7 @@ from expansions import (
     ApproximationSystem,
     DomainError,
     INF,
+    OrderResult,
     PowerSeries,
     TruncationInconclusive,
     alpha_list,
@@ -22,7 +23,7 @@ from expansions import (
     constant_alpha,
     convergent,
     detect_cycle,
-    germ_from_polynomial,
+    order_of,
     roundtrip_check,
     sample_element,
     trajectory,
@@ -184,7 +185,7 @@ def test_d_power_neg1_exponent_alternation() -> None:
 
 def test_kd_power_3_cube_germ() -> None:
     sysm = build_system("as-kd-power-3")
-    germ = germ_from_polynomial([1, 3, 3, 1])
+    germ = PowerSeries.exact_poly(0, [1, 3, 3, 1])
     code = coefficient_code(sysm, germ, 7)
     for i, c in enumerate(code):
         assert c.b is not None
@@ -200,7 +201,7 @@ def test_kd_power_3_cube_germ() -> None:
 
 def test_k_power_2_closed_form() -> None:
     sysm = build_system("as-k-power-2")
-    germ = germ_from_polynomial([1, 1, F(1, 4)])
+    germ = PowerSeries.exact_poly(0, [1, 1, F(1, 4)])
     stages = trajectory(sysm, germ, 4)
     for i, stage in enumerate(stages):
         h = F(1, 2 ** (i + 1))
@@ -267,6 +268,24 @@ def test_reconstruct_edge_branches() -> None:
                          PowerSeries.exact_poly(0, [1, 1])) is None
 
 
+def test_a_neutral_stage_ends_the_code() -> None:
+    # 1 + x is 1 + (x/1)^2 with a neutral tail: its K step has multiplicity 1,
+    # and every later level sees the neutral 1 and reads (0, inf).
+    sysm = build_system("as-k-power-2")
+    germ = PowerSeries.of(1, 1)
+    assert [(c.c, c.m) for c in coefficient_code(sysm, germ, 3)] == [
+        (F(1), 1), (F(0), INF), (F(0), INF)]
+    assert order_of(sysm, germ, 3) == OrderResult(finite=True, n=1)
+
+
+def test_a_truncated_germ_is_never_certified_neutral() -> None:
+    sysm = build_system("as-d-power-half")
+    assert sysm.is_neutral(0, PowerSeries.exact_poly(0, [1]))
+    assert not sysm.is_neutral(0, PowerSeries.truncated(0, [1, 1, 0]))
+    with pytest.raises(TruncationInconclusive, match="cannot be certified neutral"):
+        sysm.is_neutral(0, PowerSeries.truncated(0, [1, 0, 0]))
+
+
 def test_roundtrips_randomized() -> None:
     rng = random.Random(501)
     for system_id in ("as-d-power-half", "as-d-power-neg1", "as-d-logexp",
@@ -281,7 +300,7 @@ def test_code_transforms_each_level_once(monkeypatch) -> None:
     # coefficient_code takes each level's coefficient and tail from one step,
     # so the transform and its leading data are read once per level.
     sysm = build_system("as-kd-power-3")
-    germ = germ_from_polynomial([1, 3, 3, 1])
+    germ = PowerSeries.exact_poly(0, [1, 3, 3, 1])
     expected = coefficient_code(sysm, germ, 5)
     calls = []
     transformed = ApproximationSystem._transformed

@@ -13,11 +13,13 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from expansions import DomainError
+from expansions import BaseSystem, ContinuedFractionSystem, DomainError, Morphism
+from expansions import cli
 from expansions.cli import build_parser, main, morphism_samples
 from expansions.registry import build_system, system_ids
 
@@ -196,6 +198,32 @@ def test_morphism_verify_builtins():
         assert out == "ok: no violation found on 6 samples to depth 4\n", spec
 
 
+def _decimal_to_cf_identity():
+    return Morphism(name="decimal-to-cf-identity", source=BaseSystem(10),
+                    target=ContinuedFractionSystem(),
+                    map_element=lambda i, y: y, map_coeff=lambda i, c: c)
+
+
+def _decimal_affine():
+    return Morphism(name="decimal-affine", source=BaseSystem(10), target=BaseSystem(10),
+                    map_element=lambda i, y: y / 2 + Fraction(1, 4),
+                    map_coeff=lambda i, c: c)
+
+
+@pytest.mark.parametrize("broken, lines", [
+    (_decimal_to_cf_identity,
+     "violation: equation=expansion level=0 sample=0\n"
+     "detail: map(E_0 y) = 49762/88549 != E'_0(map y) = 38787/201979\n"),
+    (_decimal_affine,
+     "violation: equation=neutral level=0 sample=None\n"
+     "detail: map(neutral_0) = 1/4 != 0\n"),
+])
+def test_morphism_verify_prints_the_first_violation(monkeypatch, broken, lines):
+    # a violation is a finding, not a failure of the command
+    monkeypatch.setitem(cli._BUILTIN_MORPHISMS, "cf-shift", broken)
+    assert run_cli("morphism", "verify", "--spec", "cf-shift") == (0, lines, "")
+
+
 # ---------------------------------------------------------------------------
 # approximation systems
 # ---------------------------------------------------------------------------
@@ -223,6 +251,26 @@ def test_as_run_kd_reports_three_streams():
         "--depth", "2",
     )
     assert (code, out, err) == (0, "c: 6 3/2\nm: 1 1\nb: 3 3/2\n", "")
+
+
+@pytest.mark.parametrize("transform, lines", [
+    ("d", "c: 1 1 1\nm: 0 0 0\n"),
+    ("k", "c: 1 1/2 3/8\nm: 1 1 1\n"),
+    ("kd", "c: 2\nm: 1\nb: 1\n"),
+])
+def test_as_run_prints_the_certified_prefix_before_exit_3(transform, lines):
+    # series(1,1,1,1) knows four coefficients, too few for depth 6
+    argv = ("as", "run", "--transform", transform, "--nonlinearity", "power",
+            "--alpha", "1/2", "--input", "series(1,1,1,1)", "--depth", "6")
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (3, lines)
+    assert err.startswith("error: TruncationInconclusive: ") and err.count("\n") == 1
+    if transform == "d":
+        # the same germ and system through expand
+        assert run_cli("expand", "--system", "as-d-power-half", *argv[8:]) == (
+            3, "(1,0) (1,0) (1,0)\n", err)
+    if transform == "k":
+        assert run_cli(*argv, "--approx", "2") == (3, "c: 1 0.5 0.38\nm: 1 1 1\n", err)
 
 
 def test_as_eval_along_real_segment():
@@ -400,6 +448,15 @@ def test_constant_trig_expression_is_a_trig_polynomial():
         "expand", "--system", "fourier", "--input", "1 + i", "--depth", "2"
     )
     assert (code, out, err) == (0, "(1+1 i,1+1 i) (0,0)\n", "")
+
+
+@pytest.mark.parametrize("text, words", [
+    ("E(1)/2", "(0,0) (0,1/2) (0,0)"),
+    ("E(1)/(2*i)", "(0,0) (0,0-1/2 i) (0,0)"),
+])
+def test_trig_polynomial_divided_by_a_constant(text, words):
+    code, out, err = run_cli("expand", "--system", "fourier", "--input", text, "--depth", "3")
+    assert (code, out, err) == (0, words + "\n", "")
 
 
 def test_exit_codes_sqrt_of_enclosure():

@@ -21,7 +21,6 @@ from expansions import (
     parse_alpha_schedule,
     parse_expression,
     parse_path,
-    parse_scalar,
 )
 
 
@@ -31,16 +30,16 @@ from expansions import (
 
 
 def test_parse_scalar_rationals():
-    assert parse_scalar("355/113") == F(355, 113)
-    assert parse_scalar("0.1") == F(1, 10)
-    assert parse_scalar("-3") == F(-3)
-    assert parse_scalar("  7/2 ") == F(7, 2)
+    assert parse_expression("355/113", "real") == F(355, 113)
+    assert parse_expression("0.1", "real") == F(1, 10)
+    assert parse_expression("-3", "real") == F(-3)
+    assert parse_expression("  7/2 ", "real") == F(7, 2)
 
 
 def test_parse_scalar_rejects_junk():
     for text in ("", "1/", "one", "1..2"):
         with pytest.raises(ParseError):
-            parse_scalar(text)
+            parse_expression(text, "real")
 
 
 # ---------------------------------------------------------------------------

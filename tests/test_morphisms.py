@@ -8,7 +8,9 @@ import pytest
 
 from expansions import (
     BaseSystem,
+    ContinuedFractionSystem,
     DomainError,
+    HomReport,
     Morphism,
     NewtonBackwardSystem,
     NewtonForwardSystem,
@@ -81,6 +83,37 @@ def test_broken_coefficient_map_is_caught() -> None:
     assert report.equation == "coefficient"
     assert report.level == 0
     assert report.sample_index == 0
+
+
+def decimal_to_cf_identity() -> Morphism:
+    # Both systems share the neutral 0, but one step of each differs on 7/10:
+    # base 10 leaves 0, the continued fraction 3/7.
+    return Morphism(
+        name="decimal-to-cf-identity",
+        source=BaseSystem(10),
+        target=ContinuedFractionSystem(),
+        map_element=lambda i, y: y,
+        map_coeff=lambda i, c: c,
+    )
+
+
+def test_broken_expansion_map_is_caught() -> None:
+    report = verify_homomorphism(decimal_to_cf_identity(), [F(7, 10)], 3)
+    assert report == HomReport(ok=False, equation="expansion", level=0, sample_index=0,
+                               detail="map(E_0 y) = 0 != E'_0(map y) = 3/7")
+
+
+def test_broken_neutral_map_is_caught() -> None:
+    broken = Morphism(
+        name="decimal-affine",
+        source=BaseSystem(10),
+        target=BaseSystem(10),
+        map_element=lambda i, y: y / 2 + F(1, 4),
+        map_coeff=lambda i, c: c,
+    )
+    report = verify_homomorphism(broken, [F(7, 10)], 3)
+    assert report == HomReport(ok=False, equation="neutral", level=0, sample_index=None,
+                               detail="map(neutral_0) = 1/4 != 0")
 
 
 def test_broken_inverse_is_caught() -> None:

@@ -25,7 +25,6 @@ from expansions import (
     convergent_from_code,
     eval_convergent_path,
     evaluate_series,
-    germ_from_polynomial,
     parse_expression,
 )
 from expansions import patheval
@@ -39,8 +38,8 @@ def error_within_tolerance(monkeypatch):
     """Every successful path evaluation in this module reports an error
     estimate within its tolerance."""
 
-    def checked(system, code, path, tol=1e-10, **budgets):
-        got = patheval.eval_convergent_path(system, code, path, tol, **budgets)
+    def checked(system, code, path, tol=1e-10):
+        got = patheval.eval_convergent_path(system, code, path, tol)
         assert got.error <= tol, (got, tol)
         return got
 
@@ -92,11 +91,12 @@ def test_polyline_and_complex_endpoint() -> None:
 
 def test_k_transform_pointwise() -> None:
     sysm = build_system("as-k-power-2")
-    code = coefficient_code(sysm, germ_from_polynomial([1, 1, F(1, 4)]), 3)
+    germ = PowerSeries.exact_poly(0, [1, 1, F(1, 4)])
+    code = coefficient_code(sysm, germ, 3)
     first = eval_convergent_path(sysm, code[:1], [0.0, 0.3])
     assert first.value == pytest.approx(1.3)
     third = eval_convergent_path(sysm, code[:3], [0.0, 0.3])
-    expected = evaluate_series(convergent(sysm, germ_from_polynomial([1, 1, F(1, 4)]), 3).value, 0.3)
+    expected = evaluate_series(convergent(sysm, germ, 3).value, 0.3)
     assert abs(third.value - expected) < 1e-9
 
 
@@ -129,6 +129,14 @@ def test_singularity_on_path() -> None:
         eval_convergent_path(sysm, code, [1, -1])
 
 
+def test_a_fractional_power_at_its_branch_point_is_a_singularity() -> None:
+    # K / power 2 inverts with w^(1/2); the second level's tail 1 - x reaches
+    # the branch point 0 at the end node x = 1.
+    sysm = build_system("as-k-power-2")
+    with pytest.raises(SingularityOnPath, match="too close to the branch point"):
+        eval_convergent_path(sysm, [ASCoef(F(1), 1), ASCoef(F(-1), 1)], [0, 1])
+
+
 def test_quadrature_budget_exhaustion() -> None:
     cfg = ASConfig(transform="D", nonlinearity="power",
                    alphas=constant_alpha(-1), center=F(1))
@@ -137,7 +145,7 @@ def test_quadrature_budget_exhaustion() -> None:
     code = coefficient_code(sysm, germ, 6)
     loop = [1, 1 + 1.5j, -1.6 + 1.5j, -1.6 - 1.5j, 1 - 1.5j, 1]
     with pytest.raises(QuadratureFailure):
-        eval_convergent_path(sysm, code, loop, tol=1e-30, max_panels=4, max_rounds=3)
+        eval_convergent_path(sysm, code, loop, tol=1e-30)
 
 
 def test_a_rejected_panel_rolls_back_the_branch_state() -> None:

@@ -62,7 +62,7 @@ def test_arithmetic_shift_reflect() -> None:
         a = F(rng.randrange(-4, 5), rng.randrange(1, 4))
         assert q.shift(a)(t) == q(t + a)
         assert q.reflect()(t) == -q(-t)
-        assert q.derivative().degree <= max(q.degree - 1, -1)
+        assert q.differentiate().degree <= max(q.degree - 1, -1)
 
 
 def test_division_gcd_squarefree() -> None:
@@ -153,7 +153,7 @@ def test_norm_enclosure_vs_sampling() -> None:
 
 def sturm_count(p: Polynomial, a: Fraction, b: Fraction) -> int:
     """Roots of a square-free ``p`` in the open interval ``(a, b)``."""
-    chain = [p, p.derivative()]
+    chain = [p, p.differentiate()]
     while not chain[-1].is_zero():
         chain.append(-divmod_poly(chain[-2], chain[-1])[1])
 
