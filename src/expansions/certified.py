@@ -2,22 +2,24 @@
 
 An :class:`Interval` encloses one real number.  It holds its two endpoints
 as unreduced fractions ``n0/e0`` and ``n1/e1`` with positive denominators.
-An exact ``+ - * /`` with an ``int`` or ``Fraction`` (on either side),
-negation and the reciprocal of an interval of certified sign map both
-fractions by one integer Möbius map ``(al*y + be) / (ga*y + de)`` whose
-denominator is positive on the interval (Gosper, HAKMEM item 101), so each
-digit step on a remainder (``b*y - d``, ``1/y - q``, ``y - 1/q``,
-``q*y - 1``) is a few integer products and no gcd.  Arithmetic between two
-intervals, ``**`` and ``abs`` run on the reduced endpoints.  Field
-operations are exact (endpoints stay rational, enclosures never silently
-widen).  Predicates decide from the two fractions by integer ``//`` and
-signs.  Irrational constructors (:func:`sqrt_interval`, :func:`pi_interval`,
+An exact ``+ - * /`` with an ``int`` or ``Fraction`` (on either side) and
+negation map both fractions by one affine map ``(al*y + be) / de`` with
+``de > 0``, skipping the products by 0 and 1; the reciprocal of an interval
+of certified sign swaps each fraction's two parts (Gosper, HAKMEM item
+101).  So each digit step on a remainder (``b*y - d``, ``1/y - q``,
+``y - 1/q``, ``q*y - 1``) is a few integer products and no gcd.
+Arithmetic between two intervals, ``**`` and ``abs`` run on the reduced
+endpoints.  Field operations are exact (endpoints stay rational, enclosures
+never silently widen).  Predicates decide from the two fractions by integer
+``//`` and signs.  Irrational constructors (:func:`sqrt_interval`, :func:`pi_interval`,
 :func:`e_interval`) take an explicit ``bits`` budget, at most
 :data:`MAX_BITS`, and return a dyadic enclosure of width at most
-``2**-bits``; pi and e are integer fixed-point sums whose terms are exact
-floors, widened by their counted ulp error (number of terms + 2).
+``2**-bits``.  Pi and e are one exact integer bracket each, from a series
+summed by binary splitting with its tail bounded, rounded outward onto the
+grid of step ``2**-(bits+2)`` by integer floor and ceiling.
 Predicates either answer with certainty or raise
-:class:`~expansions.errors.PrecisionExhausted` — they never guess — and are
+:class:`~expansions.errors.PrecisionExhausted`, whose message names the
+enclosures when read — they never guess — and are
 Python's numeric protocol (``math.floor``, ``math.ceil``, ``<``, ``>``,
 truth as certified nonzero), so code written for ``Fraction`` runs on
 enclosures unchanged.  ``==`` is structural; certified equality is
@@ -26,16 +28,17 @@ enclosures unchanged.  ``==`` is structural; certified equality is
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import DomainError, PrecisionExhausted
 
 _ZERO = Fraction(0)
 
-#: the largest ``bits`` budget an irrational constructor accepts; pi at this
-#: budget already takes minutes
+#: the largest ``bits`` budget an irrational constructor accepts; at this
+#: budget pi takes ~15 s and e ~10 s (CPython 3.11.7 on a 2-core x86-64 host)
 MAX_BITS = 1 << 20
 
 
@@ -46,6 +49,32 @@ def _exact_parts(value: object) -> Optional[Tuple[int, int]]:
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     return None
+
+
+class _Message:
+    """The message of a :class:`PrecisionExhausted` that names enclosures,
+    formatted when read rather than at raise: each ``{}`` of ``template``
+    becomes ``[lo, hi]`` of an interval, or, where the host's int/str digit
+    limit refuses that decimal form, the endpoints' bit lengths."""
+
+    __slots__ = ("template", "intervals")
+
+    def __init__(self, template: str, *intervals: "Interval") -> None:
+        self.template, self.intervals = template, intervals
+
+    def __str__(self) -> str:
+        return self.template.format(*map(_describe, self.intervals))
+
+    def __repr__(self) -> str:
+        return repr(str(self))
+
+
+def _describe(iv: "Interval") -> str:
+    try:
+        return f"[{iv.lo}, {iv.hi}]"
+    except ValueError:  # past the int/str digit limit
+        bits = (max(f.numerator.bit_length(), f.denominator.bit_length()) for f in (iv.lo, iv.hi))
+        return "[endpoints of {} and {} bits]".format(*bits)
 
 
 class Interval:
@@ -77,13 +106,23 @@ class Interval:
         f = Fraction(value)
         return Interval(f, f)
 
-    def _compose(self, al: int, be: int, ga: int, de: int) -> "Interval":
-        """``(al*y + be) / (ga*y + de)`` of this interval ``y``; the caller
-        keeps ``ga*y + de`` positive on it, so the images' denominators stay
-        positive."""
+    def _affine(self, al: int, be: int, de: int) -> "Interval":
+        """``(al*y + be) / de`` of this interval ``y``, ``de > 0``: each
+        endpoint ``n/e`` maps to ``(al*n + be*e) / (de*e)``, with no product
+        by 0 or 1."""
         n0, e0, n1, e1 = self._ends
+        if al != 1:
+            n0, n1 = al * n0, al * n1
+        if be:
+            n0, n1 = n0 + be * e0, n1 + be * e1
+        if de != 1:
+            e0, e1 = de * e0, de * e1
+        return Interval._from_ends(n0, e0, n1, e1)
+
+    @staticmethod
+    def _from_ends(n0: int, e0: int, n1: int, e1: int) -> "Interval":
         out = Interval.__new__(Interval)
-        out._ends = (al * n0 + be * e0, ga * n0 + de * e0, al * n1 + be * e1, ga * n1 + de * e1)
+        out._ends = (n0, e0, n1, e1)
         out._bounds = None
         return out
 
@@ -120,7 +159,7 @@ class Interval:
         parts = _exact_parts(other)
         if parts is not None:
             u, v = parts
-            return self._compose(v, u, 0, v)
+            return self._affine(v, u, v)
         if not isinstance(other, Interval):
             return NotImplemented
         return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -128,13 +167,13 @@ class Interval:
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
-        return self._compose(-1, 0, 0, 1)
+        return self._affine(-1, 0, 1)
 
     def __sub__(self, other: object) -> "Interval":
         parts = _exact_parts(other)
         if parts is not None:
             u, v = parts
-            return self._compose(v, -u, 0, v)
+            return self._affine(v, -u, v)
         if not isinstance(other, Interval):
             return NotImplemented
         return Interval(self.lo - other.hi, self.hi - other.lo)
@@ -144,13 +183,13 @@ class Interval:
         if parts is None:
             return NotImplemented
         u, v = parts
-        return self._compose(-v, u, 0, v)
+        return self._affine(-v, u, v)
 
     def __mul__(self, other: object) -> "Interval":
         parts = _exact_parts(other)
         if parts is not None:
             u, v = parts
-            return self._compose(u, 0, 0, v)
+            return self._affine(u, 0, v)
         if not isinstance(other, Interval):
             return NotImplemented
         products = (self.lo * other.lo, self.lo * other.hi,
@@ -160,16 +199,16 @@ class Interval:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Interval":
-        n0, _, n1, _ = self._ends
+        """``1/y``: each endpoint ``n/e`` becomes ``e/n``, with both parts
+        negated when ``n < 0`` so the denominators stay positive."""
+        n0, e0, n1, e1 = self._ends
         if n0 > 0 and n1 > 0:
-            return self._compose(0, 1, 1, 0)
+            return Interval._from_ends(e0, n0, e1, n1)
         if n0 < 0 and n1 < 0:
-            return self._compose(0, -1, -1, 0)
+            return Interval._from_ends(-e0, -n0, -e1, -n1)
         if n0 == 0 == n1:
             raise ZeroDivisionError("reciprocal of exact zero")
-        raise PrecisionExhausted(
-            f"cannot invert interval straddling zero: [{self.lo}, {self.hi}]"
-        )
+        raise PrecisionExhausted(_Message("cannot invert interval straddling zero: {}", self))
 
     def __truediv__(self, other: object) -> "Interval":
         parts = _exact_parts(other)
@@ -180,7 +219,7 @@ class Interval:
         u, v = parts
         if u == 0:
             raise ZeroDivisionError("reciprocal of exact zero")
-        return self._compose(v, 0, 0, u) if u > 0 else self._compose(-v, 0, 0, -u)
+        return self._affine(v, 0, u) if u > 0 else self._affine(-v, 0, -u)
 
     def __rtruediv__(self, other: object) -> "Interval":
         if _exact_parts(other) is None:
@@ -220,27 +259,21 @@ class Interval:
             return -1
         if n0 == 0 == n1:
             return 0
-        raise PrecisionExhausted(
-            f"sign undecidable on [{self.lo}, {self.hi}]"
-        )
+        raise PrecisionExhausted(_Message("sign undecidable on {}", self))
 
     def floor(self) -> int:
         n0, e0, n1, e1 = self._ends
         f = n0 // e0
         if f == n1 // e1:
             return f
-        raise PrecisionExhausted(
-            f"floor undecidable on [{self.lo}, {self.hi}]"
-        )
+        raise PrecisionExhausted(_Message("floor undecidable on {}", self))
 
     def ceil(self) -> int:
         n0, e0, n1, e1 = self._ends
         f = -(-n0 // e0)
         if f == -(-n1 // e1):
             return f
-        raise PrecisionExhausted(
-            f"ceiling undecidable on [{self.lo}, {self.hi}]"
-        )
+        raise PrecisionExhausted(_Message("ceiling undecidable on {}", self))
 
     def _offsets(self, u: int, v: int) -> Tuple[int, int]:
         """Numerators of ``n0/e0 - u/v`` and ``n1/e1 - u/v`` for ``v > 0``:
@@ -262,9 +295,7 @@ class Interval:
             return True
         elif self.lo >= other.hi:
             return False
-        raise PrecisionExhausted(
-            f"order of [{self.lo}, {self.hi}] and [{other.lo}, {other.hi}] undecidable"
-        )
+        raise PrecisionExhausted(_Message("order of {} and {} undecidable", self, other))
 
     def __bool__(self) -> bool:
         return self.sign() != 0
@@ -317,14 +348,6 @@ def _check_bits(bits: int) -> None:
         raise DomainError(f"bits must be at most {MAX_BITS}, got {bits}")
 
 
-def _dyadicize(lo: Fraction, hi: Fraction, bits: int) -> Interval:
-    """Round outward to the dyadic grid with step ``2**-bits``."""
-    scale = 1 << bits
-    lo_d = Fraction(math.floor(lo * scale), scale)
-    hi_d = Fraction(math.ceil(hi * scale), scale)
-    return Interval(lo_d, hi_d)
-
-
 def sqrt_interval(value: object, bits: int) -> Interval:
     """Enclosure of ``sqrt(value)`` of width at most ``2**-bits``.
 
@@ -347,39 +370,80 @@ def sqrt_interval(value: object, bits: int) -> Interval:
     return Interval(Fraction(s, denom), Fraction(s + 1, denom))
 
 
-def _fixed_point(total: int, terms: int, prec: int, bits: int) -> Interval:
-    """``total / 2**prec`` widened by ``terms + 2`` ulps, then ``_dyadicize``d."""
-    ulp = Fraction(1, 1 << prec)
-    return _dyadicize((total - terms - 2) * ulp, (total + terms + 2) * ulp, bits + 2)
+def _split(p: Callable[[int], int], q: Callable[[int], int],
+           a: Callable[[int], int], lo: int, hi: int) -> Tuple[int, int, int]:
+    """Exact sum of the terms ``lo <= k < hi`` of a hypergeometric series by
+    binary splitting (Haible & Papanikolaou, ANTS 1998): integers
+    ``(P, Q, T)`` with ``P = prod p(k)``, ``Q = prod q(k)`` and
+
+        ``T / Q = sum_{lo <= k < hi} a(k) * prod_{lo <= j <= k} p(j) / q(j)``.
+
+    Halves combine as ``(P1 P2, Q1 Q2, T1 Q2 + P1 T2)``; a run of at most 16
+    terms is summed term by term.
+    """
+    if hi - lo <= 16:
+        big_p, big_q, big_t = 1, 1, 0
+        for k in range(lo, hi):
+            big_p *= p(k)
+            q_k = q(k)
+            big_q, big_t = big_q * q_k, big_t * q_k + a(k) * big_p
+        return big_p, big_q, big_t
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _split(p, q, a, lo, mid)
+    p2, q2, t2 = _split(p, q, a, mid, hi)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _outward(lo: int, hi: int, prec: int, bits: int) -> Interval:
+    """The bracket ``[lo, hi] / 2**prec`` rounded outward onto the grid of
+    step ``2**-(bits+2)``, ``prec >= bits + 2``, by integer floor and
+    ceiling."""
+    shift, scale = prec - bits - 2, 1 << (bits + 2)
+    return Interval(Fraction(lo >> shift, scale), Fraction(-(-hi >> shift), scale))
 
 
 def pi_interval(bits: int) -> Interval:
-    """Enclosure of pi of width at most ``2**-bits``: Machin's formula
-    ``16 atan(1/5) - 4 atan(1/239)`` summed in integer fixed point.
+    """Enclosure of pi of width at most ``2**-bits`` from Chudnovsky's series
+    (Chudnovsky & Chudnovsky 1988) ``sum_k t_k = 426880 sqrt(10005) / pi``,
+    ``t_k = (-1)^k (6k)! a(k) / ((3k)! k!^3 640320^(3k))`` with
+    ``a(k) = A + B k``, ``A = 13591409`` and ``B = 545140134``, summed
+    exactly by :func:`_split`.
 
-    Each term is an exact floor (a floor of a floor is the floor of the
-    quotient) and each tail is below one ulp, so the sum is off by fewer
-    than (number of terms + 2) ulps.
+    With ``P, Q, T`` over ``1 <= k <= n``, the terms ``k <= n`` sum to
+    ``(A Q + T) / Q``.  The series alternates and ``|t_k|`` falls by a factor
+    above ``640320^3 / 1728 / 42 > 2^41``, so the rest lies within
+    ``|t_n| = a(n) |P| / Q`` of 0; ``n = prec // 47 + 2`` puts ``|t_n|``
+    below ``2**-prec``.  ``sqrt(10005) * 2**prec`` lies in ``[s, s + 1)``
+    with ``s`` its :func:`math.isqrt`.  So ``pi * 2**prec`` lies between
+    ``426880 s Q / (H + D)`` and ``426880 (s + 1) Q / (H - D)`` with
+    ``H = A Q + T`` and ``D = a(n) |P|``: the floor of the one and the
+    ceiling of the other are the bracket that :func:`_outward` rounds.
     """
     _check_bits(bits)
-    prec, total, terms = bits + bits.bit_length() + 16, 0, 0
-    for x, weight, sign in ((5, 16, 1), (239, 4, -1)):
-        power, k = (weight << prec) // x, 0
-        while power:
-            total += sign * (power // (2 * k + 1))
-            sign, power, k = -sign, power // (x * x), k + 1
-        terms += k
-    return _fixed_point(total, terms, prec, bits)
+    prec = bits + bits.bit_length() + 16
+    n = prec // 47 + 2
+    p, q, t = _split(lambda k: -(6 * k - 5) * (2 * k - 1) * (6 * k - 1),
+                     lambda k: k * k * k * (640320 ** 3 // 24),
+                     lambda k: 13591409 + 545140134 * k, 1, n + 1)
+    head, tail = 13591409 * q + t, (13591409 + 545140134 * n) * abs(p)
+    num = 426880 * q
+    low = num * math.isqrt(10005 << (2 * prec))
+    return _outward(low // (head + tail), -(-(low + num) // (head - tail)), prec, bits)
 
 
 def e_interval(bits: int) -> Interval:
-    """Enclosure of e of width at most ``2**-bits``: ``sum 1/k!`` in integer
-    fixed point, each term the exact floor of ``2**prec / k!`` and the tail
-    below 2 ulps, so off by fewer than (number of terms + 2) ulps."""
+    """Enclosure of e of width at most ``2**-bits`` from ``sum 1/k!``, summed
+    exactly by :func:`_split`.
+
+    With ``Q = (n-1)!`` and ``T / Q = sum_{1 <= k < n} 1/k!``, e lies in
+    ``[(T + Q) / Q, (T + Q + 1) / Q]``: the tail ``sum_{k >= n} 1/k!`` is at
+    most ``(1/n!) (n + 1) / n <= 1/Q`` for ``n >= 2``.  ``n`` is the least
+    with ``lgamma(n) = ln (n-1)! >= prec ln 2``, so ``1/Q`` is about
+    ``2**-prec``.  The floor of the lower end and the ceiling of the upper
+    one, times ``2**prec``, are the bracket that :func:`_outward` rounds.
+    """
     _check_bits(bits)
-    prec, total, k = bits + bits.bit_length() + 16, 0, 0
-    term = 1 << prec
-    while term:
-        total, k = total + term, k + 1
-        term //= k
-    return _fixed_point(total, k, prec, bits)
+    prec = bits + bits.bit_length() + 16
+    n = 2 + bisect.bisect_left(range(2, prec + 2), prec * math.log(2), key=math.lgamma)
+    _, q, t = _split(lambda k: 1, lambda k: k, lambda k: 1, 1, n)
+    return _outward(((t + q) << prec) // q, -(-((t + q + 1) << prec) // q), prec, bits)

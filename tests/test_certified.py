@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -13,7 +14,10 @@ from expansions import (
     DomainError,
     Interval,
     PrecisionExhausted,
+    build_system,
+    coefficient_code,
     e_interval,
+    parse_expression,
     pi_interval,
     sqrt_interval,
 )
@@ -133,19 +137,37 @@ def test_constants_enclose_mpmath_within_budget(constant, build):
         assert iv.width() <= Fraction(1, 2 ** bits), (constant, bits)
 
 
+@pytest.mark.parametrize("constant, build", [("pi", pi_interval), ("e", e_interval)])
+def test_constants_are_the_one_ulp_grid_bracket(constant, build):
+    # pinned: at b bits the constant c is [floor(c 2^(b+2)), ceil(c 2^(b+2))]
+    # / 2^(b+2), endpoints stored reduced; one mpmath bracket far tighter than
+    # every grid serves all b
+    lo, hi = _mpmath_bracket(constant, 4096 + 128)
+    for bits in list(range(1, 1025)) + [2048, 4096]:
+        scale = 1 << (bits + 2)
+        floor = math.floor(lo * scale)
+        assert floor == math.floor(hi * scale), (constant, bits)
+        expected = Interval(Fraction(floor, scale), Fraction(floor + 1, scale))
+        iv = build(bits)
+        assert iv == expected, (constant, bits)
+        assert iv._ends == (expected.lo.numerator, expected.lo.denominator,
+                            expected.hi.numerator, expected.hi.denominator)
+
+
 def test_fixed_point_sums_enclose_before_rounding(monkeypatch):
-    # the sum widened by its counted error (terms + 2 ulps) already encloses
-    # the constant, before the outward rounding to bits + 2
+    # the integer bracket on the 2**-prec grid, series tail and isqrt
+    # accounted for, already encloses the constant, before the outward
+    # rounding to bits + 2
     import expansions.certified as certified
 
     inner = []
-    rounding = certified._dyadicize
+    rounding = certified._outward
 
-    def recording(lo, hi, bits):
-        inner.append((lo, hi))
-        return rounding(lo, hi, bits)
+    def recording(lo, hi, prec, bits):
+        inner.append((Fraction(lo, 1 << prec), Fraction(hi, 1 << prec)))
+        return rounding(lo, hi, prec, bits)
 
-    monkeypatch.setattr(certified, "_dyadicize", recording)
+    monkeypatch.setattr(certified, "_outward", recording)
     for bits in (1, 2, 3, 7, 64, 100, 1024):
         for constant, build in (("pi", pi_interval), ("e", e_interval)):
             inner.clear()
@@ -347,3 +369,101 @@ def test_a_stepped_interval_compares_and_prints_as_its_endpoints(start, steps):
     assert str(y) == str(flat) == f"[{y.lo},{y.hi}]"
     assert repr(y) == repr(flat) == f"Interval(lo={y.lo!r}, hi={y.hi!r})"
     assert y != Interval(y.lo, y.hi + 1) and y != (y.lo, y.hi)
+
+
+# -- the affine and reciprocal shortcuts against the general Moebius map -----
+
+def _moebius(ends, al, be, ga, de):
+    """Each endpoint ``n/e`` of ``ends`` mapped to ``(al*n + be*e) / (ga*n + de*e)``."""
+    n0, e0, n1, e1 = ends
+    return (al * n0 + be * e0, ga * n0 + de * e0, al * n1 + be * e1, ga * n1 + de * e1)
+
+
+# the matrix (al, be, ga, de) of each exact step, for an operand u/v in lowest terms
+_MATRICES = {
+    "+": lambda u, v: (v, u, 0, v),
+    "r+": lambda u, v: (v, u, 0, v),
+    "-": lambda u, v: (v, -u, 0, v),
+    "r-": lambda u, v: (-v, u, 0, v),
+    "*": lambda u, v: (u, 0, 0, v),
+    "r*": lambda u, v: (u, 0, 0, v),
+    "/": lambda u, v: (v, 0, 0, u) if u > 0 else (-v, 0, 0, -u),
+    "neg": lambda u, v: (-1, 0, 0, 1),
+}
+_SHORTCUT_APPLY = dict(_APPLY, **{
+    "r+": lambda y, k: k + y,
+    "r*": lambda y, k: k * y,
+    "1/": lambda y, k: y.reciprocal(),
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(_intervals, st.lists(st.tuples(st.sampled_from(sorted(_SHORTCUT_APPLY)), _exact),
+                            min_size=1, max_size=8))
+def test_shortcuts_give_the_general_maps_ends(start, steps):
+    # every exact step yields the integers of the 8-product map; chained steps
+    # make the endpoint fractions unreduced, of either sign or zero
+    y = start
+    for name, k in steps:
+        u, v = Fraction(k).numerator, Fraction(k).denominator
+        n0, _, n1, _ = y._ends
+        sign = 1 if n0 > 0 and n1 > 0 else -1 if n0 < 0 and n1 < 0 else 0
+        if name == "/" and u == 0 or name in ("1/", "r/") and sign == 0:
+            continue  # refused: division by exact zero, or a sign not certified
+        if name in ("1/", "r/"):
+            expected = _moebius(y._ends, 0, sign, sign, 0)
+            if name == "r/" and k != 1:
+                expected = _moebius(expected, *_MATRICES["*"](u, v))
+        else:
+            expected = _moebius(y._ends, *_MATRICES[name](u, v))
+        y = _SHORTCUT_APPLY[name](y, k)
+        assert y._ends == expected, name
+
+
+# -- exhaustion under the interpreter's default int/str digit limit ---------
+
+@pytest.fixture
+def default_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int/str digit limit on this interpreter")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_exhaustion_past_the_digit_limit_keeps_level_and_prefix(default_digit_limit):
+    # the enclosure's endpoints exceed 4300 digits when the floor fails; the
+    # message names their bit lengths instead, and the certified code survives
+    y = parse_expression("sqrt(2)-1", "real", bits=30000)
+    with pytest.raises(PrecisionExhausted) as info:
+        coefficient_code(build_system("base10"), y, 30000)
+    exc = info.value
+    assert exc.level == len(exc.prefix) == 9030
+    assert exc.prefix[:8] == [4, 1, 4, 2, 1, 3, 5, 6]
+    assert str(exc) == "floor undecidable on [endpoints of 20972 and 20969 bits]"
+
+
+def test_messages_past_the_digit_limit_name_bit_lengths(default_digit_limit):
+    tiny = Fraction(1, 3 ** 10000)  # 4772 decimal digits, 15850 bits
+    y = Interval(-tiny, tiny)
+    big = "[endpoints of 15850 and 15850 bits]"
+    cases = (
+        (lambda: math.floor(y), f"floor undecidable on {big}", "floor undecidable on {}"),
+        (lambda: math.ceil(y), f"ceiling undecidable on {big}", "ceiling undecidable on {}"),
+        (lambda: bool(y), f"sign undecidable on {big}", "sign undecidable on {}"),
+        (lambda: y.reciprocal(), f"cannot invert interval straddling zero: {big}",
+         "cannot invert interval straddling zero: {}"),
+        (lambda: y < 0, f"order of {big} and [0, 0] undecidable", "order of {} and [0, 0] undecidable"),
+        (lambda: y > 0, f"order of [0, 0] and {big} undecidable", "order of [0, 0] and {} undecidable"),
+    )
+    for op, limited, template in cases:
+        with pytest.raises(PrecisionExhausted) as info:
+            op()
+        assert str(info.value) == limited
+        # with the limit lifted (as the CLI does) the message is the decimal one
+        sys.set_int_max_str_digits(0)
+        assert str(info.value) == template.format(f"[{-tiny}, {tiny}]")
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
