@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence
 
 from .approx import alpha_list
-from .certified import Interval, e_interval, pi_interval, sqrt_interval
+from .certified import Interval, _Message, e_interval, pi_interval, sqrt_interval
 from .coefficients import CONE, ComplexRational
 from .errors import DomainError, ParseError, PrecisionExhausted, UnsupportedInContext
 from .series import PowerSeries
@@ -262,9 +262,9 @@ class _ScalarEnv(_Env):
                 if root.is_point():
                     return root.lo
             elif arg.hi < 0:
-                raise DomainError(f"sqrt of negative value {arg}")
+                raise DomainError(_Message("sqrt of negative value {}", arg))
             elif arg.lo < 0:
-                raise PrecisionExhausted(f"sign of sqrt argument {arg} undecidable")
+                raise PrecisionExhausted(_Message("sign of sqrt argument {} undecidable", arg))
             else:
                 root = Interval(
                     sqrt_interval(arg.lo, self.bits).lo,

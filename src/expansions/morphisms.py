@@ -265,11 +265,14 @@ def _f_shift_morphism(
 ) -> Tuple[ShiftedSystem, Morphism]:
     """Shift of an f-expansion: ``E1 = f`` moves elements to ``f([0, 1))``,
     where the coefficient is the integer part and ``E2`` the fractional part.
-    An infinite ``f(0)`` is the added point of the target, which the inverse
-    of ``E1`` and ``E2`` both send to 0."""
+    The inverse of ``E1`` applies the matrix ``f_inv``.  An infinite
+    ``f(0)`` is the added point of the target, which the inverse of ``E1``
+    and ``E2`` both send to 0."""
+
+    a, b, g, d = source.f_inv
 
     def e1_inv(i: int, y: Any) -> Any:
-        return Fraction(0) if is_infinite(y) else source.f_inv(y)
+        return Fraction(0) if is_infinite(y) else (a * y + b) / (g * y + d)
 
     def e2(i: int, y: Any) -> Any:
         return Fraction(0) if is_infinite(y) else y - math.floor(y)

@@ -2,8 +2,10 @@
 
 Base-``b`` digits and continued fractions are f-expansions
 (:class:`FExpansionSystem`): one step emits ``floor(f(y))`` and keeps the
-fractional part, one reconstruct applies the inverse of ``f``.  The Egyptian
-and Engel systems share one class for their ``ceil(1/y)`` coefficient map.
+fractional part.  The Egyptian and Engel systems share one class for their
+``ceil(1/y)`` coefficient map.  Every system reconstructs by one Möbius
+branch per coefficient: an integer matrix applied to the tail, admitted when
+its image lies below the open top of the coefficient's cylinder.
 
 Every step here is a Möbius map of the remainder (``b*y - d``, ``1/y - q``,
 ``y - 1/q``, ``q*y - 1``), spelled with ``math.floor``, ``math.ceil``, ``<``,
@@ -30,11 +32,20 @@ from .core import ORDER_REVERSED, ORDER_STANDARD, ExpansionSystem
 from .errors import DomainError
 
 Real = Union[Fraction, Interval]
+Matrix = Tuple[int, int, int, int]
 
 
 class _UnitIntervalSystem(ExpansionSystem):
     """Shared behaviour of systems whose every level is ``[0, 1)``; a
-    subclass supplies ``step``, and ``project``/``expand`` read its halves."""
+    subclass supplies ``step``, and ``project``/``expand`` read its halves.
+
+    A subclass also supplies ``branch(c)``, which validates ``c`` and
+    returns the integer matrix ``(a, b, g, d)`` of the preimage
+    ``y = (a*t + b) / (g*t + d)`` of ``(c, t)``, or ``None`` for the neutral
+    coefficient, whose only preimage is the neutral pair.  The preimage is
+    admitted when ``k*y < 1``, where ``1/k`` (:meth:`_top`) is the open top
+    of the cylinder of ``c`` (Gosper, HAKMEM item 101; Vuillemin 1990).
+    """
 
     kind = "real"
 
@@ -57,6 +68,23 @@ class _UnitIntervalSystem(ExpansionSystem):
     def expand(self, i: int, y: Any) -> Any:
         return self.step(i, y)[1]
 
+    def _top(self, c: int) -> int:
+        return 1
+
+    def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
+        matrix = self.branch(c)
+        if matrix is None:
+            return None if tail else 0 * tail
+        a, b, g, d = matrix
+        k = self._top(c)
+        if isinstance(tail, Interval):
+            y = (a * tail + b) / (g * tail + d if g else d)
+            return y if k * y < 1 else None
+        # a Fraction tail p/q: one reduction of the image's two integers
+        p, q = tail.numerator, tail.denominator
+        num, den = a * p + b * q, g * p + d * q
+        return Fraction(num, den) if k * num < den else None
+
     def is_neutral(self, i: int, y: Any) -> bool:
         return not y
 
@@ -70,38 +98,28 @@ class FExpansionSystem(_UnitIntervalSystem):
     """Expansion driven by a scaling map ``f`` on ``[0, 1)`` (Rényi 1957).
 
     ``project`` emits ``floor(f(y))`` (with infinities passed through) and
-    ``expand`` the fractional part; reconstruction applies the inverse of
-    ``f`` after an image-membership check.  The neutral element projects to
-    ``f(0)``.  ``f(x) = b*x`` gives :class:`BaseSystem` and ``f(x) = 1/x``
-    (with ``f(0) = INF``) :class:`ContinuedFractionSystem`.
+    ``expand`` the fractional part; the branch of ``c`` is ``f_inv(c + t)``,
+    admitted inside ``[0, 1)``.  The neutral element projects to ``f(0)``.
+    ``f(x) = b*x`` gives :class:`BaseSystem` and ``f(x) = 1/x`` (with
+    ``f(0) = INF``) :class:`ContinuedFractionSystem`.
 
     Args:
         name: registry/report identifier.
         f: the scaling map; may return ``INF``.
-        f_inv: inverse of ``f`` on its image.
-        in_image: certified predicate for membership of ``c + tail`` in
-            ``f([0,1) \\ {0})``.
+        f_inv: the integer matrix ``(a, b, g, d)`` of the inverse of ``f``,
+            ``w -> (a*w + b) / (g*w + d)``, on its image.
     """
 
     coefficient_order_kind = ORDER_STANDARD
 
-    def __init__(
-        self,
-        name: str,
-        f: Callable[[Real], Any],
-        f_inv: Callable[[Real], Real],
-        in_image: Callable[[Real], bool],
-    ) -> None:
+    def __init__(self, name: str, f: Callable[[Real], Any], f_inv: Matrix) -> None:
         self.name = name
         self.f = f
         self.f_inv = f_inv
-        self._in_image = in_image
         at_zero = f(Fraction(0))
-        if is_infinite(at_zero):
-            self._neutral_coeff: Optional[ExtendedInt] = at_zero
-        elif isinstance(at_zero, Fraction) and at_zero.denominator == 1:
-            self._neutral_coeff = None
-        else:
+        self._infinite_at_zero = is_infinite(at_zero)
+        if not (self._infinite_at_zero
+                or isinstance(at_zero, Fraction) and at_zero.denominator == 1):
             raise DomainError(
                 f"f(0) = {at_zero} is neither an integer nor infinite; "
                 "the neutral element would not expand to itself"
@@ -114,15 +132,13 @@ class FExpansionSystem(_UnitIntervalSystem):
         d = math.floor(v)
         return d, v - d
 
-    def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
-        if isinstance(c, int):
-            w = c + tail
-            return self.f_inv(w) if self._in_image(w) else None
-        if not is_infinite(c):
+    def branch(self, c: ExtendedInt) -> Optional[Matrix]:
+        if c is INF and self._infinite_at_zero:
+            return None
+        if not isinstance(c, int):
             raise DomainError(f"coefficient {c!r} is not an integer")
-        if self._neutral_coeff is c and not tail:
-            return 0 * tail
-        return None
+        a, b, g, d = self.f_inv
+        return a, a * c + b, g, g * c + d
 
 
 def _reciprocal(y: Real) -> Any:
@@ -149,8 +165,7 @@ class BaseSystem(FExpansionSystem):
     ) -> None:
         if base < 2:
             raise DomainError(f"base must be >= 2, got {base}")
-        super().__init__(f"base{base}", f=lambda y: base * y,
-                         f_inv=lambda w: w / base, in_image=lambda w: True)
+        super().__init__(f"base{base}", f=lambda y: base * y, f_inv=(1, 0, 0, base))
         self.base = base
         self._sigma = self._sigma_inv = list(range(base))
         if digit_permutation is not None:
@@ -169,10 +184,10 @@ class BaseSystem(FExpansionSystem):
         d, rest = super().step(i, y)
         return self._sigma[d], rest
 
-    def reconstruct(self, i: int, c: int, tail: Any) -> Optional[Any]:
+    def branch(self, c: int) -> Matrix:
         if not isinstance(c, int) or not 0 <= c < self.base:
             raise DomainError(f"coefficient {c!r} is not a base-{self.base} digit")
-        return super().reconstruct(i, self._sigma_inv[c], tail)
+        return super().branch(self._sigma_inv[c])
 
 
 class ContinuedFractionSystem(FExpansionSystem):
@@ -186,13 +201,12 @@ class ContinuedFractionSystem(FExpansionSystem):
     """
 
     def __init__(self) -> None:
-        super().__init__("cf", f=_reciprocal, f_inv=lambda w: 1 / w,
-                         in_image=lambda w: 1 < w)
+        super().__init__("cf", f=_reciprocal, f_inv=(0, 1, 1, 0))
 
-    def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
+    def branch(self, c: ExtendedInt) -> Optional[Matrix]:
         if c is not INF and (not isinstance(c, int) or c < 1):
             raise DomainError(f"coefficient {c!r} is not a partial quotient")
-        return super().reconstruct(i, c, tail)
+        return super().branch(c)
 
 
 class _UnitFractionSystem(_UnitIntervalSystem):
@@ -201,10 +215,11 @@ class _UnitFractionSystem(_UnitIntervalSystem):
     Both emit ``ceil(1/y)`` (which is >= 2 on ``(0, 1)``) and ``INF`` at the
     neutral element, which expands to itself and is the only preimage of
     ``(INF, 0)``.  A subclass supplies the remainder ``_remainder(y, q)`` and
-    ``_reconstruct_finite(c, tail)``.  Their coefficient spaces carry the
-    *reversed* order — under it the coefficient maps become monotone
-    increasing and ``INF`` is smallest — and their rational expansions
-    strictly decrease numerators.
+    the branch ``_branch(c)``.  ``ceil(1/y) == c`` exactly when
+    ``1/c <= y < 1/(c-1)``, so the cylinder's open top is ``1/(c-1)``.
+    Their coefficient spaces carry the *reversed* order — under it the
+    coefficient maps become monotone increasing and ``INF`` is smallest —
+    and their rational expansions strictly decrease numerators.
     """
 
     coefficient_order_kind = ORDER_REVERSED
@@ -219,12 +234,15 @@ class _UnitFractionSystem(_UnitIntervalSystem):
         # no remainder: ``y - 1/q`` carries the bits of ``q`` into the endpoints
         return math.ceil(1 / y) if y else INF
 
-    def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
+    def branch(self, c: ExtendedInt) -> Optional[Matrix]:
         if c is INF:
-            return None if tail else 0 * tail
+            return None
         if not isinstance(c, int) or c < 2:
             raise DomainError(f"coefficient {c!r} is not a unit-fraction index")
-        return self._reconstruct_finite(c, tail)
+        return self._branch(c)
+
+    def _top(self, c: int) -> int:
+        return c - 1
 
 
 class EgyptianSystem(_UnitFractionSystem):
@@ -236,12 +254,8 @@ class EgyptianSystem(_UnitFractionSystem):
     def _remainder(self, y: Any, q: int) -> Any:
         return y - Fraction(1, q)
 
-    def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
-        # ceil(1/y) == c exactly when 1/c <= y < 1/(c-1), i.e. the remainder
-        # lies below 1/(c(c-1)).
-        if not tail < Fraction(1, c * (c - 1)):
-            return None
-        return Fraction(1, c) + tail
+    def _branch(self, c: int) -> Matrix:
+        return c, 1, 0, c  # 1/c + t
 
 
 class EngelSystem(_UnitFractionSystem):
@@ -254,28 +268,5 @@ class EngelSystem(_UnitFractionSystem):
     def _remainder(self, y: Any, q: int) -> Any:
         return y * q - 1
 
-    def _reconstruct_finite(self, c: int, tail: Any) -> Optional[Any]:
-        # 1/c <= (1 + tail)/c < 1/(c-1) exactly when tail < 1/(c-1).
-        if not tail < Fraction(1, c - 1):
-            return None
-        return (1 + tail) / c
-
-
-def magnitude_prefix(y: Fraction) -> Tuple[int, Fraction]:
-    """Decimal magnitude split: the least integer ``c`` with ``y / 10**c < 1``,
-    paired with that quotient.
-
-    The quotient lands in ``[1/10, 1)`` for positive ``y``, so it can be fed
-    to any system on the unit interval; ``y = 0`` maps to ``(0, 0)``.
-    """
-    y = Fraction(y)
-    if y < 0:
-        raise DomainError(f"magnitude split needs a non-negative value, got {y}")
-    if y == 0:
-        return 0, Fraction(0)
-    c = 0
-    while y >= Fraction(10) ** c:
-        c += 1
-    while y < Fraction(10) ** (c - 1):
-        c -= 1
-    return c, y / Fraction(10) ** c
+    def _branch(self, c: int) -> Matrix:
+        return 1, 1, 0, c  # (1 + t)/c

@@ -422,18 +422,6 @@ def test_shortcuts_give_the_general_maps_ends(start, steps):
 
 # -- exhaustion under the interpreter's default int/str digit limit ---------
 
-@pytest.fixture
-def default_digit_limit():
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("no int/str digit limit on this interpreter")
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 def test_exhaustion_past_the_digit_limit_keeps_level_and_prefix(default_digit_limit):
     # the enclosure's endpoints exceed 4300 digits when the floor fails; the
     # message names their bit lengths instead, and the certified code survives

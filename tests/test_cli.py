@@ -73,16 +73,29 @@ def test_expand_certified_irrational():
     assert (code, out, err) == (0, "2 5 141 68575\n", "")
 
 
-def test_convergent_trace_lists_stages_top_down():
+# input and expected `--emit trace` output (stages top down) per real system
+TRACE_GOLDENS = {
+    "base10": ("1/3", "3: 0\n2: 3/10\n1: 33/100\n0: 333/1000\n"),
+    "base10-shuffled": ("pi-3", "3: 0\n2: 1/10\n1: 41/100\n0: 141/1000\n"),
+    "cf": ("sqrt(2)-1", "4: 0\n3: 1/2\n2: 2/5\n1: 5/12\n0: 12/29\n"),
+    "egyptian": ("sqrt(1/2)", "3: 0\n2: 1/141\n1: 146/705\n0: 997/1410\n"),
+    "engel": ("e-2", "4: 0\n3: 1/5\n2: 3/10\n1: 13/30\n0: 43/60\n"),
+}
+
+
+@pytest.mark.parametrize("system", TRACE_GOLDENS)
+def test_convergent_trace_lists_stages_top_down(system):
+    text, golden = TRACE_GOLDENS[system]
     code, out, err = run_cli(
         "convergent",
-        "--system", "base10",
-        "--input", "1/3",
-        "--order", "3",
+        "--system", system,
+        "--input", text,
+        "--bits", "64",
+        "--order", str(golden.count("\n") - 1),
         "--emit", "trace",
     )
     assert code == 0 and err == ""
-    assert out == "3: 0\n2: 3/10\n1: 33/100\n0: 333/1000\n"
+    assert out == golden
 
 
 def test_convergent_value_with_decimal_rendering():

@@ -5,6 +5,7 @@ expression contexts (real / series / germ / polynomial / trig) are checked
 against hand-expanded series heads.
 """
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -281,6 +282,23 @@ def test_sqrt_of_enclosure_decides_sign_or_exhausts():
         parse_expression(near_zero, "real", bits=16)
     root = parse_expression(near_zero, "real", bits=64)
     assert isinstance(root, Interval) and root.lo > 0
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("sqrt(sqrt(2)-2)", DomainError,
+     "sqrt of negative value [endpoints of 30001 and 29997 bits]"),
+    ("sqrt(sqrt(2)-sqrt(2))", PrecisionExhausted,
+     "sign of sqrt argument [endpoints of 30001 and 30001 bits] undecidable"),
+], ids=["negative", "undecidable"])
+def test_sqrt_refusals_past_the_digit_limit_name_bit_lengths(
+        default_digit_limit, text, error, message):
+    # the argument's endpoints exceed 4300 digits: the message is formatted
+    # when read, so the library raises its own error, not ValueError
+    with pytest.raises(error) as info:
+        parse_expression(text, "real", bits=30000)
+    assert str(info.value) == message
+    sys.set_int_max_str_digits(0)
+    assert str(info.value).startswith(message.split("[")[0] + "[-")
 
 
 def test_index_schedule_tokenizes_once(monkeypatch):

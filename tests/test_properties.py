@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import expansions
@@ -176,6 +176,46 @@ def test_registry_samples_roundtrip_reals_and_trig(system_id, seed):
     assert head_coincidence(system, y, 8)
     if system_id in REAL_SYSTEMS:
         assert roundtrip_check(system, Interval.exact(y), 8)
+
+
+_INDICES = st.integers(2, 40) | st.just(INF)
+REAL_ALPHABETS = {"base10": st.integers(0, 9), "base10-shuffled": st.integers(0, 9),
+                  "cf": st.integers(1, 40) | st.just(INF),
+                  "egyptian": _INDICES, "engel": _INDICES}
+unit_tails = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda t: t < 1)
+
+
+def _candidate(system_id, c, t):
+    """The preimage of ``(c, t)`` by each system's own rule, before any check
+    that it lies in ``[0, 1)`` or steps back to ``(c, t)``."""
+    if c is INF:
+        return Fraction(0)
+    if system_id == "base10":
+        return (c + t) / 10
+    if system_id == "base10-shuffled":
+        return (SHUFFLE_SIGMA.index(c) + t) / 10
+    if system_id == "cf":
+        return 1 / (c + t)
+    return 1 / Fraction(c) + t if system_id == "egyptian" else (1 + t) / c
+
+
+@bounded
+@given(st.sampled_from(REAL_SYSTEMS).flatmap(
+    lambda sid: st.tuples(st.just(sid), REAL_ALPHABETS[sid], unit_tails)))
+@example(("cf", 1, Fraction(0)))
+@example(("egyptian", 3, Fraction(1, 6)))
+@example(("engel", 3, Fraction(1, 2)))
+def test_real_reconstruct_refuses_exactly_what_does_not_step_back(case):
+    # reconstruct returns the candidate preimage exactly when it is an
+    # element whose step gives (c, t) again, on a Fraction and on a point
+    # enclosure alike; the three examples are exact cylinder tops
+    system_id, c, t = case
+    system = build_system(system_id)
+    y = _candidate(system_id, c, t)
+    admitted = 0 <= y < 1 and system.step(0, y) == (c, t)
+    assert system.reconstruct(0, c, t) == (y if admitted else None)
+    assert system.reconstruct(0, c, Interval.exact(t)) == (
+        Interval.exact(y) if admitted else None)
 
 
 @bounded

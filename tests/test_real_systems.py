@@ -20,7 +20,6 @@ from expansions import (
     coefficient_code,
     convergence_report,
     convergent,
-    magnitude_prefix,
     order_of,
     parse_expression,
     pi_interval,
@@ -224,9 +223,8 @@ def test_non_mobius_f_expansion_runs_on_the_enclosure(text, bits, code, level) -
     # y*y is no Möbius step, so 4*y*y multiplies two Intervals on their
     # endpoints: the code (pinned), the failing level and its message are
     # those of the same steps written in the test; only the forward code is
-    # read here
-    square = FExpansionSystem("square", f=lambda y: 4 * y * y,
-                              f_inv=lambda w: None, in_image=lambda w: False)
+    # read here, and the constant inverse w -> 1 refuses every reconstruct
+    square = FExpansionSystem("square", f=lambda y: 4 * y * y, f_inv=(0, 1, 0, 1))
     y = stage = parse_expression(text, "real", bits=bits)
     reference, message = [], None
     try:
@@ -268,21 +266,6 @@ def test_reconstruct_rejects_foreign_coefficients() -> None:
     for c in (0, -3, F(3, 2)):
         with pytest.raises(DomainError):
             ContinuedFractionSystem().reconstruct(0, c, F(0))
-
-
-def test_magnitude_prefix() -> None:
-    assert magnitude_prefix(F(125)) == (3, F(1, 8))
-    assert magnitude_prefix(F(1)) == (1, F(1, 10))
-    assert magnitude_prefix(F(0)) == (0, F(0))
-    assert magnitude_prefix(F(1, 100)) == (-1, F(1, 10))
-    rng = random.Random(109)
-    for _ in range(50):
-        y = F(rng.randrange(1, 10**7), rng.randrange(1, 10**4))
-        k, rest = magnitude_prefix(y)
-        assert y == F(10) ** k * rest
-        assert F(1, 10) <= rest < 1
-        # k is the smallest exponent pulling y into [1/10, 1).
-        assert y >= F(10) ** (k - 1)
 
 
 def test_interval_backend_matches_exact() -> None:
