@@ -75,6 +75,19 @@ class ExpansionSystem:
         work overrides this to do it once."""
         return self.project(i, y), self.expand(i, y)
 
+    def backward_pass(self, coeffs: Sequence[Any]) -> "ConvergentTrace":
+        """Seed the level-``n`` neutral and reconstruct down to level 0; a
+        system with a cheaper form of the same chain overrides this."""
+        n = len(coeffs)
+        stages: List[Optional[Any]] = [None] * (n + 1)
+        stages[n] = self.neutral(n)
+        for i in range(n - 1, -1, -1):
+            nxt = self.reconstruct(i, coeffs[i], stages[i + 1])
+            if nxt is None:
+                return ConvergentTrace(n=n, stages=stages, improper_at=i)
+            stages[i] = nxt
+        return ConvergentTrace(n=n, stages=stages, improper_at=None)
+
     # -- comparisons -------------------------------------------------------
 
     def is_neutral(self, i: int, y: Any) -> bool:
@@ -128,13 +141,14 @@ class ConvergentTrace:
         n: convergent index (number of coefficients consumed).
         stages: ``stages[k]`` is the level-``k`` stage of the convergent for
             ``k = n`` (the neutral seed) down to the failure point; entries
-            below a failed reconstruction are ``None``.
+            below a failed reconstruction are ``None``.  A read-only sequence,
+            which may build each stage when it is read.
         improper_at: level index of the failed reconstruction, or ``None``
             if every step landed in the image.
     """
 
     n: int
-    stages: List[Optional[Any]]
+    stages: Sequence[Optional[Any]]
     improper_at: Optional[int]
 
     @property
@@ -194,16 +208,9 @@ def coefficient_code(system: ExpansionSystem, y: Any, n: int) -> List[Any]:
 def convergent_from_code(
     system: ExpansionSystem, coeffs: Sequence[Any]
 ) -> ConvergentTrace:
-    """Backward pass: seed the level-``n`` neutral and reconstruct down to 0."""
-    n = len(coeffs)
-    stages: List[Optional[Any]] = [None] * (n + 1)
-    stages[n] = system.neutral(n)
-    for i in range(n - 1, -1, -1):
-        nxt = system.reconstruct(i, coeffs[i], stages[i + 1])
-        if nxt is None:
-            return ConvergentTrace(n=n, stages=stages, improper_at=i)
-        stages[i] = nxt
-    return ConvergentTrace(n=n, stages=stages, improper_at=None)
+    """Backward pass: seed the level-``n`` neutral and reconstruct down to 0
+    (:meth:`ExpansionSystem.backward_pass`)."""
+    return system.backward_pass(coeffs)
 
 
 def convergent(system: ExpansionSystem, y: Any, n: int) -> ConvergentTrace:

@@ -5,7 +5,10 @@ Base-``b`` digits and continued fractions are f-expansions
 fractional part.  The Egyptian and Engel systems share one class for their
 ``ceil(1/y)`` coefficient map.  Every system reconstructs by one Möbius
 branch per coefficient: an integer matrix applied to the tail, admitted when
-its image lies below the open top of the coefficient's cylinder.
+its image lies below the open top of the coefficient's cylinder.  The
+backward pass of a convergent runs those matrices on unreduced integer pairs
+and reduces a stage to a ``Fraction`` only when it is read (Gosper, HAKMEM
+item 101; Vuillemin 1990).
 
 Every step here is a Möbius map of the remainder (``b*y - d``, ``1/y - q``,
 ``y - 1/q``, ``q*y - 1``), spelled with ``math.floor``, ``math.ceil``, ``<``,
@@ -13,26 +16,58 @@ Every step here is a Möbius map of the remainder (``b*y - d``, ``1/y - q``,
 runs on exact ``Fraction`` values and on certified remainders of irrational
 inputs: an :class:`~expansions.certified.Interval` maps the two unreduced
 fractions of its endpoints by each such map, so each level costs a few
-integer products instead of reducing two ``Fraction`` endpoints.  On an
-enclosure the predicates are certified, so a too-narrow precision budget
-surfaces as :class:`~expansions.errors.PrecisionExhausted` rather than a
-wrong digit.  A map ``f`` that is not Möbius, such as ``4*y*y``, multiplies
-two intervals, which runs on their endpoints.
+integer products instead of reducing two ``Fraction`` endpoints.  An
+f-expansion steps an enclosure by the integer matrix of ``f`` itself, the
+inverse of ``f_inv``.  On an enclosure the predicates are certified, so a
+too-narrow precision budget surfaces as
+:class:`~expansions.errors.PrecisionExhausted` rather than a wrong digit.  A
+map ``f`` that is not Möbius, such as ``4*y*y``, multiplies two intervals,
+which runs on their endpoints.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from .certified import Interval
 from .coefficients import INF, ExtendedInt, is_infinite
-from .core import ORDER_REVERSED, ORDER_STANDARD, ExpansionSystem
+from .core import ORDER_REVERSED, ORDER_STANDARD, ConvergentTrace, ExpansionSystem
 from .errors import DomainError
 
 Real = Union[Fraction, Interval]
 Matrix = Tuple[int, int, int, int]
+
+
+class _FractionStages(Sequence):
+    """Stages of a real backward pass: each held as an integer pair
+    ``(p, q)`` until read, then as the reduced ``Fraction(p, q)``."""
+
+    __slots__ = ("_stages",)
+
+    def __init__(self, stages: List[Any]) -> None:
+        self._stages = stages
+
+    def __len__(self) -> int:
+        return len(self._stages)
+
+    def __getitem__(self, k: Any) -> Any:
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        stage = self._stages[k]
+        if type(stage) is tuple:
+            stage = self._stages[k] = Fraction(*stage)
+        return stage
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, _FractionStages)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 class _UnitIntervalSystem(ExpansionSystem):
@@ -72,18 +107,43 @@ class _UnitIntervalSystem(ExpansionSystem):
         return 1
 
     def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
+        if isinstance(tail, Interval):
+            matrix = self.branch(c)
+            if matrix is None:
+                return None if tail else 0 * tail
+            a, b, g, d = matrix
+            y = (a * tail + b) / (g * tail + d if g else d)
+            return y if self._top(c) * y < 1 else None
+        # a Fraction tail p/q: one reduction of the image's two integers
+        image = self._preimage(c, tail.numerator, tail.denominator)
+        return None if image is None else Fraction(*image)
+
+    def _preimage(self, c: ExtendedInt, p: int, q: int) -> Optional[Tuple[int, int]]:
+        """Integers ``(num, den)``, ``den > 0``, of the admitted preimage of
+        ``(c, p/q)``, unreduced, or ``None`` where ``reconstruct`` refuses."""
         matrix = self.branch(c)
         if matrix is None:
-            return None if tail else 0 * tail
+            return None if p else (0, 1)
         a, b, g, d = matrix
-        k = self._top(c)
-        if isinstance(tail, Interval):
-            y = (a * tail + b) / (g * tail + d if g else d)
-            return y if k * y < 1 else None
-        # a Fraction tail p/q: one reduction of the image's two integers
-        p, q = tail.numerator, tail.denominator
         num, den = a * p + b * q, g * p + d * q
-        return Fraction(num, den) if k * num < den else None
+        if den < 0:  # a matrix with negative entries, e.g. -f_inv
+            num, den = -num, -den
+        return (num, den) if self._top(c) * num < den else None
+
+    def backward_pass(self, coeffs: Sequence[ExtendedInt]) -> ConvergentTrace:
+        """The backward pass on unreduced integer pairs ``(p, q)`` from the
+        neutral ``(0, 1)``: one :class:`Fraction` at level 0, and the other
+        stages built only when read (:class:`_FractionStages`)."""
+        n = len(coeffs)
+        stages: List[Any] = [None] * (n + 1)
+        stages[n] = pair = (0, 1)
+        for i in range(n - 1, -1, -1):
+            pair = self._preimage(coeffs[i], *pair)
+            if pair is None:
+                return ConvergentTrace(n=n, stages=_FractionStages(stages), improper_at=i)
+            stages[i] = pair
+        stages[0] = Fraction(*pair)
+        return ConvergentTrace(n=n, stages=_FractionStages(stages), improper_at=None)
 
     def is_neutral(self, i: int, y: Any) -> bool:
         return not y
@@ -116,6 +176,15 @@ class FExpansionSystem(_UnitIntervalSystem):
         self.name = name
         self.f = f
         self.f_inv = f_inv
+        # f is the adjugate of f_inv, y -> (d*y - b) / (a - g*y): with no
+        # pole (g == 0) one affine map, with its pole at 0 (a == 0) one after
+        # 1/y.  An enclosure steps by those; a singular f_inv, or a pole of f
+        # elsewhere, steps by calling f.
+        a, b, g, d = f_inv
+        self._f_reciprocal = a == 0
+        self._f_on_enclosure = a * d != b * g and (a == 0 or g == 0)
+        al, be, de = (b, -d, g) if a == 0 else (d, -b, a)
+        self._f_affine = (al, be, de) if de > 0 else (-al, -be, -de)
         at_zero = f(Fraction(0))
         self._infinite_at_zero = is_infinite(at_zero)
         if not (self._infinite_at_zero
@@ -126,6 +195,15 @@ class FExpansionSystem(_UnitIntervalSystem):
             )
 
     def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
+        if self._f_on_enclosure and isinstance(y, Interval):
+            if self._f_reciprocal:
+                if not y:
+                    return INF, 0 * y
+                y = y.reciprocal()
+            if self._f_affine != (1, 0, 1):
+                y = y._affine(*self._f_affine)
+            d = y.floor()
+            return d, y._affine(1, -d, 1)
         v = self.f(y)
         if is_infinite(v):
             return v, 0 * y

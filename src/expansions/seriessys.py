@@ -97,16 +97,6 @@ def _factorial_basis(k: int, step: int, sign: int = 1) -> PowerSeries:
     return acc * Fraction(sign**k, math.factorial(k))
 
 
-def binomial_basis(k: int) -> PowerSeries:
-    """``x(x-1)...(x-k+1) / k!`` — forward-difference antiderivative basis."""
-    return _factorial_basis(k, 1)
-
-
-def rising_basis(k: int) -> PowerSeries:
-    """``x(x+1)...(x+k-1) / k!`` — backward-difference antiderivative basis."""
-    return _factorial_basis(k, -1)
-
-
 class _NewtonBase(ExpansionSystem):
     """Value at 0, then the difference ``s * (p(x + h) - p(x))``.
 

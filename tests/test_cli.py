@@ -5,7 +5,9 @@ asserts on captured stdout/stderr and the exit code, so the goldens here pin
 the exact bytes a shell user sees.
 """
 
+import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -96,6 +98,27 @@ def test_convergent_trace_lists_stages_top_down(system):
     )
     assert code == 0 and err == ""
     assert out == golden
+
+
+REAL_SYSTEM_IDS = ("base10", "base10-shuffled", "cf", "egyptian", "engel")
+REAL_INPUTS = ("pi-3", "e-2", "sqrt(2)-1", "sqrt(1/2)", "(sqrt(2)-1)/3", "1/(pi)", "pi/4",
+               "sqrt(3)-1", "7/10", "1/3", "e/3", "(pi-3)*7")
+
+
+def test_real_convergent_traces_are_pinned():
+    # 60 `--emit trace` runs (47 exit 0, 10 exhausted, 3 improper): the
+    # sha256 of their argv, exit codes, stdout and stderr, as JSON with
+    # sorted keys, pins every byte the real systems print here
+    records = []
+    for system, text in itertools.product(REAL_SYSTEM_IDS, REAL_INPUTS):
+        argv = ["convergent", "--system", system, "--input", text,
+                "--bits", "256", "--order", "12", "--emit", "trace"]
+        code, out, err = run_cli(*argv)
+        records.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
+    assert sorted(r["exit"] for r in records) == [0] * 47 + [3] * 10 + [4] * 3
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "599a1805e37ad27b98805af1220f82e04f16fd69caf4281d73dfe1e579de9d18")
 
 
 def test_convergent_value_with_decimal_rendering():

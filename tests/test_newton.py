@@ -14,7 +14,7 @@ from expansions import (
     order_of,
     roundtrip_check,
 )
-from expansions.seriessys import binomial_basis, rising_basis
+from expansions.seriessys import _factorial_basis
 
 F = Fraction
 X = Polynomial.x()
@@ -111,12 +111,13 @@ def test_reflection_conjugation() -> None:
 
 
 def test_difference_bases() -> None:
-    # binomial_basis(k) has forward difference binomial_basis(k-1); the rising
-    # basis is its backward-difference counterpart.
-    assert binomial_basis(2) == X * (X - Polynomial.of(1)) * F(1, 2)
-    assert rising_basis(2) == X * (X + Polynomial.of(1)) * F(1, 2)
+    # the binomial basis _factorial_basis(k, 1) has forward difference
+    # _factorial_basis(k-1, 1); the rising basis _factorial_basis(k, -1) is
+    # its backward-difference counterpart.
+    assert _factorial_basis(2, 1) == X * (X - Polynomial.of(1)) * F(1, 2)
+    assert _factorial_basis(2, -1) == X * (X + Polynomial.of(1)) * F(1, 2)
     for k in range(1, 6):
-        fwd_diff = binomial_basis(k).shift(1) - binomial_basis(k)
-        assert fwd_diff == binomial_basis(k - 1)
-        bwd_diff = rising_basis(k) - rising_basis(k).shift(-1)
-        assert bwd_diff == rising_basis(k - 1)
+        fwd_diff = _factorial_basis(k, 1).shift(1) - _factorial_basis(k, 1)
+        assert fwd_diff == _factorial_basis(k - 1, 1)
+        bwd_diff = _factorial_basis(k, -1) - _factorial_basis(k, -1).shift(-1)
+        assert bwd_diff == _factorial_basis(k - 1, -1)

@@ -15,6 +15,8 @@ import expansions
 from expansions import (
     INF,
     DomainError,
+    ExpansionSystem,
+    FExpansionSystem,
     Interval,
     Polynomial,
     PowerSeries,
@@ -22,6 +24,7 @@ from expansions import (
     TruncationInconclusive,
     build_system,
     coefficient_code,
+    convergent_from_code,
     head_coincidence,
     isolate_roots_01,
     parse_expression,
@@ -216,6 +219,48 @@ def test_real_reconstruct_refuses_exactly_what_does_not_step_back(case):
     assert system.reconstruct(0, c, t) == (y if admitted else None)
     assert system.reconstruct(0, c, Interval.exact(t)) == (
         Interval.exact(y) if admitted else None)
+
+
+# besides the registry's five: a non-Möbius f whose constant inverse refuses
+# every reconstruct, and base 2 and cf with their inverse matrices negated
+EXTRA_REAL_SYSTEMS = {
+    "square": (lambda: FExpansionSystem("square", f=lambda y: 4 * y * y, f_inv=(0, 1, 0, 1)),
+               st.integers(0, 3)),
+    "neg-base2": (lambda: FExpansionSystem("neg-base2", f=lambda y: 2 * y,
+                                           f_inv=(-1, 0, 0, -2)), st.integers(0, 1)),
+    "neg-cf": (lambda: FExpansionSystem("neg-cf", f=lambda y: 1 / y if y else INF,
+                                        f_inv=(0, -1, -1, 0)), REAL_ALPHABETS["cf"]),
+}
+
+
+def _backward(pass_, system, code):
+    """The trace of one backward pass with every stage read, or the error."""
+    try:
+        trace = pass_(system, code)
+    except DomainError as exc:
+        return str(exc)
+    return trace.improper_at, trace.value, [trace.stages[k] for k in range(trace.n + 1)]
+
+
+@bounded
+@given(st.sampled_from(REAL_SYSTEMS + tuple(EXTRA_REAL_SYSTEMS)).flatmap(
+    lambda sid: st.tuples(st.just(sid), st.lists(
+        EXTRA_REAL_SYSTEMS[sid][1] if sid in EXTRA_REAL_SYSTEMS else REAL_ALPHABETS[sid],
+        max_size=10))))
+@example(("base10", [3, INF, 1]))
+@example(("cf", [2, 1, INF]))
+@example(("egyptian", [2, 3, 7, INF]))
+def test_integer_backward_pass_is_the_reconstruct_chain(case):
+    # the real systems' backward pass on integer pairs agrees with the
+    # per-level reconstruct chain: improper level, value, and every stage as
+    # read, a Fraction or None; a foreign coefficient fails the same way
+    system_id, code = case
+    system = (EXTRA_REAL_SYSTEMS[system_id][0]() if system_id in EXTRA_REAL_SYSTEMS
+              else build_system(system_id))
+    got = _backward(convergent_from_code, system, code)
+    assert got == _backward(ExpansionSystem.backward_pass, system, code)
+    if not isinstance(got, str):
+        assert all(stage is None or type(stage) is Fraction for stage in got[2])
 
 
 @bounded

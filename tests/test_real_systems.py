@@ -20,6 +20,7 @@ from expansions import (
     coefficient_code,
     convergence_report,
     convergent,
+    convergent_from_code,
     order_of,
     parse_expression,
     pi_interval,
@@ -358,3 +359,54 @@ def test_certified_depth_per_budget(system_id, text, depths) -> None:
                 _, y = system.step(depth, y)
                 depth += 1
         assert depth >= least, (system_id, text, bits, depth)
+
+
+# over-deep codes at 256 bits on the matrix forward step: the failing level,
+# the certified prefix and the message naming the enclosure
+EXHAUSTION_GOLDENS = [
+    ("base10", "pi-3", 76,
+     "1415926535897932384626433832795028841971693993751058209749445923078164062862",
+     "floor undecidable on [2704751743670475584575021955285447383014510298386261385/"
+     "3064991081731777716716694054300618367237478244367204352, "
+     "1683248116856448862236074454470708832933579993553482255/"
+     "1532495540865888858358347027150309183618739122183602176]"),
+    ("base10-shuffled", "e-2", 77,
+     "13464346425702569598064121395688627115162107987775751278878186116201889095952",
+     "floor undecidable on [2259465335104758900926296941180781350406372574341908615/"
+     "383123885216472214589586756787577295904684780545900544, "
+     "12346583790631146303190822533002976815888738740971150085/"
+     "1532495540865888858358347027150309183618739122183602176]"),
+    ("cf", "sqrt(2)-1", 100, "2" * 100,
+     "floor undecidable on [583351243212141237103144710797809451420/"
+     "320109661580725979516795321117689436223, "
+     "325171667631346437383291808755495882596/"
+     "79188222190268704217741667241803552257]"),
+]
+
+
+@pytest.mark.parametrize("system_id, text, level, prefix, message", EXHAUSTION_GOLDENS)
+def test_matrix_forward_step_exhausts_where_it_did(system_id, text, level, prefix, message):
+    y = parse_expression(text, "real", bits=256)
+    with pytest.raises(PrecisionExhausted) as info:
+        coefficient_code(build_system(system_id), y, 200)
+    assert info.value.level == level
+    assert "".join(map(str, info.value.prefix)) == prefix
+    assert str(info.value) == message
+
+
+def test_negated_inverse_matrix_is_the_same_system() -> None:
+    # f_inv = (-1, 0, 0, -2) is w -> w/2 with both signs flipped: its
+    # denominators are negative, and every admission, convergent and code
+    # is base 2's, on a Fraction and on an enclosure
+    neg = FExpansionSystem("neg-base2", f=lambda y: 2 * y, f_inv=(-1, 0, 0, -2))
+    base2 = BaseSystem(2)
+    assert neg.reconstruct(0, 1, F(1, 2)) == base2.reconstruct(0, 1, F(1, 2)) == F(3, 4)
+    assert neg.reconstruct(0, 1, Interval.exact(F(1, 2))) == Interval.exact(F(3, 4))
+    assert convergent_from_code(neg, [1, 0, 1, 0]).value == F(5, 8)
+    rng = random.Random(22)
+    for _ in range(40):
+        q = rng.randrange(2, 300)
+        y = F(rng.randrange(0, q), q)
+        n = rng.randrange(0, 12)
+        for value in (y, Interval.exact(y), Interval(y, y + F(1, 2 ** 40))):
+            assert convergent(neg, value, n) == convergent(base2, value, n)
