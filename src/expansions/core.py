@@ -15,8 +15,9 @@ convergent is improper at level ``i``.  Improperness is reported as data
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .errors import (
     DomainError,
@@ -133,6 +134,40 @@ class OrderResult:
         return f"finite({self.n})" if self.finite else f"infinite-up-to({self.n})"
 
 
+_UNREAD = object()
+
+
+class LazyStages(abc.Sequence):
+    """Read-only stages of a backward pass: entry ``k`` is ``build(k)``, run
+    on its first read and kept, except a level-0 ``value`` built already."""
+
+    __slots__ = ("_stages", "_build")
+
+    def __init__(self, length: int, build: Callable[[int], Any], value: Any = _UNREAD) -> None:
+        self._stages = [value] + [_UNREAD] * (length - 1)
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._stages)
+
+    def __getitem__(self, k: Any) -> Any:
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        stage = self._stages[k]
+        if stage is _UNREAD:
+            k %= len(self._stages)
+            stage = self._stages[k] = self._build(k)
+        return stage
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, LazyStages)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class ConvergentTrace:
     """Backward reconstruction record for one convergent.
@@ -142,7 +177,7 @@ class ConvergentTrace:
         stages: ``stages[k]`` is the level-``k`` stage of the convergent for
             ``k = n`` (the neutral seed) down to the failure point; entries
             below a failed reconstruction are ``None``.  A read-only sequence,
-            which may build each stage when it is read.
+            which may build each stage when it is read (:class:`LazyStages`).
         improper_at: level index of the failed reconstruction, or ``None``
             if every step landed in the image.
     """

@@ -34,40 +34,17 @@ from typing import Any, Callable, List, Optional, Tuple, Union
 
 from .certified import Interval
 from .coefficients import INF, ExtendedInt, is_infinite
-from .core import ORDER_REVERSED, ORDER_STANDARD, ConvergentTrace, ExpansionSystem
+from .core import (
+    ORDER_REVERSED,
+    ORDER_STANDARD,
+    ConvergentTrace,
+    ExpansionSystem,
+    LazyStages,
+)
 from .errors import DomainError
 
 Real = Union[Fraction, Interval]
 Matrix = Tuple[int, int, int, int]
-
-
-class _FractionStages(Sequence):
-    """Stages of a real backward pass: each held as an integer pair
-    ``(p, q)`` until read, then as the reduced ``Fraction(p, q)``."""
-
-    __slots__ = ("_stages",)
-
-    def __init__(self, stages: List[Any]) -> None:
-        self._stages = stages
-
-    def __len__(self) -> int:
-        return len(self._stages)
-
-    def __getitem__(self, k: Any) -> Any:
-        if isinstance(k, slice):
-            return [self[j] for j in range(len(self))[k]]
-        stage = self._stages[k]
-        if type(stage) is tuple:
-            stage = self._stages[k] = Fraction(*stage)
-        return stage
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (list, _FractionStages)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 class _UnitIntervalSystem(ExpansionSystem):
@@ -133,17 +110,21 @@ class _UnitIntervalSystem(ExpansionSystem):
     def backward_pass(self, coeffs: Sequence[ExtendedInt]) -> ConvergentTrace:
         """The backward pass on unreduced integer pairs ``(p, q)`` from the
         neutral ``(0, 1)``: one :class:`Fraction` at level 0, and the other
-        stages built only when read (:class:`_FractionStages`)."""
+        stages reduced only when read (:class:`LazyStages`)."""
         n = len(coeffs)
-        stages: List[Any] = [None] * (n + 1)
-        stages[n] = pair = (0, 1)
+        pairs: List[Optional[Tuple[int, int]]] = [None] * (n + 1)
+        pairs[n] = pair = (0, 1)
+
+        def stage(k: int) -> Optional[Fraction]:
+            return None if pairs[k] is None else Fraction(*pairs[k])
+
         for i in range(n - 1, -1, -1):
             pair = self._preimage(coeffs[i], *pair)
             if pair is None:
-                return ConvergentTrace(n=n, stages=_FractionStages(stages), improper_at=i)
-            stages[i] = pair
-        stages[0] = Fraction(*pair)
-        return ConvergentTrace(n=n, stages=_FractionStages(stages), improper_at=None)
+                return ConvergentTrace(n=n, stages=LazyStages(n + 1, stage), improper_at=i)
+            pairs[i] = pair
+        stages = LazyStages(n + 1, stage, Fraction(*pair))
+        return ConvergentTrace(n=n, stages=stages, improper_at=None)
 
     def is_neutral(self, i: int, y: Any) -> bool:
         return not y

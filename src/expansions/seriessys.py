@@ -5,7 +5,8 @@ Four families live here:
 * the Taylor system on power series germs (coefficient peel-off),
 * Newton systems on polynomials (exact series at center 0) driven by the
   forward, backward and reflected difference operators, reconstructing
-  through the matching factorial bases,
+  through the matching factorial bases: a convergent, and each of its
+  stages when read, is one Newton sum over the cached basis,
 * the Fourier system on trigonometric polynomials, peeling mode pairs
   ``+-i`` at level ``i``,
 * a norm-restricted Taylor system on polynomials whose reconstruction is
@@ -17,10 +18,10 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from .coefficients import ComplexRational
-from .core import ORDER_NONE, ORDER_STANDARD, ExpansionSystem
+from .core import ORDER_NONE, ORDER_STANDARD, ConvergentTrace, ExpansionSystem, LazyStages
 from .errors import DomainError, TruncationInconclusive
 from .polynomials import sup_norm_le
 from .series import PowerSeries
@@ -102,17 +103,16 @@ class _NewtonBase(ExpansionSystem):
 
     Reconstruction is Newton interpolation through the basis
     ``B_k = (s h)^k x(x - h)...(x - (k-1) h) / k!``, which vanishes at 0 for
-    ``k > 0`` and whose difference is ``B_{k-1}``: the preimage of
-    ``(c, tail)`` is ``c + sum_k B_k * (diff^(k-1) tail)(0)``.
+    ``k > 0`` and whose difference is ``B_{k-1}``.  It is total, so the
+    polynomial with code ``c`` is the Newton sum ``sum_k c[k] * B_k``, and
+    stage ``i`` of a convergent is the Newton sum of ``c[i:]`` (Knuth, TAOCP
+    vol. 2, 4.6.4).
     """
 
     kind = "polynomial"
     coefficient_order_kind = ORDER_STANDARD
     h: int
     s: int
-
-    def basis(self, k: int) -> PowerSeries:
-        return _factorial_basis(k, self.h, self.s * self.h)
 
     def neutral(self, i: int) -> PowerSeries:
         return PowerSeries.zero()
@@ -121,21 +121,42 @@ class _NewtonBase(ExpansionSystem):
         _validate_polynomial(y)
 
     def project(self, i: int, y: PowerSeries) -> Fraction:
-        return y(_ZERO)
+        """The value at 0, which is the constant term."""
+        y._require_exact("evaluation")
+        return y.coefficient(0)
 
     def expand(self, i: int, y: PowerSeries) -> PowerSeries:
         moved = y.shift(self.h)
         return moved - y if self.s > 0 else y - moved
 
+    def _newton_sum(self, code: Sequence[Any]) -> PowerSeries:
+        """``sum_k code[k] * B_k``, the polynomial whose code is ``code``."""
+        out = [_ZERO] * len(code)
+        for k, c in enumerate(code):
+            if c:
+                c = Fraction(c)
+                for j, b in enumerate(_factorial_basis(k, self.h, self.s * self.h).coeffs):
+                    out[j] += c * b
+        return PowerSeries.exact_poly(_ZERO, out)
+
     def reconstruct(self, i: int, c: Fraction, tail: PowerSeries) -> PowerSeries:
-        out = PowerSeries.of(c)
-        stage = tail
-        k = 1
-        while not stage.is_zero():
-            out = out + self.basis(k) * stage(_ZERO)
-            stage = self.expand(i, stage)
-            k += 1
-        return out
+        """The Newton sum of ``c`` and the code of ``tail``, read off the
+        difference table of the tail's values at ``0, h, 2h, ...``: after
+        pass ``k`` in place, ``values[k]`` is ``(E^k tail)(0)`` for the
+        expansion step ``E``."""
+        values = [tail(Fraction(j * self.h)) for j in range(len(tail.coeffs))]
+        for k in range(1, len(values)):
+            for j in range(len(values) - 1, k - 1, -1):
+                values[j] = self.s * (values[j] - values[j - 1])
+        return self._newton_sum([c, *values])
+
+    def backward_pass(self, coeffs: Sequence[Any]) -> ConvergentTrace:
+        """Level 0 as one Newton sum; the other stages are built when read
+        (:class:`LazyStages`)."""
+        code = tuple(coeffs)
+        n = len(code)
+        stages = LazyStages(n + 1, lambda k: self._newton_sum(code[k:]), self._newton_sum(code))
+        return ConvergentTrace(n=n, stages=stages, improper_at=None)
 
 
 class NewtonForwardSystem(_NewtonBase):
@@ -267,5 +288,5 @@ class NormTaylorSystem(TaylorSystem):
         stage of the candidate is a stage of ``tail`` and already within the
         bound, so only the candidate itself is decided.
         """
-        candidate = super().reconstruct(i, c, tail)
+        candidate = tail.shift_up(c)
         return candidate if sup_norm_le(candidate, self.bound) else None

@@ -4,6 +4,7 @@ traced benchmark run, so the round trip is checked here."""
 
 import importlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import expansions
@@ -31,3 +32,17 @@ def test_tracer_install_and_uninstall_restore_every_attribute(monkeypatch):
         tracer.uninstall()
     assert installed != before
     assert _attributes() == before
+
+
+def test_tracer_counts_each_norm_taylor_reconstruct_once(monkeypatch):
+    # norm-taylor's backward pass is the per-level reconstruct chain, one
+    # traced call per level
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    tracer.install(expansions)
+    try:
+        expansions.convergent_from_code(expansions.NormTaylorSystem(),
+                                        [Fraction(1, 4), Fraction(1, 2), Fraction(-1, 4)])
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["seriessys.reconstruct"] == 3

@@ -121,6 +121,36 @@ def test_real_convergent_traces_are_pinned():
         "599a1805e37ad27b98805af1220f82e04f16fd69caf4281d73dfe1e579de9d18")
 
 
+POLY_TRACE_INPUTS = ("0", "5/3", "x^2", "1 + 2*x - x^3/3", "(x - 1)^4", "x^5/7 - x + 1/2",
+                     "1/2 + x - x^2 + x^3 - x^4")
+SERIES_TRACE_INPUTS = {
+    "taylor": POLY_TRACE_INPUTS + ("exp(x)", "1/(1 - x)"),
+    "newton-forward": POLY_TRACE_INPUTS,
+    "newton-backward": POLY_TRACE_INPUTS,
+    "newton-reflected": POLY_TRACE_INPUTS,
+    "norm-taylor": POLY_TRACE_INPUTS + ("x/2 - x^2/4", "(x/2)^3"),
+    "fourier": ("1 + i", "E(1) + 1/2*E(-1)", "(1/2 + i)*E(2) - E(-1) + 3", "E(1) + E(-2)"),
+}
+
+
+def test_series_convergent_traces_are_pinned():
+    # 172 `--emit trace` runs of the series, polynomial and trig systems at
+    # orders 0, 2, 4 and 7 (161 exit 0, 9 norm-taylor non-members, 2
+    # improper): the sha256 of their argv, exit codes, stdout and stderr, as
+    # JSON with sorted keys, pins every byte those systems print here
+    records = []
+    for system, texts in SERIES_TRACE_INPUTS.items():
+        for text, order in itertools.product(texts, ("0", "2", "4", "7")):
+            argv = ["convergent", "--system", system, "--input", text,
+                    "--order", order, "--emit", "trace"]
+            code, out, err = run_cli(*argv)
+            records.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
+    assert sorted(r["exit"] for r in records) == [0] * 161 + [2] * 9 + [4] * 2
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "41a1f46dd9b574ca101409b1db95c895a939fed57b08a11641603e3fea4c02e0")
+
+
 def test_convergent_value_with_decimal_rendering():
     code, out, err = run_cli(
         "convergent",

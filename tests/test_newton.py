@@ -4,11 +4,15 @@ and the reflected conjugate of the forward system."""
 import random
 from fractions import Fraction
 
+import pytest
+
 from expansions import (
     NewtonBackwardSystem,
     NewtonForwardSystem,
     NewtonReflectedSystem,
     Polynomial,
+    PowerSeries,
+    TruncationInconclusive,
     coefficient_code,
     convergent,
     order_of,
@@ -121,3 +125,36 @@ def test_difference_bases() -> None:
         assert fwd_diff == _factorial_basis(k - 1, 1)
         bwd_diff = _factorial_basis(k, -1) - _factorial_basis(k, -1).shift(-1)
         assert bwd_diff == _factorial_basis(k - 1, -1)
+
+
+
+NEWTON_SYSTEMS = [NewtonForwardSystem(), NewtonBackwardSystem(), NewtonReflectedSystem()]
+
+
+def _refusal(call) -> str:
+    with pytest.raises(TruncationInconclusive) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("system", NEWTON_SYSTEMS, ids=lambda s: s.name)
+def test_truncated_series_refusals_are_pinned(system) -> None:
+    # project and reconstruct need an exact series and say so in these words
+    cubic, constant = PowerSeries.truncated(0, [1, 2, 3]), PowerSeries.truncated(0, [5])
+    assert _refusal(lambda: system.project(0, cubic)) == (
+        "evaluation needs an exact series, not one known to order 2")
+    assert _refusal(lambda: system.reconstruct(0, F(1), cubic)) == (
+        "evaluation needs an exact series, not one known to order 2")
+    assert _refusal(lambda: system.reconstruct(2, F(0), constant)) == (
+        "evaluation needs an exact series, not one known to order 0")
+
+
+@pytest.mark.parametrize("system", NEWTON_SYSTEMS, ids=lambda s: s.name)
+def test_all_zero_truncated_tail_is_refused(system) -> None:
+    # an all-zero truncated series cannot be certified to be the zero
+    # polynomial, so it is refused as a tail as well as an element
+    zeros = PowerSeries.truncated(0, [0, 0])
+    assert _refusal(lambda: system.project(3, zeros)) == (
+        "evaluation needs an exact series, not one known to order 1")
+    assert _refusal(lambda: system.reconstruct(0, F(1), zeros)) == (
+        "evaluation needs an exact series, not one known to order 1")

@@ -24,6 +24,7 @@ from expansions import (
     TruncationInconclusive,
     build_system,
     coefficient_code,
+    convergent,
     convergent_from_code,
     head_coincidence,
     isolate_roots_01,
@@ -261,6 +262,45 @@ def test_integer_backward_pass_is_the_reconstruct_chain(case):
     assert got == _backward(ExpansionSystem.backward_pass, system, code)
     if not isinstance(got, str):
         assert all(stage is None or type(stage) is Fraction for stage in got[2])
+
+
+#: the Newton systems and the step ``h`` of their interpolation nodes ``j*h``
+NEWTON_NODE_STEPS = {"newton-forward": 1, "newton-backward": -1, "newton-reflected": -1}
+
+
+@bounded
+@given(st.sampled_from(tuple(NEWTON_NODE_STEPS)),
+       st.lists(st.one_of(st.just(Fraction(0)), rationals), max_size=9))
+@example("newton-forward", [])
+@example("newton-backward", [Fraction(0), Fraction(0)])
+@example("newton-reflected", [Fraction(0), Fraction(-3, 2), Fraction(0), Fraction(5)])
+def test_newton_backward_pass_is_the_reconstruct_chain(system_id, code):
+    # the Newton sums of the code's tails are the per-level reconstruct
+    # chain: value, improper level and every stage, read bottom up or top
+    # down
+    system = build_system(system_id)
+    got = _backward(convergent_from_code, system, code)
+    assert got == _backward(ExpansionSystem.backward_pass, system, code)
+    assert got[0] is None and all(stage.exact for stage in got[2])
+    trace = convergent_from_code(system, code)
+    assert [trace.stages[k] for k in range(len(code), -1, -1)] == got[2][::-1]
+
+
+@bounded
+@given(st.sampled_from(tuple(NEWTON_NODE_STEPS)), st.integers(0, 2**32 - 1))
+def test_newton_registry_samples_interpolate(system_id, seed):
+    # the code of length degree + 1 rebuilds the sample, which round-trips,
+    # and the n-th convergent has degree below n and meets the sample at
+    # the n nodes 0, h, ..., (n - 1) h
+    system = build_system(system_id)
+    y = sample_element(system_id, random.Random(seed))
+    assert convergent(system, y, y.degree + 1).value == y
+    assert roundtrip_check(system, y, y.degree + 1)
+    nodes = [Fraction(j * NEWTON_NODE_STEPS[system_id]) for j in range(y.degree + 2)]
+    for n in range(y.degree + 2):
+        value = convergent(system, y, n).value
+        assert value.degree < n
+        assert [value(x) for x in nodes[:n]] == [y(x) for x in nodes[:n]]
 
 
 @bounded
