@@ -143,12 +143,6 @@ class Interval:
     def hi(self) -> Fraction:
         return self._lo_hi()[1]
 
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def is_point(self) -> bool:
         return self.lo == self.hi
 

@@ -125,7 +125,7 @@ def _parse_element(system: ExpansionSystem, text: str, args: argparse.Namespace)
 def _build_as_system(args: argparse.Namespace) -> ApproximationSystem:
     transform = str(_require(args, "transform")).upper()
     nonlinearity = str(_require(args, "nonlinearity"))
-    order = int(_get(args, "series_order", 64))
+    order = int(_get(args, "series_order", ASConfig.order))
     alphas = None
     if nonlinearity == NL_POWER:
         alphas = parse_alpha_schedule(str(_require(args, "alpha")))

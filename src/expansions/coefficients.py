@@ -103,9 +103,6 @@ class ComplexRational:
             (self.im * other.re - self.re * other.im) / d,
         )
 
-    def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 

@@ -21,7 +21,8 @@ Grammar::
     atom   := NUMBER | NAME ('(' expr (',' expr)* ')')? | '(' expr ')'
 
 Parse errors carry the offending position.  Parentheses, call arguments and
-prefix signs nest at most ``MAX_NESTING`` levels deep.
+prefix signs nest at most ``MAX_NESTING`` levels deep, and an exact integer
+power reaches at most degree, or widest trig mode, ``MAX_DEGREE``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .approx import alpha_list
 from .certified import Interval, _Message, e_interval, pi_interval, sqrt_interval
 from .coefficients import CONE, ComplexRational
 from .errors import DomainError, ParseError, PrecisionExhausted, UnsupportedInContext
-from .series import PowerSeries
+from .series import PowerSeries, power_by_squaring
 from .trig import TrigPolynomial
 
 # -- tokens ------------------------------------------------------------------
@@ -91,6 +92,18 @@ def tokenize(text: str) -> List[Token]:
 
 #: deepest nesting of parentheses, call arguments and prefix signs accepted
 MAX_NESTING = 64
+
+#: largest degree, or widest trig mode, that an exact integer power may
+#: reach; squaring costs about the square of the size in coefficient products
+MAX_DEGREE = 512
+
+
+def _check_power(k: int, size: int) -> None:
+    """Refuse ``base^k``, for a base of degree or widest mode ``size``, when
+    the power would pass :data:`MAX_DEGREE`, before any product is taken."""
+    if k > 1 and k * size > MAX_DEGREE:
+        raise DomainError(f"exponents above {max(1, MAX_DEGREE // size)} take a base "
+                          f"of size {size} past size {MAX_DEGREE}")
 
 
 class _Parser:
@@ -199,7 +212,8 @@ class _Parser:
 
 
 class _Env:
-    """Context-specific meaning of literals, names and operators."""
+    """Context-specific meaning of literals, names and operators; ``div``
+    and ``pow`` are each context's own."""
 
     def number(self, value: Fraction) -> Any:
         raise NotImplementedError
@@ -218,12 +232,6 @@ class _Env:
 
     def mul(self, a: Any, b: Any) -> Any:
         return a * b
-
-    def div(self, a: Any, b: Any) -> Any:
-        return a / b
-
-    def pow(self, a: Any, k: int) -> Any:
-        return a ** k
 
     def _parse_paren_arg(self, parser: _Parser, env: "_Env") -> Any:
         parser.expect_punct("(")
@@ -331,6 +339,8 @@ class _SeriesEnv(_Env):
             exponent = self._parse_paren_arg(parser, _ScalarEnv(exact_only=True))
             if not isinstance(exponent, Fraction):
                 raise ParseError("pow needs an exact rational exponent", tok.pos)
+            if exponent.denominator == 1:
+                _check_power(int(exponent), 1)
             return self._x().power(exponent, self.order)
         if text in ("exp", "log", "sqrt"):
             arg = self._x()
@@ -375,15 +385,13 @@ class _SeriesEnv(_Env):
         return a.divide(b, self.order)
 
     def pow(self, a: PowerSeries, k: int) -> PowerSeries:
+        one = PowerSeries.constant(self.center, 1)
         if k >= 0:
-            acc = PowerSeries.constant(self.center, 1)
-            for _ in range(k):
-                acc = acc * a
-            return acc
+            _check_power(k, a.degree if a.exact else 0)
+            return power_by_squaring(a, k, one)
         if self.order is None:
             raise DomainError("negative powers are not polynomials")
-        positive = self.pow(a, -k)
-        return PowerSeries.constant(self.center, 1).divide(positive, self.order)
+        return one.divide(self.pow(a, -k), self.order)
 
 
 def _fill_parity(start: int, sign: int) -> Callable[[List[Fraction]], None]:
@@ -433,10 +441,8 @@ class _TrigEnv(_Env):
             if not a.without_modes(0).is_zero():
                 raise DomainError("negative powers only apply to scalars")
             return self.div(TrigPolynomial.basis(0, CONE), self.pow(a, -k))
-        acc = TrigPolynomial.basis(0, CONE)
-        for _ in range(k):
-            acc = acc * a
-        return acc
+        _check_power(k, max((abs(mode) for mode, _ in a.terms), default=0))
+        return power_by_squaring(a, k, TrigPolynomial.basis(0, CONE))
 
 
 # -- entry points --------------------------------------------------------------

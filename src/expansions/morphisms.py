@@ -232,20 +232,6 @@ def shift_isomorphism(
 # -- built-in morphisms ------------------------------------------------------
 
 
-def identity_morphism(system: ExpansionSystem) -> Morphism:
-    """The identity on any system; trivially a verified isomorphism."""
-    ident: LevelMap = lambda i, v: v
-    return Morphism(
-        name=f"identity-{system.name}",
-        source=system,
-        target=system,
-        map_element=ident,
-        map_coeff=ident,
-        inv_element=ident,
-        inv_coeff=ident,
-    )
-
-
 def newton_reflection_morphism() -> Morphism:
     """Conjugation ``y(x) -> -y(-x)`` carrying the forward-difference system
     onto the reflected system, negating coefficients."""

@@ -19,7 +19,6 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .certified import Interval
 from .errors import DomainError
 from .series import PowerSeries
 
@@ -172,10 +171,7 @@ def isolate_roots_01(p: Polynomial) -> List[Tuple[Fraction, Fraction]]:
     _require_centered(p)
     # Bisection ends on simple roots only: a multiple root keeps two sign
     # variations on every piece around it.
-    return _isolate_square_free(square_free_part(p))
-
-
-def _isolate_square_free(p: Polynomial) -> List[Tuple[Fraction, Fraction]]:
+    p = square_free_part(p)
     if p.degree < 1:
         return []
     out: List[Tuple[Fraction, Fraction]] = []
@@ -267,45 +263,3 @@ def sup_norm_le(p: Polynomial, bound: object) -> bool:
             return False
     return True
 
-
-def sup_norm_enclosure(p: Polynomial, width: object = Fraction(1, 10**6)) -> Interval:
-    """Enclosure of ``max |p|`` on ``[0, 1]`` of at most the given width."""
-    _require_centered(p)
-    width = Fraction(width)
-    if p.is_zero():
-        return Interval.exact(0)
-    crit = square_free_part(p.differentiate())
-    intervals = _isolate_square_free(crit)
-    # |p'| <= sum |coeff| on [0, 1] bounds the variation over a short interval.
-    slope = sum(abs(c) for c in p.differentiate().coeffs) or _ONE
-    w = Fraction(1, 64)
-    while True:
-        lo = max(abs(p(_ZERO)), abs(p(_ONE)))
-        hi = lo
-        for iv in intervals:
-            a, b = refine_root(crit, iv, w)
-            mid = (a + b) / 2
-            v = abs(p(mid))
-            lo = max(lo, v)
-            hi = max(hi, v + (b - a) * slope)
-        if hi - lo <= width:
-            return Interval(lo, hi)
-        w /= 16
-
-
-def argmax_abs_enclosure(p: Polynomial, width: object = Fraction(1, 10**6)) -> Interval:
-    """Enclosure of one maximizer of ``|p|`` on ``[0, 1]``."""
-    _require_centered(p)
-    width = Fraction(width)
-    best: Optional[Tuple[Fraction, Interval]] = None
-    candidates: List[Interval] = [Interval.exact(0), Interval.exact(1)]
-    crit = square_free_part(p.differentiate())
-    for iv in _isolate_square_free(crit):
-        a, b = refine_root(crit, iv, width)
-        candidates.append(Interval(a, b))
-    for c in candidates:
-        v = abs(p(c.midpoint()))
-        if best is None or v > best[0]:
-            best = (v, c)
-    assert best is not None
-    return best[1]

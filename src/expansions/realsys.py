@@ -32,7 +32,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from typing import Any, Callable, List, Optional, Tuple, Union
 
-from .certified import Interval
+from .certified import Interval, _Message
 from .coefficients import INF, ExtendedInt, is_infinite
 from .core import (
     ORDER_REVERSED,
@@ -41,7 +41,7 @@ from .core import (
     ExpansionSystem,
     LazyStages,
 )
-from .errors import DomainError
+from .errors import DomainError, PrecisionExhausted
 
 Real = Union[Fraction, Interval]
 Matrix = Tuple[int, int, int, int]
@@ -85,12 +85,19 @@ class _UnitIntervalSystem(ExpansionSystem):
 
     def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
         if isinstance(tail, Interval):
+            # each endpoint fraction n/e by the branch: both admitted or both
+            # refused decide, unless the branch's pole g*t + d = 0 lies in the
+            # tail; the neutral's only preimage, 0, needs a tail of one sign
+            n0, e0, n1, e1 = tail._ends
             matrix = self.branch(c)
-            if matrix is None:
-                return None if tail else 0 * tail
-            a, b, g, d = matrix
-            y = (a * tail + b) / (g * tail + d if g else d)
-            return y if self._top(c) * y < 1 else None
+            _, _, g, d = matrix or (1, 0, 0, 1)
+            lo, hi = self._preimage(c, n0, e0), self._preimage(c, n1, e1)
+            if (g * n0 + d * e0) * (g * n1 + d * e1) > 0:
+                if lo is not None and hi is not None:
+                    return Interval._from_ends(*lo, *hi)
+                if lo is hi and (n0 * n1 > 0 or matrix is not None):
+                    return None
+            raise PrecisionExhausted(_Message("preimage of {} undecidable", tail))
         # a Fraction tail p/q: one reduction of the image's two integers
         image = self._preimage(c, tail.numerator, tail.denominator)
         return None if image is None else Fraction(*image)

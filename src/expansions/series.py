@@ -42,6 +42,21 @@ from .errors import DomainError, TruncationInconclusive
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+
+def power_by_squaring(base: Any, k: int, unit: Any) -> Any:
+    """``base ** k`` for an integer ``k >= 0`` from ``*`` and ``unit`` alone,
+    by left-to-right binary squaring (Knuth, TAOCP vol. 2, 4.6.3): the exact
+    product of ``k`` factors in about ``log2 k`` squarings."""
+    if not k:
+        return unit
+    acc = base
+    for bit in bin(k)[3:]:
+        acc = acc * acc
+        if bit == "1":
+            acc = acc * base
+    return acc
+
+
 #: the coefficient lists of a stream's sources, and its coefficient rule
 _Views = List[Sequence[Fraction]]
 _Rule = Callable[[int, _Views], Fraction]
@@ -434,15 +449,13 @@ class PowerSeries:
         """Raise to the rational power ``alpha``.
 
         Integer ``alpha >= 0`` on an exact series stays exact (repeated
-        multiplication); otherwise requires constant term 1 and runs the
+        squaring); otherwise requires constant term 1 and runs the
         first-order recurrence ``n p_n = sum ((alpha+1)k - n) h_k p_{n-k}``.
         """
         alpha = Fraction(alpha)
         if self.exact and alpha.denominator == 1 and alpha >= 0:
-            acc = PowerSeries.constant(self.center, 1)
-            for _ in range(int(alpha)):
-                acc = acc * self
-            return acc
+            one = PowerSeries.constant(self.center, 1)
+            return power_by_squaring(self, int(alpha), one)
         if self.coefficient(0) != 1:
             raise DomainError(
                 f"power kernel needs constant term 1, got {self.coefficient(0)}"

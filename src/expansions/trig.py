@@ -8,7 +8,7 @@ structural equality is mathematical equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .coefficients import CZERO, ComplexRational
 
@@ -37,12 +37,6 @@ class TrigPolynomial:
             if mode == k:
                 return a
         return CZERO
-
-    def max_mode(self) -> Optional[int]:
-        """Largest ``|k|`` with nonzero amplitude; ``None`` for zero."""
-        if not self.terms:
-            return None
-        return max(abs(mode) for mode, _ in self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -98,7 +98,7 @@ def test_sqrt_interval_encloses_and_tightens():
     # far tighter than the 40-digit table bracket, so it must sit inside it
     assert SQRT2_LO < iv.lo and iv.hi < SQRT2_HI
     assert iv.lo ** 2 <= 2 <= iv.hi ** 2
-    assert iv.width() < Fraction(1, 2 ** 250)
+    assert iv.hi - iv.lo < Fraction(1, 2 ** 250)
     # doubling the budget never widens the enclosure
     tighter = sqrt_interval(Fraction(2), 512)
     assert iv.lo <= tighter.lo and tighter.hi <= iv.hi
@@ -107,13 +107,13 @@ def test_sqrt_interval_encloses_and_tightens():
 def test_pi_interval_matches_table_digits():
     iv = pi_interval(256)
     assert PI_LO < iv.lo and iv.hi < PI_HI
-    assert iv.width() < Fraction(1, 2 ** 250)
+    assert iv.hi - iv.lo < Fraction(1, 2 ** 250)
 
 
 def test_e_interval_matches_table_digits():
     iv = e_interval(256)
     assert E_LO < iv.lo and iv.hi < E_HI
-    assert iv.width() < Fraction(1, 2 ** 250)
+    assert iv.hi - iv.lo < Fraction(1, 2 ** 250)
 
 
 def _mpmath_bracket(constant, prec):
@@ -134,7 +134,7 @@ def test_constants_enclose_mpmath_within_budget(constant, build):
         lo, hi = _mpmath_bracket(constant, bits + 64)
         iv = build(bits)
         assert iv.lo <= lo and hi <= iv.hi, (constant, bits)
-        assert iv.width() <= Fraction(1, 2 ** bits), (constant, bits)
+        assert iv.hi - iv.lo <= Fraction(1, 2 ** bits), (constant, bits)
 
 
 @pytest.mark.parametrize("constant, build", [("pi", pi_interval), ("e", e_interval)])

@@ -9,11 +9,13 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -728,6 +730,34 @@ def test_report_on_a_coefficient_beyond_float_range_exits_2(tmp_path):
 ])
 def test_zero_to_a_negative_power_exits_2(argv):
     assert run_cli(*argv) == (2, "", "error: DomainError: division by zero\n")
+
+
+@pytest.mark.parametrize("system_id, text", [
+    ("taylor", "x^200000"),
+    ("fourier", "E(1)^200000"),
+    ("newton-forward", "(1+x)^513"),
+    ("taylor", "pow(200000)"),
+])
+def test_an_exact_power_past_the_degree_bound_exits_2_promptly(system_id, text):
+    start = time.perf_counter()
+    code, out, err = run_cli("expand", "--system", system_id, "--input", text, "--depth", "2")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: DomainError: exponents above ") and err.count("\n") == 1
+
+
+def test_exact_and_truncated_powers_keep_their_output():
+    # (1+x)^300 and exp(x)^100000 print what k-fold multiplication printed;
+    # the truncated power takes log2(k) products instead of k
+    binomials = " ".join(str(math.comb(300, k)) for k in range(301))
+    assert run_cli("expand", "--system", "taylor", "--input", "(1+x)^300",
+                   "--depth", "400") == (0, binomials + " 0" * 99 + "\n", "")
+    start = time.perf_counter()
+    code, out, err = run_cli("expand", "--system", "taylor", "--input", "exp(x)^100000",
+                             "--series-order", "8", "--depth", "9")
+    assert time.perf_counter() - start < 1
+    heads = [str(Fraction(10 ** (5 * k), math.factorial(k))) for k in range(9)]
+    assert (code, out, err) == (0, " ".join(heads) + "\n", "")
 
 
 # ---------------------------------------------------------------------------

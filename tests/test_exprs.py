@@ -9,8 +9,14 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import expansions.exprs as exprs
 from expansions import (
+    build_system,
+    coefficient_code,
+    convergent_from_code,
     DomainError,
     Interval,
     ParseError,
@@ -185,11 +191,94 @@ def test_polynomial_context_rejects_unknown_names():
 def test_trig_context_mode_algebra():
     t = parse_expression("E(1)*E(-1) + E(2)^2", "trig")
     assert isinstance(t, TrigPolynomial)
-    assert t.max_mode() == 4
+    assert [k for k, _ in t.terms] == [0, 4]
     assert t.amplitude(0).re == F(1)
     assert t.amplitude(4).re == F(1)
     assert t.amplitude(1).is_zero()
     assert t.amplitude(2).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Integer powers
+# ---------------------------------------------------------------------------
+
+_POWER_BASES = {
+    "series": ["1 + x", "1/2 + x - x^2", "exp(x)", "sin(x)", "series(1, 1/2, 1/3)", "3/7",
+               "x - x"],
+    "polynomial": ["x", "2*x - 1", "1/2 + x - x^2", "-1", "x - x"],
+    "trig": ["E(1)", "E(1) + E(-2)/3 + i", "2*i", "E(1) - E(1)"],
+}
+
+
+def _k_fold(value, k, unit):
+    acc = unit
+    for _ in range(k):
+        acc = acc * value
+    return acc
+
+
+@given(st.sampled_from([(c, b) for c, bases in _POWER_BASES.items() for b in bases]),
+       st.integers(0, 40))
+@settings(max_examples=80, deadline=None)
+def test_powers_by_squaring_are_the_k_fold_products(case, k):
+    # the same exact product, truncated ones included, in every context
+    context, base = case
+    value = parse_expression(f"({base})^{k}", context, order=9)
+    unit = parse_expression("1", context, order=9)
+    got = _k_fold(parse_expression(f"({base})", context, order=9), k, unit)
+    assert value == got
+    assert getattr(value, "exact", None) == getattr(got, "exact", None)
+
+
+@pytest.mark.parametrize("text, context, allowed", [
+    ("(1 + x)^{k}", "polynomial", 8),
+    ("(x^2 - x)^{k}", "polynomial", 4),
+    ("(2 + x^3)^{k}", "series", 2),
+    ("E(2)^{k}", "trig", 4),
+    ("(E(-3) + E(1))^{k}", "trig", 2),
+])
+def test_exact_powers_stop_at_the_degree_bound(monkeypatch, text, context, allowed):
+    # k times the degree, or the widest mode, may reach MAX_DEGREE, not pass it
+    monkeypatch.setattr(exprs, "MAX_DEGREE", 8)
+    parse_expression(text.format(k=allowed), context)
+    with pytest.raises(DomainError, match=f"exponents above {allowed} "):
+        parse_expression(text.format(k=allowed + 1), context)
+
+
+def test_degree_bound_spares_constants_and_truncated_series(monkeypatch):
+    monkeypatch.setattr(exprs, "MAX_DEGREE", 8)
+    assert parse_expression("2^1000", "polynomial") == Polynomial.of(2 ** 1000)
+    assert parse_expression("(3*i)^100", "trig").amplitude(0).re == 3 ** 100
+    assert parse_expression("exp(x)^1000", "series", order=4).coefficient(4) == F(1000 ** 4, 24)
+    assert parse_expression("(1 + x)^8", "series").coefficient(4) == 70
+    with pytest.raises(DomainError, match="exponents above 8 "):
+        parse_expression("pow(9)", "series")
+    assert parse_expression("(1 + x*x*x*x*x*x*x*x*x)^1", "polynomial").degree == 9
+
+
+def test_degree_bound_is_the_parser_s_alone(monkeypatch):
+    # the library powers exactly past the bound: an as-d-power-half
+    # convergent raises exact tails of degree 2^n - 1 to the power 2
+    system = build_system("as-d-power-half")
+    germ = parse_expression("sqrt(1/(1 - x/2))", "series", order=40)
+    code = coefficient_code(system, germ, 5)
+    unbounded = convergent_from_code(system, code).value
+    monkeypatch.setattr(exprs, "MAX_DEGREE", 8)
+    assert Polynomial.of(1, 0, 1).power(5).degree == 10
+    value = convergent_from_code(system, code).value
+    assert value == unbounded and value.exact and value.degree == 31
+
+
+def test_the_degree_bound_refuses_before_multiplying(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("multiplied")
+
+    monkeypatch.setattr(PowerSeries, "__mul__", refuse)
+    monkeypatch.setattr(TrigPolynomial, "__mul__", refuse)
+    for text, context in (("x^200000", "series"), ("(1 + x)^513", "polynomial"),
+                          ("E(1)^200000", "trig")):
+        with pytest.raises(DomainError, match=f"past size {exprs.MAX_DEGREE}"):
+            parse_expression(text, context)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +391,6 @@ def test_sqrt_refusals_past_the_digit_limit_name_bit_lengths(
 
 
 def test_index_schedule_tokenizes_once(monkeypatch):
-    from expansions import exprs
-
     sched = parse_alpha_schedule("1/(i+2)")
     calls = []
     tokenize = exprs.tokenize

@@ -11,10 +11,9 @@ from expansions import (
     DomainError,
     NormTaylorSystem,
     Polynomial,
-    argmax_abs_enclosure,
     convergent,
     properness_profile,
-    sup_norm_enclosure,
+    sup_norm_le,
     trajectory,
 )
 
@@ -35,14 +34,15 @@ def test_stage_values_exact() -> None:
 
 def test_stage_norms() -> None:
     stages = trajectory(NormTaylorSystem(), FIXTURE, 5)
-    head = sup_norm_enclosure(stages[0])
-    assert F(8264467, 10**7) < head.lo <= head.hi < F(8264470, 10**7)
+    head = stages[0]
+    assert not sup_norm_le(head, F(8264467, 10**7))
+    assert sup_norm_le(head, F(8264470, 10**7))
+    # the head's peak is at 0.60583 to within 10^-5: its value there is
+    # already above the lower bracket
+    assert abs(head(F(60583, 10**5))) > F(8264467, 10**7)
     for stage in stages[1:5]:
-        enc = sup_norm_enclosure(stage)
-        assert enc.lo == enc.hi == 1
-    peak = argmax_abs_enclosure(stages[0])
-    assert peak.lo < F(60583, 10**5) < peak.hi
-    assert peak.hi - peak.lo < F(1, 10**5)
+        assert sup_norm_le(stage, 1)
+        assert not sup_norm_le(stage, 1 - F(1, 10**12))
 
 
 def test_properness_profile() -> None:
@@ -55,7 +55,7 @@ def test_proper_convergent_at_three() -> None:
     assert trace.improper_at is None
     assert trace.value == Polynomial.of(F(1, 2), 1, -1)
     # Its own peel-off stays inside the ball: 3/4 and then 1 at the top.
-    assert sup_norm_enclosure(trace.value).hi <= 1
+    assert sup_norm_le(trace.value, 1)
 
 
 def test_improper_convergents_at_two_and_four() -> None:
@@ -67,7 +67,8 @@ def test_improper_convergents_at_two_and_four() -> None:
     # The depth-2 candidate would be 1/2 + x, whose sup-norm 3/2 breaks the
     # membership bound, so reconstruction at level 0 refuses it.
     candidate = Polynomial.of(F(1, 2), 1)
-    assert sup_norm_enclosure(candidate).lo == F(3, 2)
+    assert sup_norm_le(candidate, F(3, 2))
+    assert not sup_norm_le(candidate, F(3, 2) - F(1, 10**12))
     assert sysm.reconstruct(0, F(1, 2), Polynomial.of(1)) is None
 
 

@@ -1,5 +1,5 @@
 """Tests for exact polynomial arithmetic and the certified predicates on
-[0, 1]: root isolation, sign checks, and sup-norm enclosures."""
+[0, 1]: root isolation, sign checks, and sup-norm decisions."""
 
 import random
 from fractions import Fraction
@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 
 import expansions.polynomials as polynomials
 from expansions import (
-    Interval,
     NormTaylorSystem,
     Polynomial,
-    argmax_abs_enclosure,
     convergent,
     is_nonneg_on_01,
     isolate_roots_01,
     sample_element,
-    sup_norm_enclosure,
     sup_norm_le,
     trajectory,
 )
@@ -126,24 +123,28 @@ def test_sign_and_norm_predicates() -> None:
     assert not is_nonneg_on_01(X - Polynomial.of(F(1, 2)))
     assert sup_norm_le(hump, F(1, 4))
     assert not sup_norm_le(hump, F(1, 5))
-    enc = sup_norm_enclosure(hump)
-    assert isinstance(enc, Interval)
-    assert enc.lo == enc.hi == F(1, 4)
-    assert argmax_abs_enclosure(hump) == Interval(F(1, 2), F(1, 2))
+    # the norm is exactly 1/4, reached at 1/2
+    assert not sup_norm_le(hump, F(1, 4) - F(1, 10**12))
+    assert hump(F(1, 2)) == F(1, 4)
 
 
-def test_norm_enclosure_vs_sampling() -> None:
-    rng = random.Random(304)
-    for _ in range(15):
-        p = random_poly(rng, rng.randrange(1, 6))
-        enc = sup_norm_enclosure(p, F(1, 10**4))
-        assert enc.hi - enc.lo <= F(1, 10**4)
-        sampled = max(abs(p(F(k, 64))) for k in range(65))
-        assert sampled <= enc.hi
-        assert enc.lo <= sampled + F(1, 10**3) or sampled >= enc.lo
-        assert sup_norm_le(p, enc.hi)
-        if enc.lo > 0:
-            assert not sup_norm_le(p, enc.lo - min(enc.lo, F(1, 10**5)) / 2)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("taylor", "newton-forward", "newton-backward",
+                        "newton-reflected", "norm-taylor")),
+       st.integers(0, 2**32 - 1),
+       st.fractions(min_value=F(1, 10**9), max_value=1))
+def test_norm_enclosure_vs_sampling(system_id, seed, eps):
+    # a registry sample's norm lies between its sampled max on a grid of
+    # [0, 1] and the sum of its coefficients' absolute values; the maximum
+    # lies within 1/128 of a grid point, where |p'| <= sum k |c_k| on [0, 1]
+    p = sample_element(system_id, random.Random(seed))
+    assert p.center == 0
+    sampled = max(abs(p(F(k, 64))) for k in range(65))
+    if sampled > 0:
+        assert not sup_norm_le(p, sampled - min(eps, sampled))
+    assert sup_norm_le(p, sum(abs(c) for c in p.coeffs))
+    slope = sum(k * abs(c) for k, c in enumerate(p.coeffs))
+    assert sup_norm_le(p, sampled + slope / 128)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,8 @@ from expansions import (
     trajectory,
 )
 from expansions.polynomials import (
-    argmax_abs_enclosure,
     divmod_poly,
     is_nonneg_on_01,
-    sup_norm_enclosure,
 )
 from expansions.registry import SHUFFLE_SIGMA
 from expansions.seriessys import NormTaylorSystem
@@ -145,8 +143,6 @@ def test_polynomial_decisions_refuse_recentred_series():
             lambda: isolate_roots_01(p),
             lambda: is_nonneg_on_01(p),
             lambda: sup_norm_le(p, 1),
-            lambda: sup_norm_enclosure(p),
-            lambda: argmax_abs_enclosure(p),
         )
         for decide in decisions:
             with pytest.raises(DomainError, match="centered at 0"):

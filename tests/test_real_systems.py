@@ -410,3 +410,32 @@ def test_negated_inverse_matrix_is_the_same_system() -> None:
         n = rng.randrange(0, 12)
         for value in (y, Interval.exact(y), Interval(y, y + F(1, 2 ** 40))):
             assert convergent(neg, value, n) == convergent(base2, value, n)
+
+
+@pytest.mark.parametrize("system, c, tail, image", [
+    # cf's branch 1/(1 + t) is admitted for t > 0 only
+    (ContinuedFractionSystem(), 1, (F(1, 8), F(1, 4)), (F(4, 5), F(8, 9))),
+    (ContinuedFractionSystem(), 1, (F(0), F(1, 8)), PrecisionExhausted),
+    # ... and its pole at t = -1 inside the tail leaves no enclosure
+    (ContinuedFractionSystem(), 1, (F(-2), F(1, 2)), PrecisionExhausted),
+    (ContinuedFractionSystem(), 1, (F(-1), F(1, 2)), PrecisionExhausted),
+    # the neutral coefficient's only preimage is the neutral 0
+    (ContinuedFractionSystem(), INF, (F(0), F(0)), (F(0), F(0))),
+    (ContinuedFractionSystem(), INF, (F(1, 8), F(1, 4)), None),
+    (ContinuedFractionSystem(), INF, (F(-1, 8), F(1, 8)), PrecisionExhausted),
+    (EngelSystem(), INF, (F(0), F(1, 8)), PrecisionExhausted),
+    # Egyptian 1/3 + t is admitted while t < 1/6
+    (EgyptianSystem(), 3, (F(1, 8), F(1, 7)), (F(11, 24), F(10, 21))),
+    (EgyptianSystem(), 3, (F(1, 5), F(1, 4)), None),
+    (EgyptianSystem(), 3, (F(1, 8), F(1, 5)), PrecisionExhausted),
+])
+def test_interval_reconstruct_decides_on_both_endpoints(system, c, tail, image):
+    # an enclosure's preimage is decided when both endpoint preimages are
+    # admitted or both refused; across the admission edge it is undecidable
+    tail = Interval(*tail)
+    if image is PrecisionExhausted:
+        with pytest.raises(PrecisionExhausted):
+            system.reconstruct(0, c, tail)
+    else:
+        got = system.reconstruct(0, c, tail)
+        assert got == (None if image is None else Interval(*image))
