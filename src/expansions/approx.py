@@ -17,6 +17,16 @@ center.  The emitted coefficients are :class:`~expansions.coefficients.ASCoef`
 records ``(c, m)``; for ``KD`` they also carry ``b``, the derivative at the
 center.
 
+The transformed germ is an index map of the germ ``y``: its coefficient ``j``
+is ``w_j * y[j + d]`` from ``j = s`` on and zero below, with ``d = 1`` and
+``w_j = j + 1`` for ``D`` and ``KD``, ``d = 0`` and ``w_j = 1`` for ``K``, and
+``s = 0`` for ``D``, ``s = 1`` for ``K`` and ``KD`` (whose ``b`` is
+``y[1]``).  So a level reads ``(c, m)`` off ``y`` directly, reads its
+normalized germ through one index map of ``y``
+(:meth:`~expansions.series.PowerSeries.index_map`) and rebuilds through one
+index map of the inverse nonlinearity's result: a level builds one lazy
+stream each way besides its kernel.
+
 A transformed germ that is identically zero has multiplicity ``INF`` and
 marks the neutral branch; a *truncated* germ whose known coefficients are all
 zero cannot distinguish the two cases and raises
@@ -27,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .coefficients import ASCoef, INF, ExtendedInt, is_infinite
 from .core import ORDER_NONE, ExpansionSystem
@@ -103,23 +113,32 @@ class ASConfig:
         return a
 
 
-def multiplicity(series: PowerSeries) -> ExtendedInt:
-    """Index of the first nonzero coefficient; ``INF`` for the exact zero
-    series.
+def _leading(
+    values: Iterable[Fraction], start: int, known: int, exact: bool
+) -> tuple[ExtendedInt, Fraction]:
+    """Index and value of the first nonzero of ``values``, which are the
+    coefficients ``start, start + 1, ...`` of a series with ``known`` stored
+    coefficients; ``(INF, 0)`` when there is none and the series is exact.
 
     Raises:
-        TruncationInconclusive: for a truncated germ with no nonzero stored
+        TruncationInconclusive: for a truncated series with no nonzero stored
             coefficient — it may or may not be zero.
     """
-    for k, c in enumerate(series.coeffs):
-        if c != 0:
-            return k
-    if series.exact:
-        return INF
+    for k, c in enumerate(values, start):
+        if c:
+            return k, c
+    if exact:
+        return INF, Fraction(0)
     raise TruncationInconclusive(
-        f"all {len(series.coeffs)} known coefficients vanish; multiplicity "
-        "cannot be certified"
+        f"all {known} known coefficients vanish; multiplicity cannot be certified"
     )
+
+
+def multiplicity(series: PowerSeries) -> ExtendedInt:
+    """Index of the first nonzero coefficient; ``INF`` for the exact zero
+    series (see :func:`_leading`)."""
+    cs = series.coeffs
+    return _leading(cs, 0, len(cs), series.exact)[0]
 
 
 class ApproximationSystem(ExpansionSystem):
@@ -174,22 +193,25 @@ class ApproximationSystem(ExpansionSystem):
 
     # -- transform ----------------------------------------------------------
 
-    def _transformed(self, y: PowerSeries) -> tuple[ASCoef, PowerSeries]:
-        """The level's coefficient of ``y`` and the transformed germ it is
-        read from."""
-        cfg = self.config
-        b: Optional[Fraction] = None
-        if cfg.transform == TRANSFORM_D:
-            t = y.differentiate()
-        elif cfg.transform == TRANSFORM_K:
-            t = y - PowerSeries.constant(cfg.center, y.coefficient(0))
-        else:
-            d = y.differentiate()
-            b = d.coefficient(0)
-            t = d - PowerSeries.constant(cfg.center, b)
-        m = multiplicity(t)
-        c = Fraction(0) if is_infinite(m) else t.coefficient(m)
-        return ASCoef(c=c, m=m, b=b), t
+    def _shape(self) -> tuple[int, int]:
+        """``(d, s)`` of the transform's index map (see module docs)."""
+        transform = self.config.transform
+        return (0 if transform == TRANSFORM_K else 1), (0 if transform == TRANSFORM_D else 1)
+
+    def _transformed(self, y: PowerSeries) -> ASCoef:
+        """The level's coefficient of ``y``: multiplicity and leading
+        coefficient of the transformed germ, scanned off ``y`` directly."""
+        d, s = self._shape()
+        cs = y.coeffs
+        known = len(cs) - d
+        if known < 1 and not y.exact:
+            raise TruncationInconclusive(
+                "differentiating an order-0 germ leaves no known coefficients"
+            )
+        values = ((j + 1) * cs[j + 1] if d else cs[j] for j in range(s, known))
+        m, c = _leading(values, s, known, y.exact)
+        b = y.coefficient(1) if self.config.transform == TRANSFORM_KD else None
+        return ASCoef(c=c, m=m, b=b)
 
     def check_coefficient(self, c: Any) -> Optional[Fraction]:
         """The derivative term ``b`` of ``c``; :class:`DomainError` unless
@@ -204,17 +226,19 @@ class ApproximationSystem(ExpansionSystem):
     # -- system maps ----------------------------------------------------------
 
     def project(self, i: int, y: PowerSeries) -> ASCoef:
-        return self._transformed(y)[0]
+        return self._transformed(y)
 
     def step(self, i: int, y: PowerSeries) -> tuple[ASCoef, PowerSeries]:
         cfg = self.config
-        coefficient, t = self._transformed(y)
-        if is_infinite(coefficient.m):
+        coefficient = self._transformed(y)
+        m, c = coefficient.m, coefficient.c
+        if is_infinite(m):
             return coefficient, self.neutral(i + 1)
-        normalized = t
-        for _ in range(coefficient.m):
-            normalized = normalized.shift_down()
-        normalized = normalized.scale(1 / coefficient.c)
+        # coefficient k of the normalized germ is w_{k+m} * y[k + m + d] / c
+        d = self._shape()[0]
+        shift = m + d
+        weighted = (lambda k, a: (k + shift) * a / c) if d else (lambda k, a: a / c)
+        normalized = y.index_map(len(y.coeffs) - shift, shift, weighted)
         if cfg.nonlinearity == NL_POWER:
             return coefficient, normalized.power(cfg.alpha(i), cfg.order)
         return coefficient, normalized.log(cfg.order)
@@ -226,30 +250,32 @@ class ApproximationSystem(ExpansionSystem):
         self, i: int, c: ASCoef, tail: PowerSeries
     ) -> Optional[PowerSeries]:
         cfg = self.config
-        b = self.check_coefficient(c)
+        b = self.check_coefficient(c) or Fraction(0)
+        conv = cfg.constant_term
         if is_infinite(c.m):
             if c.c != 0 or not self.is_neutral(i + 1, tail):
                 return None
-            transformed: PowerSeries = PowerSeries.zero(cfg.center)
+            return PowerSeries.exact_poly(cfg.center, (conv, b))
+        d, s = self._shape()
+        if c.c == 0 or c.m < s:
+            return None  # a leading coefficient cannot vanish, nor sit below s
+        if cfg.nonlinearity == NL_POWER:
+            u = tail.power(1 / cfg.alpha(i), cfg.order)
         else:
-            if c.c == 0:
-                return None  # a leading coefficient cannot vanish
-            if cfg.transform in (TRANSFORM_K, TRANSFORM_KD) and c.m < 1:
-                return None  # these transforms kill the constant term
-            if cfg.nonlinearity == NL_POWER:
-                u = tail.power(1 / cfg.alpha(i), cfg.order)
-            else:
-                u = tail.exp(cfg.order)
-            for _ in range(c.m):
-                u = u.shift_up()
-            transformed = u.scale(c.c)
+            u = tail.exp(cfg.order)
+        # the level's value is conv + c (x - center)^m u for K, and conv plus
+        # the integral of c (x - center)^m u + b for D and KD
+        lead, shift = c.c, c.m + d
+        if not d:
+            return u.index_map(len(u.coeffs) + shift, -shift,
+                               lambda k, a: lead * a if k else conv)
 
-        conv = cfg.constant_term
-        if cfg.transform == TRANSFORM_K:
-            return PowerSeries.constant(cfg.center, conv) + transformed
-        if b is not None:
-            transformed = transformed + PowerSeries.constant(cfg.center, b)
-        return transformed.integrate(conv)
+        def value(k: int, a: Fraction) -> Fraction:
+            if not k:
+                return conv
+            return (lead * a + b) / k if k == 1 else lead * a / k
+
+        return u.index_map(len(u.coeffs) + shift, -shift, value)
 
 
 def detect_cycle(values: Sequence[Any], max_period: int) -> Optional[int]:

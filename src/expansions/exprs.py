@@ -21,8 +21,9 @@ Grammar::
     atom   := NUMBER | NAME ('(' expr (',' expr)* ')')? | '(' expr ')'
 
 Parse errors carry the offending position.  Parentheses, call arguments and
-prefix signs nest at most ``MAX_NESTING`` levels deep, and an exact integer
-power reaches at most degree, or widest trig mode, ``MAX_DEGREE``.
+prefix signs nest at most ``MAX_NESTING`` levels deep, an exact integer
+power reaches at most degree, or widest trig mode, ``MAX_DEGREE``, and a
+power of a real reaches at most ``certified.MAX_BITS`` bits.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from typing import Any, Callable, List, Optional, Sequence
 
 from .approx import alpha_list
-from .certified import Interval, _Message, e_interval, pi_interval, sqrt_interval
+from .certified import MAX_BITS, Interval, _Message, e_interval, pi_interval, sqrt_interval
 from .coefficients import CONE, ComplexRational
 from .errors import DomainError, ParseError, PrecisionExhausted, UnsupportedInContext
 from .series import PowerSeries, power_by_squaring
@@ -104,6 +105,20 @@ def _check_power(k: int, size: int) -> None:
     if k > 1 and k * size > MAX_DEGREE:
         raise DomainError(f"exponents above {max(1, MAX_DEGREE // size)} take a base "
                           f"of size {size} past size {MAX_DEGREE}")
+
+
+def _check_bits(k: int, base: Any) -> None:
+    """Refuse ``base^k``, for a ``Fraction`` or ``Interval`` base, when the
+    exact power's bit size, estimated as ``|k|`` times the bit length of the
+    base's largest numerator or denominator, would pass
+    :data:`~expansions.certified.MAX_BITS`, before any product is taken."""
+    if abs(k) < 2:
+        return
+    ends = (base,) if isinstance(base, Fraction) else (base.lo, base.hi)
+    bits = max(max(abs(f.numerator).bit_length(), f.denominator.bit_length()) for f in ends)
+    if abs(k) * bits > MAX_BITS:
+        raise DomainError(f"exponents above {max(1, MAX_BITS // bits)} take a base "
+                          f"of {bits} bits past {MAX_BITS} bits")
 
 
 class _Parser:
@@ -289,6 +304,7 @@ class _ScalarEnv(_Env):
             raise DomainError("division by zero") from None
 
     def pow(self, a: Any, k: int) -> Any:
+        _check_bits(k, a)
         try:
             return a ** k
         except ZeroDivisionError:

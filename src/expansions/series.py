@@ -14,13 +14,13 @@ evaluation, the Taylor ``shift``) refuse a truncated series.
 
 An exact series stores a tuple.  A truncated result of the analytic kernels
 and of the linear operations (``+``, ``-``, ``scale``, the shifts,
-``differentiate``, ``integrate``) stores a lazy stream instead, in the manner
-of McIlroy's "Power series, power serious": its length, the known order plus
-one, is fixed when it is built, and each coefficient is computed on its first
-read and kept.  Its coefficient ``k`` is ``rule(k, views)``, where
-``views[i]`` is the coefficient list of source ``i``: a source stream's memo
-list or a source tuple.  Every check that can fail runs when the series is
-built, so a coefficient read never raises.
+``index_map``, ``differentiate``, ``integrate``) stores a lazy stream
+instead, in the manner of McIlroy's "Power series, power serious": its
+length, the known order plus one, is fixed when it is built, and each
+coefficient is computed on its first read and kept.  Its coefficient ``k``
+is ``rule(k, views)``, where ``views[i]`` is the coefficient list of source
+``i``: a source stream's memo list or a source tuple.  Every check that can
+fail runs when the series is built, so a coefficient read never raises.
 
 The analytic kernels (``power``, ``log``, ``exp``) are online coefficient
 recurrences driven by the derivative identities: coefficient ``m`` of the
@@ -383,6 +383,23 @@ class PowerSeries:
         if self.exact:
             return PowerSeries._stripped(self.center, [constant, *cs])
         return self._stream(len(cs) + 1, lambda k, v: v[0][k - 1] if k else constant, (self, -1))
+
+    def index_map(
+        self, length: int, offset: int, f: Callable[[int, Fraction], Fraction]
+    ) -> "PowerSeries":
+        """The series whose coefficient ``k < length`` is ``f(k, a)``, ``a``
+        being coefficient ``k + offset`` of this one, or zero below index 0
+        and past the end of an exact series: a stripped tuple when this series
+        is exact, one stream when it is truncated (``length + offset`` must
+        not pass its length)."""
+        cs = self.coeffs
+        if self.exact:
+            n = len(cs)
+            return PowerSeries._stripped(self.center, [
+                f(k, cs[k + offset] if 0 <= k + offset < n else _ZERO) for k in range(length)])
+        return self._stream(
+            length, lambda k, v: f(k, v[0][k + offset] if k + offset >= 0 else _ZERO),
+            (self, offset))
 
     # -- calculus -----------------------------------------------------------------
 

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expansions import (
     ASCoef,
@@ -21,6 +23,7 @@ from expansions import (
     build_system,
     coefficient_code,
     constant_alpha,
+    convergent_from_code,
     convergent,
     detect_cycle,
     order_of,
@@ -28,7 +31,10 @@ from expansions import (
     sample_element,
     trajectory,
 )
+from expansions import series as series_module
 from expansions.approx import multiplicity
+from expansions.coefficients import is_infinite
+from expansions.registry import system_ids
 
 F = Fraction
 
@@ -312,3 +318,127 @@ def test_code_transforms_each_level_once(monkeypatch) -> None:
     monkeypatch.setattr(ApproximationSystem, "_transformed", counting)
     assert coefficient_code(sysm, germ, 5) == expected
     assert len(calls) == 5
+
+
+# -- the level maps against the composition of public series operations ------------
+
+def chain_transformed(system, y):
+    """A level's coefficient and transformed germ, one public operation at a
+    time: differentiate, subtract the constant, scan for the first nonzero."""
+    cfg = system.config
+    b = None
+    if cfg.transform == "D":
+        t = y.differentiate()
+    elif cfg.transform == "K":
+        t = y - PowerSeries.constant(cfg.center, y.coefficient(0))
+    else:
+        d = y.differentiate()
+        b = d.coefficient(0)
+        t = d - PowerSeries.constant(cfg.center, b)
+    m = next((k for k, a in enumerate(t.coeffs) if a), None)
+    if m is None:
+        if not t.exact:
+            raise TruncationInconclusive(
+                f"all {len(t.coeffs)} known coefficients vanish; multiplicity "
+                "cannot be certified")
+        return ASCoef(c=F(0), m=INF, b=b), t
+    return ASCoef(c=t.coefficient(m), m=m, b=b), t
+
+
+def chain_step(system, i, y):
+    """``step`` as shift_down m times, scale by 1/c, then the kernel."""
+    cfg = system.config
+    coefficient, t = chain_transformed(system, y)
+    if is_infinite(coefficient.m):
+        return coefficient, system.neutral(i + 1)
+    for _ in range(coefficient.m):
+        t = t.shift_down()
+    t = t.scale(1 / coefficient.c)
+    if cfg.nonlinearity == "power":
+        return coefficient, t.power(cfg.alpha(i), cfg.order)
+    return coefficient, t.log(cfg.order)
+
+
+def chain_reconstruct(system, i, c, tail):
+    """``reconstruct`` as the kernel, shift_up m times, scale by c, add b,
+    then integrate (D, KD) or add the constant term (K)."""
+    cfg = system.config
+    if is_infinite(c.m):
+        if c.c != 0 or not system.is_neutral(i + 1, tail):
+            return None
+        transformed = PowerSeries.zero(cfg.center)
+    else:
+        if c.c == 0 or (cfg.transform != "D" and c.m < 1):
+            return None
+        if cfg.nonlinearity == "power":
+            u = tail.power(1 / cfg.alpha(i), cfg.order)
+        else:
+            u = tail.exp(cfg.order)
+        for _ in range(c.m):
+            u = u.shift_up()
+        transformed = u.scale(c.c)
+    conv = cfg.constant_term
+    if cfg.transform == "K":
+        return PowerSeries.constant(cfg.center, conv) + transformed
+    if c.b is not None:
+        transformed = transformed + PowerSeries.constant(cfg.center, c.b)
+    return transformed.integrate(conv)
+
+
+def outcome(run):
+    """``run()``'s germ or coefficient, read in full, or its refusal."""
+    try:
+        value = run()
+    except (TruncationInconclusive, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, tuple):
+        return tuple(outcome(lambda v=v: v) for v in value)
+    if isinstance(value, PowerSeries):
+        return value.center, tuple(value.coeffs), value.known_order, value.exact
+    return value
+
+
+CENTRE_ONE = ApproximationSystem(ASConfig(
+    transform="D", nonlinearity="power", alphas=constant_alpha(-1), center=F(1)))
+LEVEL_SYSTEMS = [(sid, build_system(sid), sid) for sid in system_ids() if sid.startswith("as-")]
+LEVEL_SYSTEMS.append(("as-d-power-neg1@1", CENTRE_ONE, "as-d-power-neg1"))
+
+
+@pytest.mark.parametrize("name, system, sampler", LEVEL_SYSTEMS,
+                         ids=[name for name, _, _ in LEVEL_SYSTEMS])
+@settings(max_examples=25, deadline=None)
+@given(rng=st.randoms(use_true_random=False), keep=st.integers(1, 24),
+       zero_from=st.integers(1, 24), exact=st.booleans())
+@example(rng=random.Random(0), keep=1, zero_from=1, exact=False)  # order 0
+@example(rng=random.Random(0), keep=24, zero_from=1, exact=False)  # all-zero tail
+def test_level_maps_match_the_public_op_chain(name, system, sampler, rng, keep, zero_from, exact):
+    # a registry sample, cut to `keep` coefficients (down to an order-0
+    # germ) and zero from `zero_from` on (all-zero tails), exact or not
+    cs = list(sample_element(sampler, rng).coeffs)[:keep]
+    cs[zero_from:] = [F(0)] * len(cs[zero_from:])
+    y = (PowerSeries.exact_poly if exact else PowerSeries.truncated)(system.center, cs)
+    stepped = outcome(lambda: system.step(0, y))
+    assert stepped == outcome(lambda: chain_step(system, 0, y))
+    if isinstance(stepped[0], str):
+        return
+    c, tail = system.step(0, y)
+    for rest in (tail, system.neutral(1)):
+        assert outcome(lambda: system.reconstruct(0, c, rest)) == \
+            outcome(lambda: chain_reconstruct(system, 0, c, rest))
+
+
+def test_a_level_builds_one_stream_each_way_besides_its_kernel(monkeypatch):
+    # as-kd-power-3 at depth 4 on a truncated sample: the code's three steps
+    # and the backward pass's four reconstructs build two streams each, the
+    # index map and the power kernel
+    system = build_system("as-kd-power-3")
+    y = sample_element("as-kd-power-3", random.Random(5))
+    built = []
+    init = series_module._Stream.__init__
+    monkeypatch.setattr(series_module._Stream, "__init__",
+                        lambda stream, *args: built.append(1) or init(stream, *args))
+    code = coefficient_code(system, y, 4)
+    assert len(built) <= 2 * 3
+    built.clear()
+    trace = convergent_from_code(system, code)
+    assert trace.proper and len(built) <= 2 * 4

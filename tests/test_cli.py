@@ -102,6 +102,17 @@ def test_convergent_trace_lists_stages_top_down(system):
     assert out == golden
 
 
+def pinned_runs(argvs):
+    """Sorted exit codes of the CLI runs ``argvs``, and the sha256 of their
+    argv, exit codes, stdout and stderr, as JSON with sorted keys."""
+    records = []
+    for argv in argvs:
+        code, out, err = run_cli(*argv)
+        records.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
+    blob = json.dumps(records, sort_keys=True).encode()
+    return sorted(r["exit"] for r in records), hashlib.sha256(blob).hexdigest()
+
+
 REAL_SYSTEM_IDS = ("base10", "base10-shuffled", "cf", "egyptian", "engel")
 REAL_INPUTS = ("pi-3", "e-2", "sqrt(2)-1", "sqrt(1/2)", "(sqrt(2)-1)/3", "1/(pi)", "pi/4",
                "sqrt(3)-1", "7/10", "1/3", "e/3", "(pi-3)*7")
@@ -111,16 +122,12 @@ def test_real_convergent_traces_are_pinned():
     # 60 `--emit trace` runs (47 exit 0, 10 exhausted, 3 improper): the
     # sha256 of their argv, exit codes, stdout and stderr, as JSON with
     # sorted keys, pins every byte the real systems print here
-    records = []
-    for system, text in itertools.product(REAL_SYSTEM_IDS, REAL_INPUTS):
-        argv = ["convergent", "--system", system, "--input", text,
-                "--bits", "256", "--order", "12", "--emit", "trace"]
-        code, out, err = run_cli(*argv)
-        records.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
-    assert sorted(r["exit"] for r in records) == [0] * 47 + [3] * 10 + [4] * 3
-    blob = json.dumps(records, sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == (
-        "599a1805e37ad27b98805af1220f82e04f16fd69caf4281d73dfe1e579de9d18")
+    exits, digest = pinned_runs(
+        ["convergent", "--system", system, "--input", text,
+         "--bits", "256", "--order", "12", "--emit", "trace"]
+        for system, text in itertools.product(REAL_SYSTEM_IDS, REAL_INPUTS))
+    assert exits == [0] * 47 + [3] * 10 + [4] * 3
+    assert digest == "599a1805e37ad27b98805af1220f82e04f16fd69caf4281d73dfe1e579de9d18"
 
 
 POLY_TRACE_INPUTS = ("0", "5/3", "x^2", "1 + 2*x - x^3/3", "(x - 1)^4", "x^5/7 - x + 1/2",
@@ -140,17 +147,39 @@ def test_series_convergent_traces_are_pinned():
     # orders 0, 2, 4 and 7 (161 exit 0, 9 norm-taylor non-members, 2
     # improper): the sha256 of their argv, exit codes, stdout and stderr, as
     # JSON with sorted keys, pins every byte those systems print here
-    records = []
-    for system, texts in SERIES_TRACE_INPUTS.items():
-        for text, order in itertools.product(texts, ("0", "2", "4", "7")):
-            argv = ["convergent", "--system", system, "--input", text,
-                    "--order", order, "--emit", "trace"]
-            code, out, err = run_cli(*argv)
-            records.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
-    assert sorted(r["exit"] for r in records) == [0] * 161 + [2] * 9 + [4] * 2
-    blob = json.dumps(records, sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == (
-        "41a1f46dd9b574ca101409b1db95c895a939fed57b08a11641603e3fea4c02e0")
+    exits, digest = pinned_runs(
+        ["convergent", "--system", system, "--input", text, "--order", order, "--emit", "trace"]
+        for system, texts in SERIES_TRACE_INPUTS.items()
+        for text, order in itertools.product(texts, ("0", "2", "4", "7")))
+    assert exits == [0] * 161 + [2] * 9 + [4] * 2
+    assert digest == "41a1f46dd9b574ca101409b1db95c895a939fed57b08a11641603e3fea4c02e0"
+
+
+GERM_SYSTEM_IDS = tuple(sid for sid in system_ids() if sid.startswith("as-"))
+# exact, analytic and series(...) inputs for both constant terms, with an
+# order-0 germ and all-zero tails among the literals
+GERM_INPUTS = ("1", "(1 + x)^3", "1 + x/2 - x^3", "exp(x)", "sqrt(1/(1 - x))",
+               "series(1, 1/2, 0, -1/3, 2)", "series(1)", "series(1, 0, 0, 0)",
+               "0", "x - x^2/2", "log(1 + x)", "series(0, 1, 1/2)", "series(0, 0, 0)")
+
+
+def test_germ_convergent_traces_are_pinned():
+    # 728 runs of the seven as-* systems at --series-order 12: `expand
+    # --depth n` and `convergent --order n --emit trace` for n = 0..3 (400
+    # exit 0, 246 with the other constant term, 82 out of known order): the
+    # sha256 of their argv, exit codes, stdout and stderr, as JSON with sorted
+    # keys, pins every byte those systems print here
+    exits, digest = pinned_runs(
+        argv
+        for system, text, n in itertools.product(GERM_SYSTEM_IDS, GERM_INPUTS, "0123")
+        for argv in (
+            ["expand", "--system", system, "--input", text, "--series-order", "12",
+             "--depth", n],
+            ["convergent", "--system", system, "--input", text, "--series-order", "12",
+             "--order", n, "--emit", "trace"],
+        ))
+    assert exits == [0] * 400 + [2] * 246 + [3] * 82
+    assert digest == "475907cba648030b97b26495288260daea831fe447d1ae976f9a5b749f425e5c"
 
 
 def test_convergent_value_with_decimal_rendering():
@@ -744,6 +773,19 @@ def test_an_exact_power_past_the_degree_bound_exits_2_promptly(system_id, text):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err.startswith("error: DomainError: exponents above ") and err.count("\n") == 1
+
+
+def test_a_real_power_past_the_bit_bound_exits_2_promptly():
+    # |k| times the base's widest part in bits: 10^7 * 2 passes 2^20
+    start = time.perf_counter()
+    code, out, err = run_cli("expand", "--system", "cf", "--input", "(1/3)^10000000",
+                             "--depth", "2")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: DomainError: exponents above 524288 take a base of 2 bits "
+                   "past 1048576 bits\n")
+    assert run_cli("expand", "--system", "cf", "--input", "(1/3)^1000", "--depth", "2") == (
+        0, f"{3 ** 1000} inf\n", "")
 
 
 def test_exact_and_truncated_powers_keep_their_output():

@@ -245,6 +245,27 @@ def test_exact_powers_stop_at_the_degree_bound(monkeypatch, text, context, allow
         parse_expression(text.format(k=allowed + 1), context)
 
 
+@pytest.mark.parametrize("text, allowed", [
+    ("(1/3)^{k}", 32),
+    ("(-5/3)^-{k}", 21),
+    ("(7/2 + 1/2)^{k}", 21),
+])
+def test_real_powers_stop_at_the_bit_bound(monkeypatch, text, allowed):
+    # k times the bit length of the base's widest part may reach MAX_BITS
+    monkeypatch.setattr(exprs, "MAX_BITS", 64)
+    parse_expression(text.format(k=allowed), "real")
+    with pytest.raises(DomainError, match=f"exponents above {allowed} "):
+        parse_expression(text.format(k=allowed + 1), "real")
+
+
+def test_the_bit_bound_reads_an_interval_s_endpoints():
+    assert parse_expression("sqrt(2)^2", "real", bits=64).lo <= 2
+    with pytest.raises(DomainError, match="exponents above "):
+        parse_expression("sqrt(2)^100000", "real")
+    with pytest.raises(DomainError, match="exponents above "):
+        parse_expression("series(1, (1/3)^10000000)", "series")
+
+
 def test_degree_bound_spares_constants_and_truncated_series(monkeypatch):
     monkeypatch.setattr(exprs, "MAX_DEGREE", 8)
     assert parse_expression("2^1000", "polynomial") == Polynomial.of(2 ** 1000)
