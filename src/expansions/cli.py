@@ -10,13 +10,15 @@ identical bytes.
 Exit codes: 0 success; 2 parse/domain errors; 3 exhausted precision or
 truncated knowledge, after ``expand`` and ``as run`` have printed the
 coefficients certified before the failing level; 4 an improper convergent
-where a proper one was demanded.
+where a proper one was demanded; 141 (128 + SIGPIPE) when the reader of
+stdout closed it before the output was written, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -49,6 +51,9 @@ from .registry import build_system, get_entry, system_ids
 
 DEFAULT_BITS = 256
 DEFAULT_SERIES_ORDER = 32
+
+#: exit code when stdout's reader goes away early, as a shell reports SIGPIPE
+EXIT_BROKEN_PIPE = 141
 
 
 class _ImproperDemand(ExpansionError):
@@ -354,14 +359,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Certified numbers may have any length: lift the interpreter's int/str
     # digit limit (Python >= 3.10.7) for this call only, so a host that
     # imports the library keeps its own.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _main(argv)
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if saved is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return _main(argv)
+        code = _main(argv)
+        # flushed here, so that a reader who closed stdout early is met below
+        # and not by the interpreter's flush at shutdown
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout now writes to the null device, so the flush at shutdown of
+        # what is still buffered cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     finally:
-        sys.set_int_max_str_digits(saved)
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 def _main(argv: Optional[Sequence[str]]) -> int:

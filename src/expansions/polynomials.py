@@ -6,7 +6,11 @@ and certified decisions about polynomial ranges on ``[0, 1]`` —
 ``is_nonneg_on_01`` and ``sup_norm_le`` — from the Bernstein coefficients of
 an integer-scaled polynomial under dyadic halving, with roots isolated by
 Descartes' rule on those coefficients (Vincent–Collins–Akritas bisection).
-Both run on integers by additions and shifts.  ``Fraction`` arithmetic is
+Both run on integers: the polynomial scaled to integer numerators by
+:func:`~expansions.series.integer_numerators`, then Taylor shifts by 1 in
+:func:`~expansions.series.taylor_shift_int`, the one integer shift kernel,
+which also serves ``PowerSeries.shift`` and the Newton step, and bit shifts
+for the halvings.  ``Fraction`` arithmetic is
 left to the square-free part before root isolation, to refining brackets,
 and to sampling in the rare sign test that halving leaves undecided.  These
 back the norm-restricted system's membership test, which must be exact: a
@@ -20,7 +24,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .series import PowerSeries
+from .series import PowerSeries, integer_numerators, taylor_shift_int
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -87,21 +91,6 @@ def square_free_part(p: Polynomial) -> Polynomial:
 _HALVINGS = 8
 
 
-def _integer_coeffs(cs: Sequence[Fraction]) -> List[int]:
-    """``cs`` times the lcm of its denominators, so every sign is kept."""
-    den = math.lcm(*(c.denominator for c in cs))
-    return [c.numerator * (den // c.denominator) for c in cs]
-
-
-def _shift_1(cs: List[int]) -> List[int]:
-    """Taylor shift ``q(x) -> q(x + 1)`` in place, by additions only."""
-    top = len(cs) - 1
-    for i in range(top):
-        for j in range(top - 1, i - 1, -1):
-            cs[j] += cs[j + 1]
-    return cs
-
-
 def _bernstein(cs: Sequence[int]) -> List[int]:
     """``C(n, i) * b_i`` for the Bernstein coefficients ``b_i`` on ``[0, 1]``
     of the degree-``n`` power form ``cs``.
@@ -109,7 +98,7 @@ def _bernstein(cs: Sequence[int]) -> List[int]:
     These are the coefficients of ``(1 + t)^n q(t / (1 + t))``: reverse, shift
     by 1, reverse.  The first is ``q(0)`` and the last ``q(1)``.
     """
-    return _shift_1(list(reversed(cs)))[::-1]
+    return taylor_shift_int(list(reversed(cs)), 1)[::-1]
 
 
 def _halves(cs: Sequence[int]) -> Tuple[List[int], List[int]]:
@@ -117,7 +106,7 @@ def _halves(cs: Sequence[int]) -> Tuple[List[int], List[int]]:
     ``[0, 1]`` mapped back onto ``[0, 1]``."""
     n = len(cs) - 1
     left = [c << (n - i) for i, c in enumerate(cs)]
-    return left, _shift_1(list(left))
+    return left, taylor_shift_int(list(left), 1)
 
 
 def _sign_test(cs: List[int], bern: List[int], halvings: int) -> Optional[bool]:
@@ -195,7 +184,7 @@ def isolate_roots_01(p: Polynomial) -> List[Tuple[Fraction, Fraction]]:
             out.append((mid, mid))
         search(right, 2 * k + 1, m + 1)
 
-    search(_integer_coeffs(p.coeffs), 0, 0)
+    search(integer_numerators(p.coeffs)[0], 0, 0)
     # Neighbouring brackets may share an endpoint, which is never a root:
     # halve both until consecutive brackets are strictly separated.
     changed = True
@@ -238,7 +227,7 @@ def is_nonneg_on_01(q: Polynomial) -> bool:
     _require_centered(q)
     if q.is_zero():
         return True
-    cs = _integer_coeffs(q.coeffs)
+    cs = integer_numerators(q.coeffs)[0]
     return _nonneg(cs, _bernstein(cs))
 
 
@@ -248,7 +237,7 @@ def sup_norm_le(p: Polynomial, bound: object) -> bool:
     bound = Fraction(bound)
     if bound < 0:
         return False
-    top, *cs = _integer_coeffs((bound, *p.coeffs))
+    (top, *cs), _ = integer_numerators((bound, *p.coeffs))
     if not cs:
         return True
     bern = _bernstein(cs)

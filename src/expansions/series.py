@@ -10,7 +10,12 @@ rather than invent coefficients, and questions beyond it raise
 
 Exact polynomials are exact series: ``PowerSeries.of(1, 0, -2)`` is
 ``1 - 2x^2`` at center 0, and the polynomial-only operations (``degree``,
-evaluation, the Taylor ``shift``) refuse a truncated series.
+evaluation, the Taylor ``shift``) refuse a truncated series.  Every exact
+Taylor shift in the package, ``shift`` itself, the Newton systems' difference
+step and the Bernstein transform of :mod:`~expansions.polynomials`, runs on
+integers in the one kernel :func:`taylor_shift_int`, over the numerators that
+:func:`integer_numerators` scales to the lcm of the denominators; ``shift``
+and the Newton step build each ``Fraction`` once at the end.
 
 An exact series stores a tuple.  A truncated result of the analytic kernels
 and of the linear operations (``+``, ``-``, ``scale``, the shifts,
@@ -55,6 +60,37 @@ def power_by_squaring(base: Any, k: int, unit: Any) -> Any:
         if bit == "1":
             acc = acc * base
     return acc
+
+
+def integer_numerators(cs: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """``(nums, den)`` with ``cs[k] == nums[k] / den``, ``den`` being the lcm
+    of the denominators of ``cs`` (1 for an empty ``cs``)."""
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def taylor_shift_int(cs: List[int], a: int) -> List[int]:
+    """Taylor shift ``q(x) -> q(x + a)`` in place on the ascending integer
+    coefficients ``cs`` of ``q``, by an integer ``a``; returns ``cs``.
+
+    Repeated synthetic division (von zur Gathen and Gerhard, ISSAC 1997):
+    pass ``i`` is Horner's rule by ``a`` on ``cs[i:]`` from the top.  For
+    ``a = +-1``, the shifts of the Newton steps and of the Bernstein
+    transform, the passes add or subtract alone, which is faster than the
+    multiply-add of any other ``a``.
+    """
+    top = len(cs) - 1
+    for i in range(top):
+        if a == 1:
+            for j in range(top - 1, i - 1, -1):
+                cs[j] += cs[j + 1]
+        elif a == -1:
+            for j in range(top - 1, i - 1, -1):
+                cs[j] -= cs[j + 1]
+        elif a:
+            for j in range(top - 1, i - 1, -1):
+                cs[j] += a * cs[j + 1]
+    return cs
 
 
 #: the coefficient lists of a stream's sources, and its coefficient rule
@@ -439,18 +475,20 @@ class PowerSeries:
     def shift(self, a: object) -> "PowerSeries":
         """Substitute ``x + a`` for ``x``, re-expanded about the same center.
 
-        The Taylor shift, by repeated synthetic division in place on the
-        coefficient list.
+        The Taylor shift on integer numerators over the lcm ``den`` of the
+        coefficients' denominators: for ``a = p/q`` it substitutes
+        ``x = y/q``, which scales numerator ``k`` of a degree-``n`` series by
+        ``q^(n-k)``, shifts ``y`` by ``p`` with :func:`taylor_shift_int` and
+        builds each coefficient's ``Fraction`` once, numerator ``k`` over
+        ``den q^(n-k)``.
         """
         self._require_exact("shift")
         a = Fraction(a)
-        cs = list(self.coeffs)
-        if a:
-            top = len(cs) - 1
-            for i in range(top):
-                for j in range(top - 1, i - 1, -1):
-                    cs[j] += a * cs[j + 1]
-        return PowerSeries(self.center, tuple(cs), exact=True)
+        nums, den = integer_numerators(self.coeffs)
+        scales = [a.denominator ** k for k in range(len(nums) - 1, -1, -1)]
+        moved = taylor_shift_int([c * w for c, w in zip(nums, scales)], a.numerator)
+        return PowerSeries(self.center, tuple(
+            Fraction(c, den * w) for c, w in zip(moved, scales)), exact=True)
 
     def reflect(self) -> "PowerSeries":
         """The series ``-p(-x)``, which is centered at ``-center``."""

@@ -24,7 +24,7 @@ from .coefficients import ComplexRational
 from .core import ORDER_NONE, ORDER_STANDARD, ConvergentTrace, ExpansionSystem, LazyStages
 from .errors import DomainError, TruncationInconclusive
 from .polynomials import sup_norm_le
-from .series import PowerSeries
+from .series import PowerSeries, integer_numerators, taylor_shift_int
 from .trig import TrigPolynomial
 
 _ZERO = Fraction(0)
@@ -101,6 +101,12 @@ def _factorial_basis(k: int, step: int, sign: int = 1) -> PowerSeries:
 class _NewtonBase(ExpansionSystem):
     """Value at 0, then the difference ``s * (p(x + h) - p(x))``.
 
+    The difference runs on the integer numerators of ``p`` over the lcm of
+    its denominators: one :func:`~expansions.series.taylor_shift_int` by
+    ``h = +-1``, which adds or subtracts alone, then each coefficient's
+    ``Fraction`` is built once, ``s`` times the numerators' difference over
+    that one denominator.
+
     Reconstruction is Newton interpolation through the basis
     ``B_k = (s h)^k x(x - h)...(x - (k-1) h) / k!``, which vanishes at 0 for
     ``k > 0`` and whose difference is ``B_{k-1}``.  It is total, so the
@@ -126,8 +132,12 @@ class _NewtonBase(ExpansionSystem):
         return y.coefficient(0)
 
     def expand(self, i: int, y: PowerSeries) -> PowerSeries:
-        moved = y.shift(self.h)
-        return moved - y if self.s > 0 else y - moved
+        y._require_exact("shift")
+        nums, den = integer_numerators(y.coeffs)
+        moved = taylor_shift_int(list(nums), self.h)
+        s = self.s
+        return PowerSeries._stripped(_ZERO, [
+            Fraction(s * (m - c), den) for m, c in zip(moved, nums)])
 
     def _newton_sum(self, code: Sequence[Any]) -> PowerSeries:
         """``sum_k code[k] * B_k``, the polynomial whose code is ``code``."""

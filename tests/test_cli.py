@@ -13,6 +13,7 @@ import math
 import os
 import random
 import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -495,6 +496,60 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == run_cli("systems", "list")[1]
+
+
+def test_a_reader_closing_stdout_early_gets_exit_141_and_no_traceback():
+    # this trace is 224 kB, well past a pipe's 64 KiB buffer, so the CLI is
+    # still writing when the reader closes its end after 10 bytes
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "expansions", "convergent", "--system", "as-kd-power-3",
+         "--input", "exp(x)", "--order", "5", "--emit", "trace"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert head == b"5: 1\n4: 1 "
+    assert (proc.returncode, err) == (cli.EXIT_BROKEN_PIPE, b"")
+    assert cli.EXIT_BROKEN_PIPE == 141
+
+
+def _python_3_10():
+    """``(executable, environment)`` of a working ``python3.10``, or None.
+
+    A pyenv shim runs its command only under a selected version, so a shim
+    that fails alone is tried once more with ``PYENV_VERSION=3.10``."""
+    exe = shutil.which("python3.10")
+    if exe is None:
+        return None
+    for extra in ({}, {"PYENV_VERSION": "3.10"}):
+        env = dict(os.environ, **extra)
+        probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"],
+                               env=env, capture_output=True, text=True, timeout=60)
+        if probe.stdout.strip() == "(3, 10)":
+            return exe, env
+    return None
+
+
+def test_the_requires_python_floor_prints_the_same_traces():
+    # pyproject.toml requires Python >= 3.10: the integer Taylor shift, the
+    # Newton steps and the Bernstein tests print the same bytes there
+    found = _python_3_10()
+    if found is None:
+        pytest.skip("no working python3.10 on PATH")
+    exe, env = found
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    for system, text in (("newton-forward", "x^5/7 - x + 1/2"),
+                         ("newton-backward", "(x - 1)^4"),
+                         ("newton-reflected", "1/2 + x - x^2 + x^3 - x^4"),
+                         ("taylor", "exp(x)"),
+                         ("norm-taylor", "x/2 - x^2/4")):
+        argv = ["convergent", "--system", system, "--input", text, "--order", "7",
+                "--emit", "trace"]
+        proc = subprocess.run([exe, "-m", "expansions", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*argv)
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):

@@ -1,10 +1,13 @@
 """Tests for the finite-difference systems on polynomials: forward, backward,
 and the reflected conjugate of the forward system."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expansions import (
     NewtonBackwardSystem,
@@ -147,6 +150,8 @@ def test_truncated_series_refusals_are_pinned(system) -> None:
         "evaluation needs an exact series, not one known to order 2")
     assert _refusal(lambda: system.reconstruct(2, F(0), constant)) == (
         "evaluation needs an exact series, not one known to order 0")
+    assert _refusal(lambda: system.expand(0, cubic)) == (
+        "shift needs an exact series, not one known to order 2")
 
 
 @pytest.mark.parametrize("system", NEWTON_SYSTEMS, ids=lambda s: s.name)
@@ -158,3 +163,85 @@ def test_all_zero_truncated_tail_is_refused(system) -> None:
         "evaluation needs an exact series, not one known to order 1")
     assert _refusal(lambda: system.reconstruct(0, F(1), zeros)) == (
         "evaluation needs an exact series, not one known to order 1")
+
+
+# -- the Taylor shift and the Newton step on integer numerators -------------
+
+
+def fraction_shift(cs, a) -> list:
+    """Reference Taylor shift ``q(x) -> q(x + a)``: synthetic division in
+    place on ``Fraction``s."""
+    cs = [F(c) for c in cs]
+    top = len(cs) - 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            cs[j] += a * cs[j + 1]
+    return cs
+
+
+def horner(cs, x) -> Fraction:
+    acc = F(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def assert_canonical(p: PowerSeries) -> None:
+    # stripped, and every coefficient a Fraction in lowest terms, so that
+    # ==, hash and str read as for any other exact series
+    assert p.exact and (not p.coeffs or p.coeffs[-1] != 0)
+    for c in p.coeffs:
+        assert type(c) is Fraction
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+coefficients = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.fractions(max_denominator=10**40),
+    st.just(F(0)),
+)
+polys = st.lists(coefficients, max_size=13)
+shifts = st.one_of(
+    st.integers(-4, 4).map(F),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.fractions(max_denominator=10**12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([F(0), F(1, 2), F(-7, 3)]), polys, shifts)
+@example(F(0), [], F(-3, 7))
+@example(F(0), [F(0), F(0)], F(5, 2))
+@example(F(0), [F(1, 10**40 + 1), F(0), F(-5, 3), F(2**70, 3**40)], F(-1))
+@example(F(1, 2), [F(3)], F(-2, 9))
+def test_shift_matches_fraction_synthetic_division(center, cs, a):
+    p = PowerSeries.exact_poly(center, cs)
+    moved = p.shift(a)
+    expected = PowerSeries(center, tuple(fraction_shift(p.coeffs, a)), exact=True)
+    assert moved == expected
+    assert hash(moved) == hash(expected) and str(moved) == str(expected)
+    assert_canonical(moved)
+
+
+@pytest.mark.parametrize("system", NEWTON_SYSTEMS, ids=lambda s: s.name)
+@settings(max_examples=60, deadline=None)
+@given(polys, st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=9),
+                       max_size=3))
+@example([], [])
+@example([F(7, 10**40)], [])
+def test_newton_step_is_the_scaled_difference(system, cs, extra):
+    # both sides have degree at most deg p, so agreeing at deg p + 1
+    # distinct points makes them equal as polynomials
+    p = Polynomial.of(*cs)
+    step = system.expand(0, p)
+    assert_canonical(step)
+    assert step.degree == max(p.degree - 1, -1)
+    for t in {F(t) for t in range(-1, p.degree + 1)} | set(extra):
+        assert step(t) == system.s * (horner(p.coeffs, t + system.h) - horner(p.coeffs, t))
+
+
+@pytest.mark.parametrize("a", [F(1), F(-1), F(3), F(-2, 5), F(0)])
+def test_shift_refuses_a_truncated_series(a) -> None:
+    germ = PowerSeries.truncated(0, [1, F(1, 2), 3])
+    assert _refusal(lambda: germ.shift(a)) == (
+        "shift needs an exact series, not one known to order 2")
