@@ -217,9 +217,9 @@ def coefficient_code(system: ExpansionSystem, y: Any, n: int) -> List[Any]:
     """
     if n < 0:
         raise DomainError(f"negative depth {n}")
+    system.validate(0, y)
     if n == 0:
         return []
-    system.validate(0, y)
     code: List[Any] = []
     try:
         for i in range(n - 1):

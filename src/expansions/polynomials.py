@@ -12,8 +12,10 @@ Both run on integers: the polynomial scaled to integer numerators by
 which also serves ``PowerSeries.shift`` and the Newton step, and bit shifts
 for the halvings.  ``Fraction`` arithmetic is
 left to the square-free part before root isolation, to refining brackets,
-and to sampling in the rare sign test that halving leaves undecided.  These
-back the norm-restricted system's membership test, which must be exact: a
+and to sampling in the rare sign test that halving leaves undecided.  The
+sup-norm decision itself, :func:`sup_norm_le_int`, takes the integer
+numerators and the scaled bound, so the norm-restricted system decides every
+stage of a polynomial on one scaling.  Its membership test must be exact: a
 convergent is declared proper or improper, never "probably proper".
 """
 
@@ -232,18 +234,30 @@ def is_nonneg_on_01(q: Polynomial) -> bool:
 
 
 def sup_norm_le(p: Polynomial, bound: object) -> bool:
-    """Exact decision of ``max |p|  <= bound`` on ``[0, 1]``."""
+    """Exact decision of ``max |p|  <= bound`` on ``[0, 1]``: ``bound`` and
+    ``p`` scaled to integers over one denominator, then
+    :func:`sup_norm_le_int`."""
     _require_centered(p)
-    bound = Fraction(bound)
-    if bound < 0:
+    (top, *cs), _ = integer_numerators((Fraction(bound), *p.coeffs))
+    return sup_norm_le_int(cs, top)
+
+
+def sup_norm_le_int(cs: Sequence[int], top: int) -> bool:
+    """Exact decision of ``max |q| <= top`` on ``[0, 1]`` for the polynomial
+    ``q`` with ascending integer coefficients ``cs``.
+
+    Scaling ``q`` and ``top`` by one positive constant keeps the verdict, so
+    every stage of one integer-scaled polynomial is decided on a slice of its
+    numerators against the same ``top``.
+    """
+    if top < 0:
         return False
-    (top, *cs), _ = integer_numerators((bound, *p.coeffs))
     if not cs:
         return True
     bern = _bernstein(cs)
     n = len(cs) - 1
     # The Bernstein coefficients of a constant are that constant, so those of
-    # bound -+ p come from p's own: decide bound - p >= 0 and bound + p >= 0.
+    # top -+ q come from q's own: decide top - q >= 0 and top + q >= 0.
     ceiling = [top * math.comb(n, i) for i in range(n + 1)]
     for sign in (1, -1):
         power = [-sign * c for c in cs]
@@ -251,4 +265,3 @@ def sup_norm_le(p: Polynomial, bound: object) -> bool:
         if not _nonneg(power, [t - sign * v for t, v in zip(ceiling, bern)]):
             return False
     return True
-

@@ -6,11 +6,14 @@ Four families live here:
 * Newton systems on polynomials (exact series at center 0) driven by the
   forward, backward and reflected difference operators, reconstructing
   through the matching factorial bases: a convergent, and each of its
-  stages when read, is one Newton sum over the cached basis,
+  stages when read, is one Newton sum over the cached basis, accumulated on
+  integer numerators over one denominator,
 * the Fourier system on trigonometric polynomials, peeling mode pairs
   ``+-i`` at level ``i``,
 * a norm-restricted Taylor system on polynomials whose reconstruction is
-  genuinely partial — the standard source of improper convergents.
+  genuinely partial — the standard source of improper convergents.  Its
+  membership walk scales a polynomial to integers once and decides every
+  stage on a slice of those numerators.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Any, Optional, Sequence, Tuple
 from .coefficients import ComplexRational
 from .core import ORDER_NONE, ORDER_STANDARD, ConvergentTrace, ExpansionSystem, LazyStages
 from .errors import DomainError, TruncationInconclusive
-from .polynomials import sup_norm_le
+from .polynomials import sup_norm_le, sup_norm_le_int
 from .series import PowerSeries, integer_numerators, taylor_shift_int
 from .trig import TrigPolynomial
 
@@ -86,16 +89,15 @@ def _validate_polynomial(y: Any) -> None:
 
 
 @functools.cache
-def _factorial_basis(k: int, step: int, sign: int = 1) -> PowerSeries:
-    """``sign^k x(x - step)...(x - (k-1) step) / k!``, built once per
-    ``(k, step, sign)``.
-
-    ``PowerSeries`` is immutable, so every caller may share the table entry.
-    """
-    acc = PowerSeries.of(1)
+def _factorial_basis(k: int, step: int, sign: int = 1) -> Tuple[int, ...]:
+    """Ascending integer coefficients of ``sign^k x(x - step)...(x - (k-1)
+    step)``, which is ``k!`` times the basis element; built once per ``(k,
+    step, sign)``, one factor ``sign (x - j step)`` at a time."""
+    acc = [1]
     for j in range(k):
-        acc = acc * PowerSeries.of(-j * step, 1)
-    return acc * Fraction(sign**k, math.factorial(k))
+        a = j * step
+        acc = [sign * (lo - a * hi) for lo, hi in zip([0, *acc], [*acc, 0])]
+    return tuple(acc)
 
 
 class _NewtonBase(ExpansionSystem):
@@ -112,7 +114,8 @@ class _NewtonBase(ExpansionSystem):
     ``k > 0`` and whose difference is ``B_{k-1}``.  It is total, so the
     polynomial with code ``c`` is the Newton sum ``sum_k c[k] * B_k``, and
     stage ``i`` of a convergent is the Newton sum of ``c[i:]`` (Knuth, TAOCP
-    vol. 2, 4.6.4).
+    vol. 2, 4.6.4).  The sum runs on integers too: every term is scaled to
+    one common denominator and each coefficient's ``Fraction`` is built once.
     """
 
     kind = "polynomial"
@@ -140,25 +143,50 @@ class _NewtonBase(ExpansionSystem):
             Fraction(s * (m - c), den) for m, c in zip(moved, nums)])
 
     def _newton_sum(self, code: Sequence[Any]) -> PowerSeries:
-        """``sum_k code[k] * B_k``, the polynomial whose code is ``code``."""
-        out = [_ZERO] * len(code)
+        """``sum_k code[k] * B_k``, the polynomial whose code is ``code``.
+
+        ``B_k`` is the cached integer row ``S_k`` of :func:`_factorial_basis`
+        over ``k!``, so each nonzero ``code[k] = p/q`` is scaled to one
+        denominator ``L``, the lcm of the ``q k!``: the sum adds
+        ``p (L / (q k!)) S_k[j]`` on integers and builds each coefficient's
+        ``Fraction`` once, over ``L``.
+        """
+        terms = []
         for k, c in enumerate(code):
             if c:
                 c = Fraction(c)
-                for j, b in enumerate(_factorial_basis(k, self.h, self.s * self.h).coeffs):
-                    out[j] += c * b
-        return PowerSeries.exact_poly(_ZERO, out)
+                terms.append((c.numerator, c.denominator * math.factorial(k),
+                              _factorial_basis(k, self.h, self.s * self.h)))
+        den = math.lcm(*(q for _, q, _ in terms))
+        out = [0] * len(code)
+        for p, q, row in terms:
+            w = p * (den // q)
+            for j, b in enumerate(row):
+                out[j] += w * b
+        return PowerSeries._stripped(_ZERO, [Fraction(v, den) for v in out])
 
     def reconstruct(self, i: int, c: Fraction, tail: PowerSeries) -> PowerSeries:
         """The Newton sum of ``c`` and the code of ``tail``, read off the
         difference table of the tail's values at ``0, h, 2h, ...``: after
         pass ``k`` in place, ``values[k]`` is ``(E^k tail)(0)`` for the
-        expansion step ``E``."""
-        values = [tail(Fraction(j * self.h)) for j in range(len(tail.coeffs))]
+        expansion step ``E``.
+
+        The values are Horner's rule on the tail's integer numerators over
+        their one denominator ``den``, and the table runs on those integers,
+        since it is linear; each code entry is ``values[k] / den``.
+        """
+        tail._require_exact("evaluation")
+        nums, den = integer_numerators(tail.coeffs)
+        values = []
+        for j in range(len(nums)):
+            x, acc = j * self.h, 0
+            for a in reversed(nums):
+                acc = acc * x + a
+            values.append(acc)
         for k in range(1, len(values)):
             for j in range(len(values) - 1, k - 1, -1):
                 values[j] = self.s * (values[j] - values[j - 1])
-        return self._newton_sum([c, *values])
+        return self._newton_sum([c, *(Fraction(v, den) for v in values)])
 
     def backward_pass(self, coeffs: Sequence[Any]) -> ConvergentTrace:
         """Level 0 as one Newton sum; the other stages are built when read
@@ -274,13 +302,12 @@ class NormTaylorSystem(TaylorSystem):
         super().__init__()
 
     def _member(self, y: PowerSeries) -> bool:
-        stage = y
-        while True:
-            if not sup_norm_le(stage, self.bound):
-                return False
-            if stage.is_zero():
-                return True
-            stage = stage.shift_down()
+        """Every peel-off stage of ``y``, its zero stage included, within the
+        bound: ``y`` and the bound are scaled to integers once, and stage
+        ``k`` is decided on the numerators ``nums[k:]`` against the scaled
+        bound ``top``, as one positive scaling keeps every verdict."""
+        (top, *nums), _ = integer_numerators((self.bound, *y.coeffs))
+        return all(sup_norm_le_int(nums[k:], top) for k in range(len(nums) + 1))
 
     def validate(self, i: int, y: Any) -> None:
         _validate_polynomial(y)
@@ -296,7 +323,8 @@ class NormTaylorSystem(TaylorSystem):
 
         ``tail`` is a level-``i + 1`` element, hence a member: every later
         stage of the candidate is a stage of ``tail`` and already within the
-        bound, so only the candidate itself is decided.
+        bound, so only the candidate itself is decided, by ``sup_norm_le``
+        and the integer decision that the membership walk runs per stage.
         """
         candidate = tail.shift_up(c)
         return candidate if sup_norm_le(candidate, self.bound) else None

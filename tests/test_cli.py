@@ -145,15 +145,16 @@ SERIES_TRACE_INPUTS = {
 
 def test_series_convergent_traces_are_pinned():
     # 172 `--emit trace` runs of the series, polynomial and trig systems at
-    # orders 0, 2, 4 and 7 (161 exit 0, 9 norm-taylor non-members, 2
-    # improper): the sha256 of their argv, exit codes, stdout and stderr, as
-    # JSON with sorted keys, pins every byte those systems print here
+    # orders 0, 2, 4 and 7 (158 exit 0, 12 norm-taylor non-members, refused
+    # at order 0 too, 2 improper): the sha256 of their argv, exit codes,
+    # stdout and stderr, as JSON with sorted keys, pins every byte those
+    # systems print here
     exits, digest = pinned_runs(
         ["convergent", "--system", system, "--input", text, "--order", order, "--emit", "trace"]
         for system, texts in SERIES_TRACE_INPUTS.items()
         for text, order in itertools.product(texts, ("0", "2", "4", "7")))
-    assert exits == [0] * 161 + [2] * 9 + [4] * 2
-    assert digest == "41a1f46dd9b574ca101409b1db95c895a939fed57b08a11641603e3fea4c02e0"
+    assert exits == [0] * 158 + [2] * 12 + [4] * 2
+    assert digest == "7c6866c4995e725e246ca2241a31c09f0457a739653747e7bf37c557fbdb8036"
 
 
 GERM_SYSTEM_IDS = tuple(sid for sid in system_ids() if sid.startswith("as-"))
@@ -166,10 +167,11 @@ GERM_INPUTS = ("1", "(1 + x)^3", "1 + x/2 - x^3", "exp(x)", "sqrt(1/(1 - x))",
 
 def test_germ_convergent_traces_are_pinned():
     # 728 runs of the seven as-* systems at --series-order 12: `expand
-    # --depth n` and `convergent --order n --emit trace` for n = 0..3 (400
-    # exit 0, 246 with the other constant term, 82 out of known order): the
-    # sha256 of their argv, exit codes, stdout and stderr, as JSON with sorted
-    # keys, pins every byte those systems print here
+    # --depth n` and `convergent --order n --emit trace` for n = 0..3 (318
+    # exit 0, 328 with the other constant term, refused at n = 0 too, 82 out
+    # of known order): the sha256 of their argv, exit codes, stdout and
+    # stderr, as JSON with sorted keys, pins every byte those systems print
+    # here
     exits, digest = pinned_runs(
         argv
         for system, text, n in itertools.product(GERM_SYSTEM_IDS, GERM_INPUTS, "0123")
@@ -179,8 +181,8 @@ def test_germ_convergent_traces_are_pinned():
             ["convergent", "--system", system, "--input", text, "--series-order", "12",
              "--order", n, "--emit", "trace"],
         ))
-    assert exits == [0] * 400 + [2] * 246 + [3] * 82
-    assert digest == "475907cba648030b97b26495288260daea831fe447d1ae976f9a5b749f425e5c"
+    assert exits == [0] * 318 + [2] * 328 + [3] * 82
+    assert digest == "582df552a9df367659ff8e8bd73257ad826d3fa3a793d2491b61c35dd6e77b0c"
 
 
 def test_convergent_value_with_decimal_rendering():
@@ -584,6 +586,20 @@ def test_exit_code_negative_depth():
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: DomainError:")
+
+
+@pytest.mark.parametrize("verb, system, text, flag, message", [
+    ("expand", "cf", "7/3", "--depth", "element lies outside [0, 1)"),
+    ("convergent", "norm-taylor", "3*x^2", "--order", "sup-norm above 1 on [0, 1]"),
+])
+def test_depth_zero_refuses_what_depth_one_refuses(verb, system, text, flag, message):
+    # an input outside the system is refused before any coefficient is read,
+    # so depth 0 ends as depth 1 does
+    results = [run_cli(verb, "--system", system, "--input", text, flag, n) for n in "01"]
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (2, "")
+    assert err.startswith("error: DomainError:") and message in err
 
 
 def test_exit_code_deep_nesting():

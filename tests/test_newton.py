@@ -117,17 +117,24 @@ def test_reflection_conjugation() -> None:
         assert convergent(refl, y, n).value == convergent(fwd, y.reflect(), n).value.reflect()
 
 
+def basis(k, step, sign=1):
+    """The basis element whose integer row, ``k!`` times it, is
+    ``_factorial_basis(k, step, sign)``."""
+    return Polynomial.of(*_factorial_basis(k, step, sign)) * F(1, math.factorial(k))
+
+
 def test_difference_bases() -> None:
-    # the binomial basis _factorial_basis(k, 1) has forward difference
-    # _factorial_basis(k-1, 1); the rising basis _factorial_basis(k, -1) is
-    # its backward-difference counterpart.
-    assert _factorial_basis(2, 1) == X * (X - Polynomial.of(1)) * F(1, 2)
-    assert _factorial_basis(2, -1) == X * (X + Polynomial.of(1)) * F(1, 2)
+    # the binomial basis basis(k, 1) has forward difference basis(k-1, 1);
+    # the rising basis basis(k, -1) is its backward-difference counterpart.
+    assert basis(2, 1) == X * (X - Polynomial.of(1)) * F(1, 2)
+    assert basis(2, -1) == X * (X + Polynomial.of(1)) * F(1, 2)
+    assert basis(2, -1, -1) == basis(2, -1)
+    assert basis(3, -1, -1) == -basis(3, -1)
     for k in range(1, 6):
-        fwd_diff = _factorial_basis(k, 1).shift(1) - _factorial_basis(k, 1)
-        assert fwd_diff == _factorial_basis(k - 1, 1)
-        bwd_diff = _factorial_basis(k, -1) - _factorial_basis(k, -1).shift(-1)
-        assert bwd_diff == _factorial_basis(k - 1, -1)
+        fwd_diff = basis(k, 1).shift(1) - basis(k, 1)
+        assert fwd_diff == basis(k - 1, 1)
+        bwd_diff = basis(k, -1) - basis(k, -1).shift(-1)
+        assert bwd_diff == basis(k - 1, -1)
 
 
 
@@ -238,6 +245,74 @@ def test_newton_step_is_the_scaled_difference(system, cs, extra):
     assert step.degree == max(p.degree - 1, -1)
     for t in {F(t) for t in range(-1, p.degree + 1)} | set(extra):
         assert step(t) == system.s * (horner(p.coeffs, t + system.h) - horner(p.coeffs, t))
+
+
+# -- the Newton sum and reconstruct on integer numerators -------------------
+
+
+def fraction_basis(k, h, s) -> Polynomial:
+    """``B_k = (s h)^k x(x - h)...(x - (k-1) h) / k!`` by ``Fraction``
+    products, apart from the cached integer table."""
+    acc = Polynomial.of(1)
+    for j in range(k):
+        acc = acc * (X - Polynomial.of(j * h))
+    return acc * F((s * h) ** k, math.factorial(k))
+
+
+def fraction_newton_sum(system, code) -> Polynomial:
+    acc = Polynomial.of()
+    for k, c in enumerate(code):
+        acc = acc + fraction_basis(k, system.h, system.s) * F(c)
+    return acc
+
+
+def fraction_reconstruct(system, c, tail) -> Polynomial:
+    """Newton reconstruct by ``Fraction`` Horner and a ``Fraction``
+    difference table of the tail's values at ``0, h, 2h, ...``."""
+    values = [horner(tail.coeffs, F(j * system.h)) for j in range(len(tail.coeffs))]
+    for k in range(1, len(values)):
+        for j in range(len(values) - 1, k - 1, -1):
+            values[j] = system.s * (values[j] - values[j - 1])
+    return fraction_newton_sum(system, [c, *values])
+
+
+def assert_same_polynomial(got, expected) -> None:
+    assert got == expected
+    assert hash(got) == hash(expected) and str(got) == str(expected)
+    assert_canonical(got)
+
+
+code_entries = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.fractions(max_denominator=10**30),
+    st.just(F(0)),
+)
+codes = st.lists(code_entries, max_size=12)
+
+
+@pytest.mark.parametrize("system", NEWTON_SYSTEMS, ids=lambda s: s.name)
+@settings(max_examples=80, deadline=None)
+@given(codes)
+@example([])
+@example([F(0)] * 5)
+@example([F(0), F(0), F(3, 10**30 + 7), F(0), F(-1, 3)])
+@example([F(10**30 - 1, 10**30), F(0), F(7)])
+def test_newton_sum_matches_the_fraction_basis_sum(system, code):
+    assert_same_polynomial(system._newton_sum(code), fraction_newton_sum(system, code))
+
+
+@pytest.mark.parametrize("system", NEWTON_SYSTEMS, ids=lambda s: s.name)
+@settings(max_examples=80, deadline=None)
+@given(code_entries, polys)
+@example(F(0), [])
+@example(F(-2, 3), [F(0), F(0), F(1, 10**30 + 1)])
+def test_reconstruct_matches_the_fraction_difference_table(system, c, cs):
+    tail = Polynomial.of(*cs)
+    rebuilt = system.reconstruct(0, c, tail)
+    assert_same_polynomial(rebuilt, fraction_reconstruct(system, c, tail))
+    # reconstruct inverts the step: value c at 0 and difference tail
+    assert system.project(0, rebuilt) == c
+    assert system.expand(0, rebuilt) == tail
 
 
 @pytest.mark.parametrize("a", [F(1), F(-1), F(3), F(-2, 5), F(0)])

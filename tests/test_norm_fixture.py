@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import expansions.polynomials as polynomials
 import expansions.seriessys as seriessys
 from expansions import (
     DomainError,
@@ -83,14 +84,17 @@ def test_membership_validation() -> None:
 def test_reconstruct_decides_only_the_new_stage(monkeypatch) -> None:
     # Validation walks the 10 nonzero stages of the degree-9 input and its
     # zero stage; each of the 9 backward steps then decides one new stage.
-    decide = seriessys.sup_norm_le
+    # The walk calls the integer decision directly and reconstruct reaches it
+    # through sup_norm_le, so both module bindings are counted.
+    decide = polynomials.sup_norm_le_int
     calls = []
 
-    def counted(p, bound):
-        calls.append(p)
-        return decide(p, bound)
+    def counted(cs, top):
+        calls.append(cs)
+        return decide(cs, top)
 
-    monkeypatch.setattr(seriessys, "sup_norm_le", counted)
+    monkeypatch.setattr(seriessys, "sup_norm_le_int", counted)
+    monkeypatch.setattr(polynomials, "sup_norm_le_int", counted)
     y = Polynomial.of(*[F((-1) ** k, 10) for k in range(10)])
     trace = convergent(NormTaylorSystem(), y, 9)
     assert trace.proper

@@ -126,6 +126,10 @@ def test_sign_and_norm_predicates() -> None:
     # the norm is exactly 1/4, reached at 1/2
     assert not sup_norm_le(hump, F(1, 4) - F(1, 10**12))
     assert hump(F(1, 2)) == F(1, 4)
+    # a negative bound holds nothing, the zero polynomial included
+    zero = Polynomial.of()
+    assert sup_norm_le(zero, 0) and not sup_norm_le(zero, F(-1, 3))
+    assert not sup_norm_le(Polynomial.of(F(1, 3)), F(-1, 2))
 
 
 @settings(max_examples=60, deadline=None)

@@ -312,6 +312,42 @@ def test_norm_taylor_reconstruct_keeps_membership(seed, c):
         assert system._member(rebuilt)
 
 
+def stagewise_member(system, y):
+    """The membership walk stage by stage: ``sup_norm_le`` on every peel-off
+    stage of ``y``, its zero stage included, each scaled on its own."""
+    stage = y
+    while True:
+        if not sup_norm_le(stage, system.bound):
+            return False
+        if stage.is_zero():
+            return True
+        stage = stage.shift_down()
+
+
+# 1/2 + x - x^2 + x^3 - x^4, the criterion-4 fixture
+CRITERION_4 = [Fraction(1, 2), 1, -1, 1, -1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=12), max_size=7),
+    st.lists(st.fractions(min_value=-1, max_value=1), max_size=5),
+    coeff_lists,
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: sample_element("norm-taylor", random.Random(seed)).coeffs),
+))
+@example([])
+@example(CRITERION_4)
+@example(CRITERION_4[1:])
+@example([*CRITERION_4[:4], Fraction(-1) - Fraction(1, 10**12)])
+@example([Fraction(1, 2), 1])
+@example([0, 0, 0, Fraction(1, 3)])
+def test_member_matches_the_stagewise_walk(cs):
+    system = NormTaylorSystem()
+    y = Polynomial.of(*cs)
+    assert system._member(y) == stagewise_member(system, y)
+
+
 @bounded
 @given(coeff_lists)
 def test_polynomial_text_parses_to_its_coefficients(cs):
