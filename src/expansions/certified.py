@@ -2,12 +2,10 @@
 
 An :class:`Interval` encloses one real number.  It holds its two endpoints
 as unreduced fractions ``n0/e0`` and ``n1/e1`` with positive denominators.
-An exact ``+ - * /`` with an ``int`` or ``Fraction`` (on either side) and
-negation map both fractions by one affine map ``(al*y + be) / de`` with
-``de > 0``, skipping the products by 0 and 1; the reciprocal of an interval
-of certified sign swaps each fraction's two parts (Gosper, HAKMEM item
-101).  So each digit step on a remainder (``b*y - d``, ``1/y - q``,
-``y - 1/q``, ``q*y - 1``) is a few integer products and no gcd.
+An exact ``+ - * /`` with an ``int`` or ``Fraction`` (on either side),
+negation and the reciprocal map both fractions by one integer Möbius map
+(Gosper, HAKMEM item 101) with no product by 0 or ±1, certifying its pole
+off the enclosure: a digit step is a few integer products and no gcd.
 Arithmetic between two intervals, ``**`` and ``abs`` run on the reduced
 endpoints.  Field operations are exact (endpoints stay rational, enclosures
 never silently widen).  Predicates decide from the two fractions by integer
@@ -106,18 +104,45 @@ class Interval:
         f = Fraction(value)
         return Interval(f, f)
 
-    def _affine(self, al: int, be: int, de: int) -> "Interval":
-        """``(al*y + be) / de`` of this interval ``y``, ``de > 0``: each
-        endpoint ``n/e`` maps to ``(al*n + be*e) / (de*e)``, with no product
-        by 0 or 1."""
+    def _mobius(self, a: int, b: int, g: int, d: int) -> "Interval":
+        """``(a*y + b) / (g*y + d)``: each endpoint ``n/e`` maps to
+        ``(a*n + b*e) / (g*n + d*e)``, with no product by 0 or ±1, negated if
+        the denominators are negative.  As :meth:`reciprocal` does, it refuses
+        a denominator ``g*y + d`` that is exact zero or not of one strict sign."""
         n0, e0, n1, e1 = self._ends
-        if al != 1:
-            n0, n1 = al * n0, al * n1
-        if be:
-            n0, n1 = n0 + be * e0, n1 + be * e1
-        if de != 1:
-            e0, e1 = de * e0, de * e1
-        return Interval._from_ends(n0, e0, n1, e1)
+        if g:
+            if g == 1 and not d:
+                q0, q1 = n0, n1
+            else:  # the numerators of the affine map g*y + d
+                q0, _, q1, _ = self._mobius(g, d, 0, 1)._ends
+            if q0 < 0 and q1 < 0:
+                a, b, q0, q1 = -a, -b, -q0, -q1
+            elif q0 <= 0 or q1 <= 0:
+                if q0 == 0 == q1:
+                    raise ZeroDivisionError("reciprocal of exact zero")
+                raise PrecisionExhausted(_Message("cannot invert interval straddling zero: {}",
+                                                  Interval._from_ends(q0, e0, q1, e1)))
+        elif d == 1:
+            q0, q1 = e0, e1
+        else:
+            if d < 0:
+                a, b, d = -a, -b, -d
+            elif not d:
+                raise ZeroDivisionError("reciprocal of exact zero")
+            q0, q1 = (e0, e1) if d == 1 else (d * e0, d * e1)
+        if not a:  # the numerators b*e alone: swap the roles of n and e
+            a, b, n0, n1 = b, 0, e0, e1
+        if a == -1:
+            n0, n1 = -n0, -n1
+        elif a != 1:
+            n0, n1 = (a * n0, a * n1) if a else (0, 0)
+        if b == 1:
+            n0, n1 = n0 + e0, n1 + e1
+        elif b == -1:
+            n0, n1 = n0 - e0, n1 - e1
+        elif b:
+            n0, n1 = n0 + b * e0, n1 + b * e1
+        return Interval._from_ends(n0, q0, n1, q1)
 
     @staticmethod
     def _from_ends(n0: int, e0: int, n1: int, e1: int) -> "Interval":
@@ -153,7 +178,7 @@ class Interval:
         parts = _exact_parts(other)
         if parts is not None:
             u, v = parts
-            return self._affine(v, u, v)
+            return self._mobius(v, u, 0, v)
         if not isinstance(other, Interval):
             return NotImplemented
         return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -161,13 +186,13 @@ class Interval:
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
-        return self._affine(-1, 0, 1)
+        return self._mobius(-1, 0, 0, 1)
 
     def __sub__(self, other: object) -> "Interval":
         parts = _exact_parts(other)
         if parts is not None:
             u, v = parts
-            return self._affine(v, -u, v)
+            return self._mobius(v, -u, 0, v)
         if not isinstance(other, Interval):
             return NotImplemented
         return Interval(self.lo - other.hi, self.hi - other.lo)
@@ -177,13 +202,13 @@ class Interval:
         if parts is None:
             return NotImplemented
         u, v = parts
-        return self._affine(-v, u, v)
+        return self._mobius(-v, u, 0, v)
 
     def __mul__(self, other: object) -> "Interval":
         parts = _exact_parts(other)
         if parts is not None:
             u, v = parts
-            return self._affine(u, 0, v)
+            return self._mobius(u, 0, 0, v)
         if not isinstance(other, Interval):
             return NotImplemented
         products = (self.lo * other.lo, self.lo * other.hi,
@@ -193,16 +218,8 @@ class Interval:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "Interval":
-        """``1/y``: each endpoint ``n/e`` becomes ``e/n``, with both parts
-        negated when ``n < 0`` so the denominators stay positive."""
-        n0, e0, n1, e1 = self._ends
-        if n0 > 0 and n1 > 0:
-            return Interval._from_ends(e0, n0, e1, n1)
-        if n0 < 0 and n1 < 0:
-            return Interval._from_ends(-e0, -n0, -e1, -n1)
-        if n0 == 0 == n1:
-            raise ZeroDivisionError("reciprocal of exact zero")
-        raise PrecisionExhausted(_Message("cannot invert interval straddling zero: {}", self))
+        """``1/y``: each endpoint ``n/e`` becomes ``e/n``, negated if ``n < 0``."""
+        return self._mobius(0, 1, 1, 0)
 
     def __truediv__(self, other: object) -> "Interval":
         parts = _exact_parts(other)
@@ -211,9 +228,7 @@ class Interval:
                 return NotImplemented
             return self * other.reciprocal()
         u, v = parts
-        if u == 0:
-            raise ZeroDivisionError("reciprocal of exact zero")
-        return self._affine(v, 0, u) if u > 0 else self._affine(-v, 0, -u)
+        return self._mobius(v, 0, 0, u)
 
     def __rtruediv__(self, other: object) -> "Interval":
         if _exact_parts(other) is None:

@@ -29,7 +29,7 @@ from .approx import ApproximationSystem
 from .coefficients import is_infinite
 from .core import ConvergentTrace, ExpansionSystem, convergent, trajectory
 from .errors import DomainError, UnsupportedInContext
-from .realsys import BaseSystem, ContinuedFractionSystem, FExpansionSystem
+from .realsys import BaseSystem, ContinuedFractionSystem, FExpansionSystem, apply_matrix
 from .seriessys import NewtonForwardSystem, NewtonReflectedSystem
 
 LevelMap = Callable[[int, Any], Any]
@@ -255,10 +255,8 @@ def _f_shift_morphism(
     ``f(0)`` is the added point of the target, which the inverse of ``E1``
     and ``E2`` both send to 0."""
 
-    a, b, g, d = source.f_inv
-
     def e1_inv(i: int, y: Any) -> Any:
-        return Fraction(0) if is_infinite(y) else (a * y + b) / (g * y + d)
+        return Fraction(0) if is_infinite(y) else apply_matrix(source.f_inv, y)
 
     def e2(i: int, y: Any) -> Any:
         return Fraction(0) if is_infinite(y) else y - math.floor(y)

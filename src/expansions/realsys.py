@@ -3,26 +3,20 @@
 Base-``b`` digits and continued fractions are f-expansions
 (:class:`FExpansionSystem`): one step emits ``floor(f(y))`` and keeps the
 fractional part.  The Egyptian and Engel systems share one class for their
-``ceil(1/y)`` coefficient map.  Every system reconstructs by one Möbius
-branch per coefficient: an integer matrix applied to the tail, admitted when
-its image lies below the open top of the coefficient's cylinder.  The
-backward pass of a convergent runs those matrices on unreduced integer pairs
-and reduces a stage to a ``Fraction`` only when it is read (Gosper, HAKMEM
-item 101; Vuillemin 1990).
-
-Every step here is a Möbius map of the remainder (``b*y - d``, ``1/y - q``,
-``y - 1/q``, ``q*y - 1``), spelled with ``math.floor``, ``math.ceil``, ``<``,
-``not y`` (zero test) and ``0 * y`` (zero of the same kind).  The spelling
-runs on exact ``Fraction`` values and on certified remainders of irrational
-inputs: an :class:`~expansions.certified.Interval` maps the two unreduced
-fractions of its endpoints by each such map, so each level costs a few
-integer products instead of reducing two ``Fraction`` endpoints.  An
-f-expansion steps an enclosure by the integer matrix of ``f`` itself, the
-inverse of ``f_inv``.  On an enclosure the predicates are certified, so a
-too-narrow precision budget surfaces as
-:class:`~expansions.errors.PrecisionExhausted` rather than a wrong digit.  A
-map ``f`` that is not Möbius, such as ``4*y*y``, multiplies two intervals,
-which runs on their endpoints.
+``ceil(1/y)`` coefficient map.  Each coefficient ``c`` has one integer
+Möbius branch ``branch(c)``: reconstruction applies it to the tail and admits
+the image below the open top of the cylinder of ``c``, and a step is the
+inverse of its own branch, by the matrix of ``f`` (the adjugate of
+``f_inv``) or by the adjugate of ``branch(ceil(1/y))``.  :func:`apply_matrix`
+maps an exact ``Fraction`` to one ``Fraction`` of two integers, and an
+:class:`~expansions.certified.Interval` by its two unreduced endpoint
+fractions, so a level costs a few integer products and no gcd.  On an
+enclosure the floor, ceiling, pole and admission are certified, so a
+too-narrow precision budget raises
+:class:`~expansions.errors.PrecisionExhausted` rather than a wrong digit.
+The backward pass runs the branches on unreduced integer pairs and reduces a
+stage only when it is read (Gosper, HAKMEM item 101; Vuillemin 1990).  Only
+an ``f`` whose ``f_inv`` is singular, such as ``4*y*y``, is called itself.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from typing import Any, Callable, List, Optional, Tuple, Union
 
-from .certified import Interval, _Message
+from .certified import Interval
 from .coefficients import INF, ExtendedInt, is_infinite
 from .core import (
     ORDER_REVERSED,
@@ -41,10 +35,19 @@ from .core import (
     ExpansionSystem,
     LazyStages,
 )
-from .errors import DomainError, PrecisionExhausted
+from .errors import DomainError
 
 Real = Union[Fraction, Interval]
 Matrix = Tuple[int, int, int, int]
+
+
+def apply_matrix(matrix: Matrix, y: Real) -> Real:
+    """``(a*y + b) / (g*y + d)`` for ``matrix = (a, b, g, d)``: one
+    ``Fraction`` of two integers, or ``Interval._mobius`` of an enclosure."""
+    if isinstance(y, Interval):
+        return y._mobius(*matrix)
+    a, b, g, d = matrix
+    return Fraction(a * y.numerator + b * y.denominator, g * y.numerator + d * y.denominator)
 
 
 class _UnitIntervalSystem(ExpansionSystem):
@@ -67,11 +70,13 @@ class _UnitIntervalSystem(ExpansionSystem):
     def validate(self, i: int, y: Any) -> None:
         if not isinstance(y, (Fraction, Interval)):
             raise DomainError(f"expected Fraction or Interval, got {type(y).__name__}")
-        # Refute an enclosure only when it lies wholly outside.  Name the
-        # side, not the value, which may be too large to print.
-        lo, hi = (y.lo, y.hi) if isinstance(y, Interval) else (y, y)
-        if hi < 0 or lo >= 1:
-            side = "below 0" if hi < 0 else "at or above 1"
+        # Refute an enclosure only when it lies wholly outside, decided on
+        # its unreduced endpoint fractions n/e (e > 0), as a Fraction is on
+        # its own.  Name the side, not the value, which may be too large to
+        # print.
+        n0, e0, n1, e1 = y._ends if isinstance(y, Interval) else (y.numerator, y.denominator) * 2
+        if n0 < 0 and n1 < 0 or n0 >= e0 and n1 >= e1:
+            side = "below 0" if n1 < 0 else "at or above 1"
             raise DomainError(f"element lies outside [0, 1), {side}")
 
     def project(self, i: int, y: Any) -> ExtendedInt:
@@ -84,23 +89,13 @@ class _UnitIntervalSystem(ExpansionSystem):
         return 1
 
     def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
-        if isinstance(tail, Interval):
-            # each endpoint fraction n/e by the branch: both admitted or both
-            # refused decide, unless the branch's pole g*t + d = 0 lies in the
-            # tail; the neutral's only preimage, 0, needs a tail of one sign
-            n0, e0, n1, e1 = tail._ends
-            matrix = self.branch(c)
-            _, _, g, d = matrix or (1, 0, 0, 1)
-            lo, hi = self._preimage(c, n0, e0), self._preimage(c, n1, e1)
-            if (g * n0 + d * e0) * (g * n1 + d * e1) > 0:
-                if lo is not None and hi is not None:
-                    return Interval._from_ends(*lo, *hi)
-                if lo is hi and (n0 * n1 > 0 or matrix is not None):
-                    return None
-            raise PrecisionExhausted(_Message("preimage of {} undecidable", tail))
-        # a Fraction tail p/q: one reduction of the image's two integers
-        image = self._preimage(c, tail.numerator, tail.denominator)
-        return None if image is None else Fraction(*image)
+        # the branch image, admitted when k*y < 1; on an enclosure the pole,
+        # the admission and the neutral's zero test are certified
+        matrix = self.branch(c)
+        if matrix is None:
+            return None if tail else 0 * tail
+        image = apply_matrix(matrix, tail)
+        return image if self._top(c) * image < 1 else None
 
     def _preimage(self, c: ExtendedInt, p: int, q: int) -> Optional[Tuple[int, int]]:
         """Integers ``(num, den)``, ``den > 0``, of the admitted preimage of
@@ -164,15 +159,12 @@ class FExpansionSystem(_UnitIntervalSystem):
         self.name = name
         self.f = f
         self.f_inv = f_inv
-        # f is the adjugate of f_inv, y -> (d*y - b) / (a - g*y): with no
-        # pole (g == 0) one affine map, with its pole at 0 (a == 0) one after
-        # 1/y.  An enclosure steps by those; a singular f_inv, or a pole of f
-        # elsewhere, steps by calling f.
+        # f is the adjugate of f_inv, signed so that the first nonzero entry
+        # of its denominator is positive (cf's is (0, 1, 1, 0)); a singular
+        # f_inv has no inverse matrix, and then f itself is called
         a, b, g, d = f_inv
-        self._f_reciprocal = a == 0
-        self._f_on_enclosure = a * d != b * g and (a == 0 or g == 0)
-        al, be, de = (b, -d, g) if a == 0 else (d, -b, a)
-        self._f_affine = (al, be, de) if de > 0 else (-al, -be, -de)
+        sign = 1 if (-g, a) > (0, 0) else -1
+        self._f_matrix = None if a * d == b * g else (sign * d, -sign * b, -sign * g, sign * a)
         at_zero = f(Fraction(0))
         self._infinite_at_zero = is_infinite(at_zero)
         if not (self._infinite_at_zero
@@ -183,18 +175,19 @@ class FExpansionSystem(_UnitIntervalSystem):
             )
 
     def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
-        if self._f_on_enclosure and isinstance(y, Interval):
-            if self._f_reciprocal:
-                if not y:
-                    return INF, 0 * y
-                y = y.reciprocal()
-            if self._f_affine != (1, 0, 1):
-                y = y._affine(*self._f_affine)
-            d = y.floor()
-            return d, y._affine(1, -d, 1)
-        v = self.f(y)
-        if is_infinite(v):
-            return v, 0 * y
+        matrix = self._f_matrix
+        if matrix is None:
+            v = self.f(y)
+            if is_infinite(v):
+                return v, 0 * y
+        elif self._infinite_at_zero and not y:
+            return INF, 0 * y
+        elif isinstance(y, Interval):
+            v = y._mobius(*matrix)
+            d = v.floor()
+            return d, v._mobius(1, -d, 0, 1)
+        else:
+            v = apply_matrix(matrix, y)
         d = math.floor(v)
         return d, v - d
 
@@ -205,11 +198,6 @@ class FExpansionSystem(_UnitIntervalSystem):
             raise DomainError(f"coefficient {c!r} is not an integer")
         a, b, g, d = self.f_inv
         return a, a * c + b, g, g * c + d
-
-
-def _reciprocal(y: Real) -> Any:
-    """``f(y) = 1/y`` with ``f(0) = INF``."""
-    return 1 / y if y else INF
 
 
 class BaseSystem(FExpansionSystem):
@@ -267,7 +255,7 @@ class ContinuedFractionSystem(FExpansionSystem):
     """
 
     def __init__(self) -> None:
-        super().__init__("cf", f=_reciprocal, f_inv=(0, 1, 1, 0))
+        super().__init__("cf", f=lambda y: 1 / y if y else INF, f_inv=(0, 1, 1, 0))
 
     def branch(self, c: ExtendedInt) -> Optional[Matrix]:
         if c is not INF and (not isinstance(c, int) or c < 1):
@@ -280,9 +268,9 @@ class _UnitFractionSystem(_UnitIntervalSystem):
 
     Both emit ``ceil(1/y)`` (which is >= 2 on ``(0, 1)``) and ``INF`` at the
     neutral element, which expands to itself and is the only preimage of
-    ``(INF, 0)``.  A subclass supplies the remainder ``_remainder(y, q)`` and
-    the branch ``_branch(c)``.  ``ceil(1/y) == c`` exactly when
-    ``1/c <= y < 1/(c-1)``, so the cylinder's open top is ``1/(c-1)``.
+    ``(INF, 0)``.  A subclass supplies the branch ``_branch(c)``; the
+    remainder is its adjugate applied to ``y``.  ``ceil(1/y) == c`` exactly
+    when ``1/c <= y < 1/(c-1)``, so the cylinder's open top is ``1/(c-1)``.
     Their coefficient spaces carry the *reversed* order — under it the
     coefficient maps become monotone increasing and ``INF`` is smallest —
     and their rational expansions strictly decrease numerators.
@@ -294,7 +282,8 @@ class _UnitFractionSystem(_UnitIntervalSystem):
         if not y:
             return INF, 0 * y
         q = math.ceil(1 / y)
-        return q, self._remainder(y, q)
+        a, b, g, d = self._branch(q)
+        return q, apply_matrix((d, -b, -g, a), y)  # the adjugate of the branch
 
     def project(self, i: int, y: Any) -> ExtendedInt:
         # no remainder: ``y - 1/q`` carries the bits of ``q`` into the endpoints
@@ -317,9 +306,6 @@ class EgyptianSystem(_UnitFractionSystem):
 
     name = "egyptian"
 
-    def _remainder(self, y: Any, q: int) -> Any:
-        return y - Fraction(1, q)
-
     def _branch(self, c: int) -> Matrix:
         return c, 1, 0, c  # 1/c + t
 
@@ -330,9 +316,6 @@ class EngelSystem(_UnitFractionSystem):
     coefficients of any one element to be non-decreasing."""
 
     name = "engel"
-
-    def _remainder(self, y: Any, q: int) -> Any:
-        return y * q - 1
 
     def _branch(self, c: int) -> Matrix:
         return 1, 1, 0, c  # (1 + t)/c

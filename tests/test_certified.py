@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expansions import (
@@ -397,14 +397,52 @@ _SHORTCUT_APPLY = dict(_APPLY, **{
 })
 
 
+# a general integer matrix (a, b, g, d), entries weighted to 0, ±1 and
+# negatives, and where its pole -d/g sits against the current enclosure
+_entries = st.one_of(st.sampled_from((0, 1, -1)), st.integers(-9, 9))
+_general = st.tuples(_entries, _entries, _entries, _entries,
+                     st.sampled_from(("free", "below", "inside", "lo", "hi", "above")))
+_POLES = {"below": lambda lo, hi: lo - 1, "inside": lambda lo, hi: (lo + hi) / 2,
+          "lo": lambda lo, hi: lo, "hi": lambda lo, hi: hi, "above": lambda lo, hi: hi + 1}
+
+
+def _general_step(y, a, b, g, d, where):
+    """Check ``y._mobius`` against the 8-product map; the next ``y``."""
+    if where != "free":  # g*t + d vanishes at the chosen pole t = u/v
+        pole, k = _POLES[where](y.lo, y.hi), g or 1
+        g, d = k * pole.denominator, -k * pole.numerator
+    expected = _moebius(y._ends, a, b, g, d)
+    q0, q1 = expected[1], expected[3]
+    got = _outcome(lambda: y._mobius(a, b, g, d))
+    if q0 > 0 and q1 > 0 or q0 < 0 and q1 < 0:
+        # the same fractions up to a common sign, with positive denominators
+        assert got._ends == (expected if q0 > 0 else tuple(-x for x in expected))
+        return got
+    # refused exactly when the denominators are not of one strict sign,
+    # naming the denominator g*y + d as the reciprocal names y
+    if q0 == 0 == q1:
+        assert got == (ZeroDivisionError, "reciprocal of exact zero")
+    else:
+        den = sorted((Fraction(q0, y._ends[1]), Fraction(q1, y._ends[3])))
+        assert got == (PrecisionExhausted,
+                       "cannot invert interval straddling zero: [{}, {}]".format(*den))
+    return y
+
+
 @settings(max_examples=400, deadline=None)
-@given(_intervals, st.lists(st.tuples(st.sampled_from(sorted(_SHORTCUT_APPLY)), _exact),
-                            min_size=1, max_size=8))
+@example(Interval(Fraction(-1, 3), Fraction(5, 2)),
+         [("M", (2, 3, 0, -5, "free")), ("M", (-1, 1, 0, -1, "free")), ("M", (1, 0, 0, 0, "free"))])
+@given(_intervals, st.lists(st.one_of(
+    st.tuples(st.sampled_from(sorted(_SHORTCUT_APPLY)), _exact),
+    st.tuples(st.just("M"), _general)), min_size=1, max_size=8))
 def test_shortcuts_give_the_general_maps_ends(start, steps):
     # every exact step yields the integers of the 8-product map; chained steps
     # make the endpoint fractions unreduced, of either sign or zero
     y = start
     for name, k in steps:
+        if name == "M":
+            y = _general_step(y, *k)
+            continue
         u, v = Fraction(k).numerator, Fraction(k).denominator
         n0, _, n1, _ = y._ends
         sign = 1 if n0 > 0 and n1 > 0 else -1 if n0 < 0 and n1 < 0 else 0

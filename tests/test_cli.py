@@ -536,19 +536,25 @@ def _python_3_10():
 
 def test_the_requires_python_floor_prints_the_same_traces():
     # pyproject.toml requires Python >= 3.10: the integer Taylor shift, the
-    # Newton steps and the Bernstein tests print the same bytes there
+    # Newton steps, the Bernstein tests and the integer Möbius steps of the
+    # real systems print the same bytes there
     found = _python_3_10()
     if found is None:
         pytest.skip("no working python3.10 on PATH")
     exe, env = found
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
-    for system, text in (("newton-forward", "x^5/7 - x + 1/2"),
-                         ("newton-backward", "(x - 1)^4"),
-                         ("newton-reflected", "1/2 + x - x^2 + x^3 - x^4"),
-                         ("taylor", "exp(x)"),
-                         ("norm-taylor", "x/2 - x^2/4")):
-        argv = ["convergent", "--system", system, "--input", text, "--order", "7",
-                "--emit", "trace"]
+    polys = [["convergent", "--system", system, "--input", text, "--order", "7",
+              "--emit", "trace"]
+             for system, text in (("newton-forward", "x^5/7 - x + 1/2"),
+                                  ("newton-backward", "(x - 1)^4"),
+                                  ("newton-reflected", "1/2 + x - x^2 + x^3 - x^4"),
+                                  ("taylor", "exp(x)"),
+                                  ("norm-taylor", "x/2 - x^2/4"))]
+    reals = [["expand", "--system", system, "--input", text, "--bits", "256", "--depth", "40"]
+             for system, text in (("base10", "pi-3"), ("base10-shuffled", "e-2"),
+                                  ("cf", "(sqrt(2)-1)/3"), ("egyptian", "sqrt(1/2)"),
+                                  ("engel", "e-2"))]
+    for argv in polys + reals:
         proc = subprocess.run([exe, "-m", "expansions", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*argv)

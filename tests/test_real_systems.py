@@ -310,10 +310,31 @@ def test_interval_equality_is_certified_or_undecided() -> None:
 
 
 def test_code_inverts_once_per_level(monkeypatch) -> None:
-    # project and expand share 1/y and its floor or ceiling: one reciprocal
-    # and one rounding per emitted coefficient, not two per expanded level
-    calls = {"reciprocal": 0, "floor": 0, "ceil": 0}
-    for name in calls:
+    # project and expand share 1/y and its floor or ceiling: one inversion
+    # (a reciprocal, or a Möbius map with a pole) and one rounding per
+    # emitted coefficient, not two per expanded level; and a level takes as
+    # many Möbius maps as its step spells, none more
+    calls = {"inversions": 0, "maps": 0, "floor": 0, "ceil": 0}
+    inside = []  # a reciprocal in progress, whose own Möbius map is not counted again
+    reciprocal, mobius = Interval.reciprocal, Interval._mobius
+
+    def counted_reciprocal(self):
+        calls["inversions"] += 1
+        inside.append(self)
+        try:
+            return reciprocal(self)
+        finally:
+            inside.pop()
+
+    def counted_mobius(self, a, b, g, d):
+        if not inside:
+            calls["maps"] += 1
+            calls["inversions"] += bool(g)
+        return mobius(self, a, b, g, d)
+
+    monkeypatch.setattr(Interval, "reciprocal", counted_reciprocal)
+    monkeypatch.setattr(Interval, "_mobius", counted_mobius)
+    for name in ("floor", "ceil"):
         method = getattr(Interval, name)
 
         def counted(self, _method=method, _name=name):
@@ -321,24 +342,27 @@ def test_code_inverts_once_per_level(monkeypatch) -> None:
             return _method(self)
 
         monkeypatch.setattr(Interval, name, counted)
-    for system, text, n, rounding in (
-        (ContinuedFractionSystem(), "sqrt(2)-1", 20, "floor"),
-        (EgyptianSystem(), "sqrt(1/2)", 5, "ceil"),
-        (EngelSystem(), "e-2", 20, "ceil"),
+    # cf: f's matrix (0, 1, 1, 0) and the fractional part, two maps a level;
+    # Egyptian and Engel: 1/y, and one map for each remainder before the last
+    for system, text, n, rounding, maps in (
+        (ContinuedFractionSystem(), "sqrt(2)-1", 20, "floor", 40),
+        (EgyptianSystem(), "sqrt(1/2)", 5, "ceil", 4),
+        (EngelSystem(), "e-2", 20, "ceil", 19),
     ):
         y = parse_expression(text, "real", bits=256)
         for name in calls:
             calls[name] = 0
         code = coefficient_code(system, y, n)
         assert len(code) == n
-        assert calls["reciprocal"] == calls[rounding] == n
-    # base-b digits share b*y and its floor: one floor per emitted digit
+        assert calls["inversions"] == calls[rounding] == n
+        assert calls["maps"] == maps
+    # base-b digits share b*y and its floor: one floor and two maps per digit
     for system in (BaseSystem(10), build_system("base10-shuffled")):
         y = parse_expression("pi-3", "real", bits=256)
         for name in calls:
             calls[name] = 0
         assert len(coefficient_code(system, y, 30)) == 30
-        assert calls["floor"] == 30 and calls["reciprocal"] == 0
+        assert (calls["floor"], calls["inversions"], calls["maps"]) == (30, 0, 60)
 
 
 @pytest.mark.parametrize("system_id, text, depths", [
@@ -381,6 +405,17 @@ EXHAUSTION_GOLDENS = [
      "320109661580725979516795321117689436223, "
      "325171667631346437383291808755495882596/"
      "79188222190268704217741667241803552257]"),
+    ("egyptian", "sqrt(1/2)", 6, "2514168575320893771541644444237306316731482",
+     "ceiling undecidable on [7385064127358140819249456114709065531516307592971322880352291"
+     "824933472916510710347316175734257990875221765337907200/11258880546670986024288904658"
+     "4948141417848126636576426532610763029047869, 147701282547162816384989122294181310630"
+     "32615185942645760704583649866945833021420694632351468515981750443530675814400/225177"
+     "610933419720485778093169896155278379065180411690211988062899420963]"),
+    ("engel", "e-2", 55, "".join(map(str, range(2, 57))),
+     "ceiling undecidable on [51422017416287688817342786954917203280710495801049370729644032/"
+     "934852264529016677737516345789148017899382736961901868963651, "
+     "12855504354071922204335696738729300820177623950262342682411008/"
+     "213978891065830908413812758600868547411749476933658145463569]"),
 ]
 
 
@@ -392,6 +427,30 @@ def test_matrix_forward_step_exhausts_where_it_did(system_id, text, level, prefi
     assert info.value.level == level
     assert "".join(map(str, info.value.prefix)) == prefix
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("system_id", ["base10", "base10-shuffled", "cf", "egyptian", "engel"])
+def test_validated_steps_leave_an_enclosure_unreduced(system_id) -> None:
+    # validate decides "wholly below 0" and "wholly at or above 1" on the
+    # endpoint integers: the parsed enclosure and its remainders stay
+    # unreduced, and the refusals name the side as before
+    system = build_system(system_id)
+    for text in ("(pi-3)*7/8", "e-2"):
+        y = parse_expression(text, "real", bits=4096)
+        assert y._bounds is None
+        system.validate(0, y)
+        for i in range(3):
+            _, y = system.step(i, y)
+            system.validate(i + 1, y)
+        assert y._bounds is None
+    for text, side in (("(pi-3)*7/8 - 1", "below 0"), ("(pi-3)*7/8 + 1", "at or above 1")):
+        y = parse_expression(text, "real", bits=256)
+        with pytest.raises(DomainError, match=f"element lies outside \\[0, 1\\), {side}$"):
+            system.validate(0, y)
+        assert y._bounds is None
+    # an enclosure that only touches 0 or 1 is not refuted
+    for lo, hi in ((F(-1, 3), F(0)), (F(1, 2), F(1))):
+        system.validate(0, Interval(lo, hi))
 
 
 def test_negated_inverse_matrix_is_the_same_system() -> None:
@@ -412,6 +471,10 @@ def test_negated_inverse_matrix_is_the_same_system() -> None:
             assert convergent(neg, value, n) == convergent(base2, value, n)
 
 
+NEG_BASE2 = FExpansionSystem("neg-base2", f=lambda y: 2 * y, f_inv=(-1, 0, 0, -2))
+NEG_CF = FExpansionSystem("neg-cf", f=lambda y: 1 / y if y else INF, f_inv=(0, -1, -1, 0))
+
+
 @pytest.mark.parametrize("system, c, tail, image", [
     # cf's branch 1/(1 + t) is admitted for t > 0 only
     (ContinuedFractionSystem(), 1, (F(1, 8), F(1, 4)), (F(4, 5), F(8, 9))),
@@ -428,6 +491,20 @@ def test_negated_inverse_matrix_is_the_same_system() -> None:
     (EgyptianSystem(), 3, (F(1, 8), F(1, 7)), (F(11, 24), F(10, 21))),
     (EgyptianSystem(), 3, (F(1, 5), F(1, 4)), None),
     (EgyptianSystem(), 3, (F(1, 8), F(1, 5)), PrecisionExhausted),
+    # Engel (1 + t)/3 is admitted while t < 1/2
+    (EngelSystem(), 3, (F(1, 8), F(1, 4)), (F(3, 8), F(5, 12))),
+    (EngelSystem(), 3, (F(1, 2), F(3, 4)), None),
+    (EngelSystem(), 3, (F(1, 4), F(1, 2)), PrecisionExhausted),
+    # negated matrices: (-t - 1)/(-2) is base 2's (1 + t)/2, and
+    # -1/(-t - 1) is cf's 1/(1 + t), pole at t = -1 included
+    (NEG_BASE2, 1, (F(1, 4), F(1, 2)), (F(5, 8), F(3, 4))),
+    (NEG_BASE2, 0, (F(0), F(1, 2)), (F(0), F(1, 4))),
+    (NEG_BASE2, 1, (F(1, 2), F(2)), PrecisionExhausted),
+    (NEG_CF, 1, (F(1, 8), F(1, 4)), (F(4, 5), F(8, 9))),
+    (NEG_CF, 1, (F(0), F(1, 8)), PrecisionExhausted),
+    (NEG_CF, 1, (F(-1), F(1, 2)), PrecisionExhausted),
+    (NEG_CF, 2, (F(-7, 4), F(-3, 2)), None),
+    (NEG_CF, INF, (F(0), F(0)), (F(0), F(0))),
 ])
 def test_interval_reconstruct_decides_on_both_endpoints(system, c, tail, image):
     # an enclosure's preimage is decided when both endpoint preimages are
