@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from .coefficients import ASCoef, INF, ExtendedInt, is_infinite
 from .core import ORDER_NONE, ExpansionSystem
 from .errors import DomainError, TruncationInconclusive
-from .series import PowerSeries
+from .series import PowerSeries, require_germ
 
 TRANSFORM_D = "D"
 TRANSFORM_K = "K"
@@ -166,12 +166,7 @@ class ApproximationSystem(ExpansionSystem):
         return PowerSeries.zero(c.center)
 
     def validate(self, i: int, y: Any) -> None:
-        if not isinstance(y, PowerSeries):
-            raise DomainError(f"expected PowerSeries, got {type(y).__name__}")
-        if y.center != self.config.center:
-            raise DomainError(
-                f"germ centered at {y.center}, system at {self.config.center}"
-            )
+        require_germ(y, self.config.center)
         if y.coefficient(0) != self.config.constant_term:
             raise DomainError(
                 f"germ constant term {y.coefficient(0)} != "

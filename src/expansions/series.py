@@ -18,14 +18,19 @@ integers in the one kernel :func:`taylor_shift_int`, over the numerators that
 and the Newton step build each ``Fraction`` once at the end.
 
 An exact series stores a tuple.  A truncated result of the analytic kernels
-and of the linear operations (``+``, ``-``, ``scale``, the shifts,
-``index_map``, ``differentiate``, ``integrate``) stores a lazy stream
-instead, in the manner of McIlroy's "Power series, power serious": its
-length, the known order plus one, is fixed when it is built, and each
-coefficient is computed on its first read and kept.  Its coefficient ``k``
-is ``rule(k, views)``, where ``views[i]`` is the coefficient list of source
-``i``: a source stream's memo list or a source tuple.  Every check that can
-fail runs when the series is built, so a coefficient read never raises.
+and of the linear operations stores a lazy stream instead, in the manner of
+McIlroy's "Power series, power serious": its length, the known order plus
+one, is fixed when it is built, and each coefficient is computed on its
+first read and kept.  Its coefficient ``k`` is ``rule(k, views)``, where
+``views[i]`` is the coefficient list of source ``i``: a source stream's memo
+list or a source tuple.  Every check that can fail runs when the series is
+built, so a coefficient read never raises.
+
+Each linear operation is one coefficient rule, run by ``index_map``
+(``scale``, unary ``-``, ``differentiate``, ``integrate``, ``reflect``) or
+``_combine`` (``+``, ``-``) into a stripped tuple on exact inputs and into one
+stream otherwise; only the exact slices of ``shift_down`` and ``shift_up``,
+the polynomial systems' Taylor steps, skip the rule call per coefficient.
 
 The analytic kernels (``power``, ``log``, ``exp``) are online coefficient
 recurrences driven by the derivative identities: coefficient ``m`` of the
@@ -37,9 +42,11 @@ not polynomial.
 from __future__ import annotations
 
 import math
+import operator
 from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, TruncationInconclusive
@@ -340,37 +347,31 @@ class PowerSeries:
 
     # -- ring operations -------------------------------------------------------
 
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
+    def _combine(
+        self, other: "PowerSeries", op: Callable[[Fraction, Fraction], Fraction]
+    ) -> "PowerSeries":
+        """The series whose coefficient ``k`` is ``op(a_k, b_k)``, with zero
+        past the end of an exact operand: a stripped tuple when both are
+        exact, one stream to the smaller known order otherwise."""
         self._require_same_center(other)
         known = self._merge_known(self, other)
-        a, b = self.coeffs, other.coeffs
         if known is None:
-            out = [x + y for x, y in zip(a, b)]
-            out.extend(a[len(b):] or b[len(a):])
-            return PowerSeries._stripped(self.center, out)
-        return self._stream(known + 1, lambda k, v: v[0][k] + v[1][k], (self, 0), (other, 0))
+            return PowerSeries._stripped(self.center, [
+                op(a, b) for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)])
+        return self._stream(known + 1, lambda k, v: op(v[0][k], v[1][k]), (self, 0), (other, 0))
+
+    def __add__(self, other: "PowerSeries") -> "PowerSeries":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._require_same_center(other)
-        known = self._merge_known(self, other)
-        a, b = self.coeffs, other.coeffs
-        if known is None:
-            out = [x - y for x, y in zip(a, b)]
-            out.extend(a[len(b):] or [-y for y in b[len(a):]])
-            return PowerSeries._stripped(self.center, out)
-        return self._stream(known + 1, lambda k, v: v[0][k] - v[1][k], (self, 0), (other, 0))
+        return self._combine(other, operator.sub)
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries(self.center, tuple(-c for c in self.coeffs), self.exact)
+        return self.scale(-1)
 
     def scale(self, factor: object) -> "PowerSeries":
         factor = Fraction(factor)
-        cs = self.coeffs
-        if self.exact:
-            if factor == 0:
-                return PowerSeries.zero(self.center)
-            return PowerSeries(self.center, tuple(factor * c for c in cs), exact=True)
-        return self._stream(len(cs), lambda k, v: factor * v[0][k], (self, 0))
+        return self.index_map(len(self.coeffs), 0, lambda k, a: factor * a)
 
     def __mul__(self, other: object) -> "PowerSeries":
         if isinstance(other, (int, Fraction)):
@@ -441,24 +442,15 @@ class PowerSeries:
 
     def differentiate(self) -> "PowerSeries":
         cs = self.coeffs
-        if self.exact:
-            return PowerSeries._stripped(self.center, [k * cs[k] for k in range(1, len(cs))])
-        if len(cs) == 1:
+        if not self.exact and len(cs) == 1:
             raise TruncationInconclusive(
                 "differentiating an order-0 germ leaves no known coefficients"
             )
-        return self._stream(len(cs) - 1, lambda k, v: (k + 1) * v[0][k + 1], (self, 1))
+        return self.index_map(len(cs) - 1, 1, lambda k, a: (k + 1) * a)
 
     def integrate(self, constant: object = 0) -> "PowerSeries":
         constant = Fraction(constant)
-        cs = self.coeffs
-        if self.exact:
-            return PowerSeries._stripped(
-                self.center, [constant] + [c / (k + 1) for k, c in enumerate(cs)]
-            )
-        return self._stream(
-            len(cs) + 1, lambda k, v: v[0][k - 1] / k if k else constant, (self, -1)
-        )
+        return self.index_map(len(self.coeffs) + 1, -1, lambda k, a: a / k if k else constant)
 
     # -- polynomial evaluation and substitution ----------------------------------
 
@@ -492,11 +484,8 @@ class PowerSeries:
 
     def reflect(self) -> "PowerSeries":
         """The series ``-p(-x)``, which is centered at ``-center``."""
-        return PowerSeries(
-            -self.center,
-            tuple(c if k % 2 == 1 else -c for k, c in enumerate(self.coeffs)),
-            self.exact,
-        )
+        out = self.index_map(len(self.coeffs), 0, lambda k, a: a if k % 2 else -a)
+        return PowerSeries(-self.center, out.coeffs, self.exact)
 
     # -- analytic kernels -----------------------------------------------------------
 
@@ -611,3 +600,11 @@ class PowerSeries:
         if not self.exact:
             body += f" + O({var}^{len(self.coeffs)})"
         return body
+
+
+def require_germ(y: Any, center: Fraction) -> None:
+    """Refuse anything but a :class:`PowerSeries` centered at ``center``."""
+    if not isinstance(y, PowerSeries):
+        raise DomainError(f"expected PowerSeries, got {type(y).__name__}")
+    if y.center != center:
+        raise DomainError(f"germ centered at {y.center}, system at {center}")

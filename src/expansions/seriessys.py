@@ -27,7 +27,7 @@ from .coefficients import ComplexRational
 from .core import ORDER_NONE, ORDER_STANDARD, ConvergentTrace, ExpansionSystem, LazyStages
 from .errors import DomainError, TruncationInconclusive
 from .polynomials import sup_norm_le, sup_norm_le_int
-from .series import PowerSeries, integer_numerators, taylor_shift_int
+from .series import PowerSeries, integer_numerators, require_germ, taylor_shift_int
 from .trig import TrigPolynomial
 
 _ZERO = Fraction(0)
@@ -52,10 +52,7 @@ class TaylorSystem(ExpansionSystem):
         return PowerSeries.zero(self.center)
 
     def validate(self, i: int, y: Any) -> None:
-        if not isinstance(y, PowerSeries):
-            raise DomainError(f"expected PowerSeries, got {type(y).__name__}")
-        if y.center != self.center:
-            raise DomainError(f"germ centered at {y.center}, system at {self.center}")
+        require_germ(y, self.center)
 
     def project(self, i: int, y: PowerSeries) -> Fraction:
         return y.coefficient(0)
@@ -89,7 +86,7 @@ def _validate_polynomial(y: Any) -> None:
 
 
 @functools.cache
-def _factorial_basis(k: int, step: int, sign: int = 1) -> Tuple[int, ...]:
+def _factorial_basis(k: int, step: int, sign: int) -> Tuple[int, ...]:
     """Ascending integer coefficients of ``sign^k x(x - step)...(x - (k-1)
     step)``, which is ``k!`` times the basis element; built once per ``(k,
     step, sign)``, one factor ``sign (x - j step)`` at a time."""
@@ -116,6 +113,7 @@ class _NewtonBase(ExpansionSystem):
     stage ``i`` of a convergent is the Newton sum of ``c[i:]`` (Knuth, TAOCP
     vol. 2, 4.6.4).  The sum runs on integers too: every term is scaled to
     one common denominator and each coefficient's ``Fraction`` is built once.
+    ``reconstruct`` reads the tail's code with the system's own expansion step.
     """
 
     kind = "polynomial"
@@ -166,27 +164,15 @@ class _NewtonBase(ExpansionSystem):
         return PowerSeries._stripped(_ZERO, [Fraction(v, den) for v in out])
 
     def reconstruct(self, i: int, c: Fraction, tail: PowerSeries) -> PowerSeries:
-        """The Newton sum of ``c`` and the code of ``tail``, read off the
-        difference table of the tail's values at ``0, h, 2h, ...``: after
-        pass ``k`` in place, ``values[k]`` is ``(E^k tail)(0)`` for the
-        expansion step ``E``.
-
-        The values are Horner's rule on the tail's integer numerators over
-        their one denominator ``den``, and the table runs on those integers,
-        since it is linear; each code entry is ``values[k] / den``.
-        """
+        """The Newton sum of ``c`` and the code of ``tail``, read by this
+        system's own ``project(0, .)`` and ``expand(0, .)``, once per
+        coefficient, as a degree-``d`` tail has ``d + 1`` code entries."""
         tail._require_exact("evaluation")
-        nums, den = integer_numerators(tail.coeffs)
-        values = []
-        for j in range(len(nums)):
-            x, acc = j * self.h, 0
-            for a in reversed(nums):
-                acc = acc * x + a
-            values.append(acc)
-        for k in range(1, len(values)):
-            for j in range(len(values) - 1, k - 1, -1):
-                values[j] = self.s * (values[j] - values[j - 1])
-        return self._newton_sum([c, *(Fraction(v, den) for v in values)])
+        code, stage = [c], tail
+        for _ in tail.coeffs:
+            code.append(self.project(0, stage))
+            stage = self.expand(0, stage)
+        return self._newton_sum(code)
 
     def backward_pass(self, coeffs: Sequence[Any]) -> ConvergentTrace:
         """Level 0 as one Newton sum; the other stages are built when read

@@ -130,6 +130,30 @@ def test_linear_operations_stay_lazy_on_truncated_series():
     assert g.coeffs.computed == 2
 
 
+@bounded
+@given(st.lists(rationals, max_size=7), st.lists(rationals, max_size=7), rationals,
+       rationals, st.integers(min_value=2, max_value=4))
+def test_exact_and_truncated_twins_agree_on_linear_operations(cs, ds, center, factor, pad):
+    # each linear operation on an exact polynomial and on its truncated twin
+    # (the same coefficients and some zeros) agrees up to the twin's order
+    p, q = PowerSeries.exact_poly(center, cs), PowerSeries.exact_poly(center, ds)
+    g = PowerSeries.truncated(center, cs + [0] * pad)
+    h = PowerSeries.truncated(center, ds + [0] * pad)
+    ops = {
+        "scale": lambda a, b: a.scale(factor), "neg": lambda a, b: -a,
+        "add": lambda a, b: a + b, "sub": lambda a, b: a - b,
+        "differentiate": lambda a, b: a.differentiate(),
+        "integrate": lambda a, b: a.integrate(factor), "reflect": lambda a, b: a.reflect(),
+    }
+    outs = {name: (op(p, q), op(g, h)) for name, op in ops.items()}
+    assert outs["neg"][1].coeffs.computed == 0 and outs["reflect"][1].coeffs.computed == 0
+    for name, (exact, twin) in outs.items():
+        assert exact.exact and not twin.exact, name
+        assert exact.center == twin.center, name
+        for k in range(twin.known_order + 1):
+            assert exact.coefficient(k) == twin.coefficient(k), (name, k)
+
+
 def test_errors_raise_when_a_lazy_series_is_built():
     # every check runs at the call, so no exception can escape a later read
     one = PowerSeries.truncated(0, [1]).power(F(1, 2))

@@ -9,7 +9,6 @@ import pytest
 from expansions import (
     BaseSystem,
     ContinuedFractionSystem,
-    DomainError,
     HomReport,
     Morphism,
     NewtonBackwardSystem,
@@ -211,16 +210,17 @@ def test_shifted_system_keeps_the_code() -> None:
 
 
 def test_shift_isomorphism_checks_inverse() -> None:
-    source = BaseSystem(10)
-    with pytest.raises(DomainError):
-        shift_isomorphism(
-            source,
-            e1=lambda i, y: 10 * y,
-            e1_inv=lambda i, y: y / 7,
-            e2=lambda i, y: y,
-            name="broken-split",
-            samples=[F(1, 3)],
-        )
+    # a split whose inverse does not undo E1 is refuted by the checker
+    _, broken = shift_isomorphism(
+        BaseSystem(10),
+        e1=lambda i, y: 10 * y,
+        e1_inv=lambda i, y: y / 7,
+        e2=lambda i, y: y,
+        name="broken-split",
+    )
+    report = verify_homomorphism(broken, [F(1, 3)], 0)
+    assert (report.ok, report.equation, report.level, report.sample_index) == \
+        (False, "inverse", 0, 0)
 
 
 def test_as_d_shift_requires_d_transform() -> None:
