@@ -284,17 +284,13 @@ class Interval:
             return f
         raise PrecisionExhausted(_Message("ceiling undecidable on {}", self))
 
-    def _offsets(self, u: int, v: int) -> Tuple[int, int]:
-        """Numerators of ``n0/e0 - u/v`` and ``n1/e1 - u/v`` for ``v > 0``:
-        their signs are those of the differences."""
-        n0, e0, n1, e1 = self._ends
-        return n0 * v - u * e0, n1 * v - u * e1
-
     def lt(self, other: object) -> bool:
         """Certified ``self < other``; raises if the enclosures overlap."""
         parts = _exact_parts(other)
         if parts is not None:
-            s0, s1 = self._offsets(*parts)
+            # numerators of lo - u/v and hi - u/v, signed as the differences
+            (u, v), (n0, e0, n1, e1) = parts, self._ends
+            s0, s1 = n0 * v - u * e0, n1 * v - u * e1
             if s0 < 0 and s1 < 0:
                 return True
             if s0 >= 0 and s1 >= 0:
@@ -321,18 +317,9 @@ class Interval:
         return self.lt(other)
 
     def __gt__(self, other: object) -> bool:
-        if isinstance(other, Interval):
-            return other.lt(self)
-        parts = _exact_parts(other)
-        if parts is None:
+        if not isinstance(other, (Interval, int, Fraction)):
             return NotImplemented
-        # True when wholly above, False when wholly at or below
-        s0, s1 = self._offsets(*parts)
-        if s0 > 0 and s1 > 0:
-            return True
-        if s0 <= 0 and s1 <= 0:
-            return False
-        return Interval.exact(other).lt(self)  # raises, naming both enclosures
+        return (other if isinstance(other, Interval) else Interval.exact(other)).lt(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Interval):

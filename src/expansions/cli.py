@@ -37,7 +37,13 @@ from .errors import (
     TruncationInconclusive,
     UnsupportedInContext,
 )
-from .exprs import parse_alpha_schedule, parse_expression, parse_path
+from .exprs import (
+    DEFAULT_BITS,
+    DEFAULT_SERIES_ORDER,
+    parse_alpha_schedule,
+    parse_expression,
+    parse_path,
+)
 from .morphisms import (
     Morphism,
     as_d_shift_morphism,
@@ -46,11 +52,8 @@ from .morphisms import (
     newton_reflection_morphism,
     verify_homomorphism,
 )
-from .patheval import eval_convergent_path
+from .patheval import DEFAULT_TOL, eval_convergent_path
 from .registry import build_system, get_entry, system_ids
-
-DEFAULT_BITS = 256
-DEFAULT_SERIES_ORDER = 32
 
 #: exit code when stdout's reader goes away early, as a shell reports SIGPIPE
 EXIT_BROKEN_PIPE = 141
@@ -243,7 +246,7 @@ def _cmd_morphism_verify(args: argparse.Namespace, system: None, y: None) -> int
 
 def _cmd_as_eval(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> int:
     n = int(_require(args, "order"))
-    tol = float(_get(args, "tol", 1e-10))
+    tol = float(_get(args, "tol", DEFAULT_TOL))
     path = parse_path(str(_require(args, "path")))
     code = coefficient_code(system, y, n)
     result = eval_convergent_path(system, code, path, tol=tol)

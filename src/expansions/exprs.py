@@ -98,6 +98,10 @@ MAX_NESTING = 64
 #: reach; squaring costs about the square of the size in coefficient products
 MAX_DEGREE = 512
 
+#: bits of a certified real and known terms of an inexact series by default
+DEFAULT_BITS = 256
+DEFAULT_SERIES_ORDER = 32
+
 
 def _check_power(k: int, size: int) -> None:
     """Refuse ``base^k``, for a base of degree or widest mode ``size``, when
@@ -256,7 +260,7 @@ class _Env:
 
 
 class _ScalarEnv(_Env):
-    def __init__(self, bits: int = 256, exact_only: bool = False,
+    def __init__(self, bits: int = DEFAULT_BITS, exact_only: bool = False,
                  variables: Optional[dict] = None) -> None:
         self.bits = bits
         self.exact_only = exact_only
@@ -481,8 +485,8 @@ def _split_at_clause(tokens: List[Token]) -> tuple:
 def parse_expression(
     text: str,
     context: str,
-    order: int = 32,
-    bits: int = 256,
+    order: int = DEFAULT_SERIES_ORDER,
+    bits: int = DEFAULT_BITS,
     center: Fraction = Fraction(0),
 ) -> Any:
     """Parse ``text`` as an element of the given kind.

@@ -15,7 +15,7 @@ on every stage and on every projected coefficient.
 splitting each expansion step as ``E_i = E2_i . E1_i`` with ``E1_i`` a
 bijection: the target runs "half a step ahead" of the source and keeps the
 identical coefficient code.  The decimal and continued-fraction shifts come
-from ``f`` of the f-expansion: ``E1 = f``, ``E2`` the fractional part.
+from the matrix ``f`` of the f-expansion: ``E1 = f``, ``E2`` the fractional part.
 """
 
 from __future__ import annotations
@@ -239,11 +239,11 @@ def newton_reflection_morphism() -> Morphism:
 def _f_shift_morphism(
     source: FExpansionSystem, name: str
 ) -> Tuple[ShiftedSystem, Morphism]:
-    """Shift of an f-expansion: ``E1 = f`` moves elements to ``f([0, 1))``,
-    where the coefficient is the integer part and ``E2`` the fractional part.
-    The inverse of ``E1`` applies the matrix ``f_inv``.  An infinite
-    ``f(0)`` is the added point of the target, which the inverse of ``E1``
-    and ``E2`` both send to 0."""
+    """Shift of an f-expansion: ``E1 = f``, the matrix map its step runs,
+    moves elements to ``f([0, 1))``, where the coefficient is the integer
+    part and ``E2`` the fractional part.  The inverse of ``E1`` applies
+    ``f_inv``.  An infinite ``f(0)`` is the added point of the target, which
+    the inverse of ``E1`` and ``E2`` both send to 0."""
 
     def e1_inv(i: int, y: Any) -> Any:
         return Fraction(0) if is_infinite(y) else apply_matrix(source.f_inv, y)

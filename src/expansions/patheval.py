@@ -77,6 +77,9 @@ _MAX_HALVINGS = 60
 #: ``j = 0 .. NODES_PER_PANEL``.
 NODES_PER_PANEL = 32
 
+#: bound on the accumulated quadrature error estimate when none is named
+DEFAULT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PathValue:
@@ -261,7 +264,7 @@ def eval_convergent_path(
     system: ApproximationSystem,
     code: Sequence[ASCoef],
     path: Sequence[complex],
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> PathValue:
     """Evaluate the convergent with the given coefficient code at the end of
     ``path`` (a polyline starting at the system's center).

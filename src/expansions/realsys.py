@@ -7,16 +7,16 @@ fractional part.  The Egyptian and Engel systems share one class for their
 Möbius branch ``branch(c)``: reconstruction applies it to the tail and admits
 the image below the open top of the cylinder of ``c``, and a step is the
 inverse of its own branch, by the matrix of ``f`` (the adjugate of
-``f_inv``) or by the adjugate of ``branch(ceil(1/y))``.  :func:`apply_matrix`
-maps an exact ``Fraction`` to one ``Fraction`` of two integers, and an
+``f_inv``, ``f``'s only spelling) or by the adjugate of
+``branch(ceil(1/y))``.  :func:`apply_matrix` maps an exact ``Fraction`` to
+one ``Fraction`` of two integers, and an
 :class:`~expansions.certified.Interval` by its two unreduced endpoint
 fractions, so a level costs a few integer products and no gcd.  On an
 enclosure the floor, ceiling, pole and admission are certified, so a
 too-narrow precision budget raises
 :class:`~expansions.errors.PrecisionExhausted` rather than a wrong digit.
 The backward pass runs the branches on unreduced integer pairs and reduces a
-stage only when it is read (Gosper, HAKMEM item 101; Vuillemin 1990).  Only
-an ``f`` whose ``f_inv`` is singular, such as ``4*y*y``, is called itself.
+stage only when it is read (Gosper, HAKMEM item 101; Vuillemin 1990).
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from typing import Any, Callable, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 from .certified import Interval
-from .coefficients import INF, ExtendedInt, is_infinite
+from .coefficients import INF, ExtendedInt
 from .core import (
     ORDER_REVERSED,
     ORDER_STANDARD,
@@ -138,56 +138,54 @@ class _UnitIntervalSystem(ExpansionSystem):
 
 
 class FExpansionSystem(_UnitIntervalSystem):
-    """Expansion driven by a scaling map ``f`` on ``[0, 1)`` (Rényi 1957).
+    """Expansion driven by an integer Möbius map ``f`` on ``[0, 1)``, given
+    by the matrix of its inverse (Rényi 1957).
 
-    ``project`` emits ``floor(f(y))`` (with infinities passed through) and
-    ``expand`` the fractional part; the branch of ``c`` is ``f_inv(c + t)``,
-    admitted inside ``[0, 1)``.  The neutral element projects to ``f(0)``.
-    ``f(x) = b*x`` gives :class:`BaseSystem` and ``f(x) = 1/x`` (with
-    ``f(0) = INF``) :class:`ContinuedFractionSystem`.
+    ``project`` emits ``floor(f(y))`` (``INF`` where ``f(0)`` is infinite)
+    and ``expand`` the fractional part; ``f`` is the adjugate of ``f_inv``,
+    so a step is the inverse of its own branch ``f_inv(c + t)``.  The neutral
+    element projects to ``f(0) = -b/a``, which must be an integer or
+    infinite (``a = 0``).  ``f_inv = (1, 0, 0, b)`` gives :class:`BaseSystem`
+    and ``(0, 1, 1, 0)`` :class:`ContinuedFractionSystem`.
 
     Args:
         name: registry/report identifier.
-        f: the scaling map; may return ``INF``.
         f_inv: the integer matrix ``(a, b, g, d)`` of the inverse of ``f``,
-            ``w -> (a*w + b) / (g*w + d)``, on its image.
+            ``w -> (a*w + b) / (g*w + d)``; a singular one is refused.
     """
 
     coefficient_order_kind = ORDER_STANDARD
 
-    def __init__(self, name: str, f: Callable[[Real], Any], f_inv: Matrix) -> None:
+    def __init__(self, name: str, f_inv: Matrix) -> None:
         self.name = name
-        self.f = f
         self.f_inv = f_inv
-        # f is the adjugate of f_inv, signed so that the first nonzero entry
-        # of its denominator is positive (cf's is (0, 1, 1, 0)); a singular
-        # f_inv has no inverse matrix, and then f itself is called
         a, b, g, d = f_inv
-        sign = 1 if (-g, a) > (0, 0) else -1
-        self._f_matrix = None if a * d == b * g else (sign * d, -sign * b, -sign * g, sign * a)
-        at_zero = f(Fraction(0))
-        self._infinite_at_zero = is_infinite(at_zero)
-        if not (self._infinite_at_zero
-                or isinstance(at_zero, Fraction) and at_zero.denominator == 1):
+        if a * d == b * g:
+            raise DomainError(f"f_inv = {f_inv} is singular, so f has no integer matrix")
+        if a and b % a:
             raise DomainError(
-                f"f(0) = {at_zero} is neither an integer nor infinite; "
+                f"f(0) = {Fraction(-b, a)} is neither an integer nor infinite; "
                 "the neutral element would not expand to itself"
             )
+        self._infinite_at_zero = not a
+        # the adjugate of f_inv, signed so that the first nonzero entry of
+        # its denominator is positive (cf's is (0, 1, 1, 0))
+        sign = 1 if (-g, a) > (0, 0) else -1
+        self._f_matrix = (sign * d, -sign * b, -sign * g, sign * a)
+
+    def f(self, y: Real) -> Union[Real, ExtendedInt]:
+        """``f(y)`` by the matrix that ``step`` runs; ``INF`` at 0 where
+        ``f(0)`` is infinite."""
+        return INF if self._infinite_at_zero and not y else apply_matrix(self._f_matrix, y)
 
     def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
-        matrix = self._f_matrix
-        if matrix is None:
-            v = self.f(y)
-            if is_infinite(v):
-                return v, 0 * y
-        elif self._infinite_at_zero and not y:
+        if self._infinite_at_zero and not y:
             return INF, 0 * y
-        elif isinstance(y, Interval):
-            v = y._mobius(*matrix)
+        if isinstance(y, Interval):
+            v = y._mobius(*self._f_matrix)
             d = v.floor()
             return d, v._mobius(1, -d, 0, 1)
-        else:
-            v = apply_matrix(matrix, y)
+        v = apply_matrix(self._f_matrix, y)
         d = math.floor(v)
         return d, v - d
 
@@ -219,7 +217,7 @@ class BaseSystem(FExpansionSystem):
     ) -> None:
         if base < 2:
             raise DomainError(f"base must be >= 2, got {base}")
-        super().__init__(f"base{base}", f=lambda y: base * y, f_inv=(1, 0, 0, base))
+        super().__init__(f"base{base}", f_inv=(1, 0, 0, base))
         self.base = base
         self._sigma = self._sigma_inv = list(range(base))
         if digit_permutation is not None:
@@ -255,7 +253,7 @@ class ContinuedFractionSystem(FExpansionSystem):
     """
 
     def __init__(self) -> None:
-        super().__init__("cf", f=lambda y: 1 / y if y else INF, f_inv=(0, 1, 1, 0))
+        super().__init__("cf", f_inv=(0, 1, 1, 0))
 
     def branch(self, c: ExtendedInt) -> Optional[Matrix]:
         if c is not INF and (not isinstance(c, int) or c < 1):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from .coefficients import ComplexRational
 from .core import ORDER_NONE, ORDER_STANDARD, ConvergentTrace, ExpansionSystem, LazyStages
@@ -101,10 +101,10 @@ class _NewtonBase(ExpansionSystem):
     """Value at 0, then the difference ``s * (p(x + h) - p(x))``.
 
     The difference runs on the integer numerators of ``p`` over the lcm of
-    its denominators: one :func:`~expansions.series.taylor_shift_int` by
-    ``h = +-1``, which adds or subtracts alone, then each coefficient's
-    ``Fraction`` is built once, ``s`` times the numerators' difference over
-    that one denominator.
+    its denominators (:meth:`_difference`): one
+    :func:`~expansions.series.taylor_shift_int` by ``h = +-1``, which adds or
+    subtracts alone, then ``s`` times the numerators' difference; ``expand``
+    builds each coefficient's ``Fraction`` once, over that one denominator.
 
     Reconstruction is Newton interpolation through the basis
     ``B_k = (s h)^k x(x - h)...(x - (k-1) h) / k!``, which vanishes at 0 for
@@ -113,7 +113,7 @@ class _NewtonBase(ExpansionSystem):
     stage ``i`` of a convergent is the Newton sum of ``c[i:]`` (Knuth, TAOCP
     vol. 2, 4.6.4).  The sum runs on integers too: every term is scaled to
     one common denominator and each coefficient's ``Fraction`` is built once.
-    ``reconstruct`` reads the tail's code with the system's own expansion step.
+    ``reconstruct`` reads the tail's code with the same integer difference.
     """
 
     kind = "polynomial"
@@ -132,13 +132,15 @@ class _NewtonBase(ExpansionSystem):
         y._require_exact("evaluation")
         return y.coefficient(0)
 
+    def _difference(self, nums: List[int]) -> List[int]:
+        """``s * (q(x + h) - q(x))`` on the integer coefficients of ``q``; the
+        top one is 0."""
+        return [self.s * (m - c) for m, c in zip(taylor_shift_int(nums[:], self.h), nums)]
+
     def expand(self, i: int, y: PowerSeries) -> PowerSeries:
         y._require_exact("shift")
         nums, den = integer_numerators(y.coeffs)
-        moved = taylor_shift_int(list(nums), self.h)
-        s = self.s
-        return PowerSeries._stripped(_ZERO, [
-            Fraction(s * (m - c), den) for m, c in zip(moved, nums)])
+        return PowerSeries._stripped(_ZERO, [Fraction(v, den) for v in self._difference(nums)])
 
     def _newton_sum(self, code: Sequence[Any]) -> PowerSeries:
         """``sum_k code[k] * B_k``, the polynomial whose code is ``code``.
@@ -164,14 +166,15 @@ class _NewtonBase(ExpansionSystem):
         return PowerSeries._stripped(_ZERO, [Fraction(v, den) for v in out])
 
     def reconstruct(self, i: int, c: Fraction, tail: PowerSeries) -> PowerSeries:
-        """The Newton sum of ``c`` and the code of ``tail``, read by this
-        system's own ``project(0, .)`` and ``expand(0, .)``, once per
-        coefficient, as a degree-``d`` tail has ``d + 1`` code entries."""
+        """The Newton sum of ``c`` and the code of ``tail``, the only series
+        built: the code is read on the integer numerators of ``tail``, the
+        value at 0 then :meth:`_difference`, which ``expand`` runs too."""
         tail._require_exact("evaluation")
-        code, stage = [c], tail
-        for _ in tail.coeffs:
-            code.append(self.project(0, stage))
-            stage = self.expand(0, stage)
+        nums, den = integer_numerators(tail.coeffs)
+        code = [c]
+        while nums:
+            code.append(Fraction(nums[0], den))
+            nums = self._difference(nums)[:-1]
         return self._newton_sum(code)
 
     def backward_pass(self, coeffs: Sequence[Any]) -> ConvergentTrace:

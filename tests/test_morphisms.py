@@ -5,16 +5,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expansions import (
+    INF,
     BaseSystem,
     ContinuedFractionSystem,
+    FExpansionSystem,
     HomReport,
+    Interval,
     Morphism,
     NewtonBackwardSystem,
     NewtonForwardSystem,
     NewtonReflectedSystem,
     Polynomial,
+    PrecisionExhausted,
     UnsupportedInContext,
     as_d_shift_morphism,
     build_system,
@@ -28,6 +34,7 @@ from expansions import (
     translate_convergent,
     verify_homomorphism,
 )
+from expansions.morphisms import _f_shift_morphism
 
 F = Fraction
 X = Polynomial.x()
@@ -207,6 +214,46 @@ def test_shifted_system_keeps_the_code() -> None:
     for y in rational_samples(611, 8):
         lifted = cf_morph.map_element(0, y)
         assert coefficient_code(cf_shifted, lifted, 5) == coefficient_code(src, y, 5)
+
+
+#: the f-expansion shifts: the two built-in specs, and base 2 and cf with
+#: their inverse matrices negated
+F_SHIFTS = {
+    "decimal-shift": decimal_shift_morphism,
+    "cf-shift": cf_shift_morphism,
+    "neg-base2-shift": lambda: _f_shift_morphism(
+        FExpansionSystem("neg-base2", (-1, 0, 0, -2)), "neg-base2-shift"),
+    "neg-cf-shift": lambda: _f_shift_morphism(
+        FExpansionSystem("neg-cf", (0, -1, -1, 0)), "neg-cf-shift"),
+}
+CF_SHIFTS = ("cf-shift", "neg-cf-shift")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(tuple(F_SHIFTS)),
+       st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda q: q < 1),
+       st.sampled_from(("fraction", "point", "enclosure")))
+@example("cf-shift", F(0), "fraction")
+@example("neg-cf-shift", F(0), "point")
+@example("cf-shift", F(1, 3), "enclosure")
+@example("decimal-shift", F(0), "enclosure")
+def test_f_shift_e1_is_the_systems_own_step(spec, q, form) -> None:
+    # E1 of an f-expansion shift is the map its step runs: the integer part
+    # plus the remainder of that step, INF at cf's 0, on a Fraction and on
+    # an enclosure alike; and the shift verifies as a homomorphism
+    _, morphism = F_SHIFTS[spec]()
+    y = {"fraction": q, "point": Interval.exact(q),
+         "enclosure": Interval(q, q + F(1, 2 ** 64))}[form]
+    try:
+        d, rest = morphism.source.step(0, y)
+    except PrecisionExhausted:
+        # only an enclosure from the bottom of a cf cylinder, 0 or 1/k,
+        # leaves the step undecided
+        assert form == "enclosure" and spec in CF_SHIFTS and (q == 0 or q.numerator == 1)
+        return
+    assert morphism.map_element(0, y) == (INF if d is INF else d + rest)
+    if form != "enclosure":
+        assert verify_homomorphism(morphism, [y], 6).ok
 
 
 def test_shift_isomorphism_checks_inverse() -> None:

@@ -315,6 +315,26 @@ def test_reconstruct_matches_the_fraction_difference_table(system, c, cs):
     assert system.expand(0, rebuilt) == tail
 
 
+@pytest.mark.parametrize("system", NEWTON_SYSTEMS, ids=lambda s: s.name)
+@pytest.mark.parametrize("degree", [0, 2, 5, 9])
+def test_reconstruct_builds_one_series(system, degree, monkeypatch) -> None:
+    # the tail's code is read on integers, so the Newton sum is the only
+    # exact series that a reconstruct builds, whatever the tail's degree
+    tail = random_poly(random.Random(degree), degree)
+    built = []
+    stripped = PowerSeries._stripped
+
+    def counting(center, cs):
+        built.append(len(cs))
+        return stripped(center, cs)
+
+    monkeypatch.setattr(PowerSeries, "_stripped", staticmethod(counting))
+    rebuilt = system.reconstruct(0, F(3, 7), tail)
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert_same_polynomial(rebuilt, fraction_reconstruct(system, F(3, 7), tail))
+
+
 @pytest.mark.parametrize("a", [F(1), F(-1), F(3), F(-2, 5), F(0)])
 def test_shift_refuses_a_truncated_series(a) -> None:
     germ = PowerSeries.truncated(0, [1, F(1, 2), 3])

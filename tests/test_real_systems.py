@@ -1,7 +1,6 @@
 """Tests for the concrete real-number systems: positional bases, continued
 fractions, Egyptian fractions, Engel series, and the f-expansion family."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -213,34 +212,17 @@ def test_engel_golden_identity_membership() -> None:
         assert nums[-1] == 0
 
 
-@pytest.mark.parametrize("text, bits, code, level", [
-    ("sqrt(2)-1", 8, [0, 1, 3], 3),
-    ("sqrt(9/10)", 8, [3, 1, 0], 3),
-    ("sqrt(99/100)", 8, [3, 3], 2),
-    ("sqrt(9/10)", 32, [3, 1, 0, 2, 0, 1, 1, 1, 0, 0, 0, 0], None),
-    ("sqrt(99/100)", 32, [3, 3, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0], None),
+@pytest.mark.parametrize("f_inv, message", [
+    ((0, 1, 0, 1), "f_inv = (0, 1, 0, 1) is singular, so f has no integer matrix"),
+    ((2, 4, 1, 2), "f_inv = (2, 4, 1, 2) is singular, so f has no integer matrix"),
+    ((2, 1, 0, 1), "f(0) = -1/2 is neither an integer nor infinite; "
+                   "the neutral element would not expand to itself"),
 ])
-def test_non_mobius_f_expansion_runs_on_the_enclosure(text, bits, code, level) -> None:
-    # y*y is no Möbius step, so 4*y*y multiplies two Intervals on their
-    # endpoints: the code (pinned), the failing level and its message are
-    # those of the same steps written in the test; only the forward code is
-    # read here, and the constant inverse w -> 1 refuses every reconstruct
-    square = FExpansionSystem("square", f=lambda y: 4 * y * y, f_inv=(0, 1, 0, 1))
-    y = stage = parse_expression(text, "real", bits=bits)
-    reference, message = [], None
-    try:
-        for _ in range(12):
-            v = 4 * stage * stage
-            reference.append(math.floor(v))
-            stage = v - reference[-1]
-    except PrecisionExhausted as exc:
-        message = str(exc)
-    if level is None:
-        assert coefficient_code(square, y, 12) == reference == code
-        return
-    with pytest.raises(PrecisionExhausted) as info:
-        coefficient_code(square, y, 12)
-    assert (info.value.prefix, info.value.level) == (reference, len(reference)) == (code, level)
+def test_f_expansion_refuses_an_f_inv_with_no_step(f_inv, message) -> None:
+    # f is the adjugate of f_inv, so a singular f_inv has no step, and the
+    # neutral element must project to f(0) = -b/a, an integer or infinite
+    with pytest.raises(DomainError) as info:
+        FExpansionSystem("bad", f_inv)
     assert str(info.value) == message
 
 
@@ -457,7 +439,7 @@ def test_negated_inverse_matrix_is_the_same_system() -> None:
     # f_inv = (-1, 0, 0, -2) is w -> w/2 with both signs flipped: its
     # denominators are negative, and every admission, convergent and code
     # is base 2's, on a Fraction and on an enclosure
-    neg = FExpansionSystem("neg-base2", f=lambda y: 2 * y, f_inv=(-1, 0, 0, -2))
+    neg = FExpansionSystem("neg-base2", f_inv=(-1, 0, 0, -2))
     base2 = BaseSystem(2)
     assert neg.reconstruct(0, 1, F(1, 2)) == base2.reconstruct(0, 1, F(1, 2)) == F(3, 4)
     assert neg.reconstruct(0, 1, Interval.exact(F(1, 2))) == Interval.exact(F(3, 4))
@@ -471,8 +453,8 @@ def test_negated_inverse_matrix_is_the_same_system() -> None:
             assert convergent(neg, value, n) == convergent(base2, value, n)
 
 
-NEG_BASE2 = FExpansionSystem("neg-base2", f=lambda y: 2 * y, f_inv=(-1, 0, 0, -2))
-NEG_CF = FExpansionSystem("neg-cf", f=lambda y: 1 / y if y else INF, f_inv=(0, -1, -1, 0))
+NEG_BASE2 = FExpansionSystem("neg-base2", f_inv=(-1, 0, 0, -2))
+NEG_CF = FExpansionSystem("neg-cf", f_inv=(0, -1, -1, 0))
 
 
 @pytest.mark.parametrize("system, c, tail, image", [
