@@ -26,10 +26,10 @@ from fractions import Fraction
 from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 
 from .approx import ApproximationSystem
-from .coefficients import is_infinite
+from .coefficients import INF, is_infinite
 from .core import ConvergentTrace, ExpansionSystem, convergent, trajectory
 from .errors import UnsupportedInContext
-from .realsys import BaseSystem, ContinuedFractionSystem, FExpansionSystem, apply_matrix
+from .realsys import BaseSystem, ContinuedFractionSystem, _UnitIntervalSystem, apply_matrix
 from .seriessys import NewtonForwardSystem, NewtonReflectedSystem
 
 LevelMap = Callable[[int, Any], Any]
@@ -237,21 +237,25 @@ def newton_reflection_morphism() -> Morphism:
 
 
 def _f_shift_morphism(
-    source: FExpansionSystem, name: str
+    source: _UnitIntervalSystem, name: str
 ) -> Tuple[ShiftedSystem, Morphism]:
-    """Shift of an f-expansion: ``E1 = f``, the matrix map its step runs,
+    """Shift of an f-expansion: ``E1 = f``, the digit map its step runs,
     moves elements to ``f([0, 1))``, where the coefficient is the integer
     part and ``E2`` the fractional part.  The inverse of ``E1`` applies
     ``f_inv``.  An infinite ``f(0)`` is the added point of the target, which
     the inverse of ``E1`` and ``E2`` both send to 0."""
+    f, f_inv = source._record.digit_map, source._record.m0
+
+    def e1(i: int, y: Any) -> Any:
+        return INF if source._pole and not y else apply_matrix(f, y)
 
     def e1_inv(i: int, y: Any) -> Any:
-        return Fraction(0) if is_infinite(y) else apply_matrix(source.f_inv, y)
+        return Fraction(0) if is_infinite(y) else apply_matrix(f_inv, y)
 
     def e2(i: int, y: Any) -> Any:
         return Fraction(0) if is_infinite(y) else y - math.floor(y)
 
-    return shift_isomorphism(source, lambda i, y: source.f(y), e1_inv, e2, name)
+    return shift_isomorphism(source, e1, e1_inv, e2, name)
 
 
 def decimal_shift_morphism() -> Tuple[ShiftedSystem, Morphism]:

@@ -1,19 +1,28 @@
 """Expansion systems on the real unit interval ``[0, 1)`` with neutral 0.
 
-Base-``b`` digits and continued fractions are f-expansions
-(:class:`FExpansionSystem`): one step emits ``floor(f(y))`` and keeps the
-fractional part.  The Egyptian and Engel systems share one class for their
-``ceil(1/y)`` coefficient map.  Each coefficient ``c`` has one integer
-Möbius branch ``branch(c)``: reconstruction applies it to the tail and admits
-the image below the open top of the cylinder of ``c``, and a step is the
-inverse of its own branch, by the matrix of ``f`` (the adjugate of
-``f_inv``, ``f``'s only spelling) or by the adjugate of
-``branch(ceil(1/y))``.  :func:`apply_matrix` maps an exact ``Fraction`` to
-one ``Fraction`` of two integers, and an
+One class, :class:`_UnitIntervalSystem`, runs every real system from its
+private record (:class:`_Record`), which declares:
+
+* the integer Möbius branch of each digit ``c``, the matrix
+  ``branch(c) = m0 + c*m1`` of the preimage ``y = (a*t + b) / (g*t + d)``
+  of ``(c, t)``, affine in ``c``: base ``b`` is ``(1, c, 0, b)``, cf
+  ``(0, 1, 1, c)``, Egyptian ``(c, 1, 0, c)``, Engel ``(1, 1, 0, c)`` and
+  an f-expansion ``f_inv(c + t)`` (Rényi 1957);
+* the digit map, a fixed Möbius map of ``y`` under floor (``f``, the signed
+  adjugate of ``f_inv``) or ceiling (``1/y`` for Egyptian and Engel);
+* the alphabet, the open top ``1/(k0 + k1*c)`` of the cylinder of ``c``, an
+  optional relabelling ``σ`` of the emitted digits and the coefficient
+  order.
+
+The rest is derived.  The neutral 0 projects to ``INF`` where the digit map
+has a pole at 0.  A step keeps one remainder: ``v - c`` of the digit map's
+value ``v`` where ``branch(c)`` is ``branch(0)`` after a translation by
+``c`` (the f-expansions), else the adjugate of ``branch(c)`` applied to
+``y``; so a level inverts once at most.  :func:`apply_matrix` maps a
+``Fraction`` to one ``Fraction`` of two integers, and an
 :class:`~expansions.certified.Interval` by its two unreduced endpoint
-fractions, so a level costs a few integer products and no gcd.  On an
-enclosure the floor, ceiling, pole and admission are certified, so a
-too-narrow precision budget raises
+fractions, with no gcd.  On an enclosure the rounding, pole and admission
+are certified, so a too-narrow precision budget raises
 :class:`~expansions.errors.PrecisionExhausted` rather than a wrong digit.
 The backward pass runs the branches on unreduced integer pairs and reduces a
 stage only when it is read (Gosper, HAKMEM item 101; Vuillemin 1990).
@@ -24,7 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, NamedTuple, Optional, Tuple, Union
 
 from .certified import Interval
 from .coefficients import INF, ExtendedInt
@@ -50,19 +59,41 @@ def apply_matrix(matrix: Matrix, y: Real) -> Real:
     return Fraction(a * y.numerator + b * y.denominator, g * y.numerator + d * y.denominator)
 
 
-class _UnitIntervalSystem(ExpansionSystem):
-    """Shared behaviour of systems whose every level is ``[0, 1)``; a
-    subclass supplies ``step``, and ``project``/``expand`` read its halves.
+class _Record(NamedTuple):
+    """The declared facts of one real system (see the module docstring)."""
 
-    A subclass also supplies ``branch(c)``, which validates ``c`` and
-    returns the integer matrix ``(a, b, g, d)`` of the preimage
-    ``y = (a*t + b) / (g*t + d)`` of ``(c, t)``, or ``None`` for the neutral
-    coefficient, whose only preimage is the neutral pair.  The preimage is
-    admitted when ``k*y < 1``, where ``1/k`` (:meth:`_top`) is the open top
-    of the cylinder of ``c`` (Gosper, HAKMEM item 101; Vuillemin 1990).
+    m0: Matrix  # branch(c) = m0 + c*m1
+    m1: Matrix
+    digit_map: Matrix  # of y, rounded down, or up where ``ceil``
+    ceil: bool
+    lo: Optional[int]  # the alphabet lo <= c < hi; None is unbounded
+    hi: Optional[int]
+    noun: str  # a foreign c is refused as "coefficient {c!r} is not {noun}"
+    top: Tuple[int, int]  # (k0, k1): the cylinder of c lies below 1/(k0 + k1*c)
+    order: str
+    sigma: Optional[Tuple[int, ...]] = None  # the emitted label of each digit
+
+
+class _UnitIntervalSystem(ExpansionSystem):
+    """The real system declared by ``record``, on ``[0, 1)`` at every level.
+
+    ``project`` reads the digit alone and ``step`` the digit and its
+    remainder; ``reconstruct`` admits ``branch(c)`` of the tail when
+    ``k*y < 1``, where ``1/k`` is the open top of the cylinder of ``c``.
     """
 
     kind = "real"
+
+    def __init__(self, name: str, record: _Record) -> None:
+        self.name = name
+        self._record = record
+        self.coefficient_order_kind = record.order
+        m0, m1 = record.m0, record.m1
+        self._pole = not record.digit_map[3]  # its denominator g*y + d is 0 at y = 0
+        self._translated = m1 == (0, m0[0], 0, m0[2])  # branch(c) = branch(0)(c + t)
+        self._round = math.ceil if record.ceil else math.floor
+        self._sigma = sigma = record.sigma
+        self._sigma_inv = sigma and [sigma.index(c) for c in range(len(sigma))]
 
     def neutral(self, i: int) -> Fraction:
         return Fraction(0)
@@ -79,35 +110,68 @@ class _UnitIntervalSystem(ExpansionSystem):
             side = "below 0" if n1 < 0 else "at or above 1"
             raise DomainError(f"element lies outside [0, 1), {side}")
 
+    def branch(self, digit: int) -> Matrix:
+        """The integer matrix ``m0 + digit*m1`` of the branch of ``digit``
+        (the digit before the relabelling ``σ``)."""
+        (a0, b0, g0, d0), (a1, b1, g1, d1) = self._record.m0, self._record.m1
+        return a0 + digit * a1, b0 + digit * b1, g0 + digit * g1, d0 + digit * d1
+
     def project(self, i: int, y: Any) -> ExtendedInt:
-        return self.step(i, y)[0]
+        if self._pole and not y:
+            return INF
+        digit = self._round(apply_matrix(self._record.digit_map, y))
+        return self._sigma[digit] if self._sigma else digit
+
+    def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
+        if self._pole and not y:
+            return INF, 0 * y
+        v = apply_matrix(self._record.digit_map, y)
+        digit = self._round(v)
+        if not self._translated:  # the adjugate of the branch
+            a, b, g, d = self.branch(digit)
+            rest = apply_matrix((d, -b, -g, a), y)
+        elif isinstance(v, Interval):
+            rest = v._mobius(1, -digit, 0, 1)
+        else:
+            rest = v - digit
+        return (self._sigma[digit] if self._sigma else digit), rest
 
     def expand(self, i: int, y: Any) -> Any:
         return self.step(i, y)[1]
 
-    def _top(self, c: int) -> int:
-        return 1
+    def _digit_of(self, c: ExtendedInt) -> Optional[int]:
+        """The digit whose label is ``c``, or ``None`` for the neutral
+        coefficient, whose only preimage is the neutral pair; a coefficient
+        outside the alphabet is refused."""
+        if c is INF and self._pole:
+            return None
+        lo, hi = self._record.lo, self._record.hi
+        if not isinstance(c, int) or lo is not None and c < lo or hi is not None and c >= hi:
+            raise DomainError(f"coefficient {c!r} is not {self._record.noun}")
+        return self._sigma_inv[c] if self._sigma_inv else c
 
     def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
         # the branch image, admitted when k*y < 1; on an enclosure the pole,
         # the admission and the neutral's zero test are certified
-        matrix = self.branch(c)
-        if matrix is None:
+        digit = self._digit_of(c)
+        if digit is None:
             return None if tail else 0 * tail
-        image = apply_matrix(matrix, tail)
-        return image if self._top(c) * image < 1 else None
+        image = apply_matrix(self.branch(digit), tail)
+        k0, k1 = self._record.top
+        return image if (k0 + k1 * digit) * image < 1 else None
 
     def _preimage(self, c: ExtendedInt, p: int, q: int) -> Optional[Tuple[int, int]]:
         """Integers ``(num, den)``, ``den > 0``, of the admitted preimage of
         ``(c, p/q)``, unreduced, or ``None`` where ``reconstruct`` refuses."""
-        matrix = self.branch(c)
-        if matrix is None:
+        digit = self._digit_of(c)
+        if digit is None:
             return None if p else (0, 1)
-        a, b, g, d = matrix
+        a, b, g, d = self.branch(digit)
         num, den = a * p + b * q, g * p + d * q
         if den < 0:  # a matrix with negative entries, e.g. -f_inv
             num, den = -num, -den
-        return (num, den) if self._top(c) * num < den else None
+        k0, k1 = self._record.top
+        return (num, den) if (k0 + k1 * digit) * num < den else None
 
     def backward_pass(self, coeffs: Sequence[ExtendedInt]) -> ConvergentTrace:
         """The backward pass on unreduced integer pairs ``(p, q)`` from the
@@ -137,68 +201,58 @@ class _UnitIntervalSystem(ExpansionSystem):
         return not (a - b)
 
 
-class FExpansionSystem(_UnitIntervalSystem):
+def _f_record(
+    f_inv: Matrix, lo: Optional[int], hi: Optional[int], noun: str,
+    sigma: Optional[Tuple[int, ...]] = None,
+) -> _Record:
+    """The f-expansion of ``f_inv = (a, b, g, d)``: the branch
+    ``f_inv(c + t)``, the digit ``floor(f(y))`` with ``f`` the adjugate of
+    ``f_inv``, signed so that the first nonzero entry of its denominator is
+    positive (cf's is ``(0, 1, 1, 0)``), and the open top 1.  The neutral
+    element projects to ``f(0) = -b/a``, which must be an integer or
+    infinite (``a = 0``)."""
+    a, b, g, d = f_inv
+    if a * d == b * g:
+        raise DomainError(f"f_inv = {f_inv} is singular, so f has no integer matrix")
+    if a and b % a:
+        raise DomainError(
+            f"f(0) = {Fraction(-b, a)} is neither an integer nor infinite; "
+            "the neutral element would not expand to itself"
+        )
+    sign = 1 if (-g, a) > (0, 0) else -1
+    f = (sign * d, -sign * b, -sign * g, sign * a)
+    return _Record(f_inv, (0, a, 0, g), f, False, lo, hi, noun, (1, 0), ORDER_STANDARD, sigma)
+
+
+def _unit_fraction_record(m0: Matrix, m1: Matrix) -> _Record:
+    """A unit-fraction series: the digit ``ceil(1/y) >= 2``, ``INF`` at the
+    neutral element, and the cylinder ``[1/c, 1/(c-1))`` of ``c``.  Its
+    coefficients carry the *reversed* order, under which the coefficient
+    map is monotone increasing and ``INF`` is smallest."""
+    return _Record(m0, m1, (0, 1, 1, 0), True, 2, None, "a unit-fraction index",
+                   (-1, 1), ORDER_REVERSED)
+
+
+def FExpansionSystem(name: str, f_inv: Matrix) -> _UnitIntervalSystem:
     """Expansion driven by an integer Möbius map ``f`` on ``[0, 1)``, given
     by the matrix of its inverse (Rényi 1957).
 
     ``project`` emits ``floor(f(y))`` (``INF`` where ``f(0)`` is infinite)
-    and ``expand`` the fractional part; ``f`` is the adjugate of ``f_inv``,
-    so a step is the inverse of its own branch ``f_inv(c + t)``.  The neutral
-    element projects to ``f(0) = -b/a``, which must be an integer or
-    infinite (``a = 0``).  ``f_inv = (1, 0, 0, b)`` gives :class:`BaseSystem`
-    and ``(0, 1, 1, 0)`` :class:`ContinuedFractionSystem`.
+    and ``expand`` the fractional part; a step is the inverse of its own
+    branch ``f_inv(c + t)``.  ``f_inv = (1, 0, 0, b)`` gives
+    :func:`BaseSystem` and ``(0, 1, 1, 0)`` :func:`ContinuedFractionSystem`.
 
     Args:
         name: registry/report identifier.
         f_inv: the integer matrix ``(a, b, g, d)`` of the inverse of ``f``,
             ``w -> (a*w + b) / (g*w + d)``; a singular one is refused.
     """
-
-    coefficient_order_kind = ORDER_STANDARD
-
-    def __init__(self, name: str, f_inv: Matrix) -> None:
-        self.name = name
-        self.f_inv = f_inv
-        a, b, g, d = f_inv
-        if a * d == b * g:
-            raise DomainError(f"f_inv = {f_inv} is singular, so f has no integer matrix")
-        if a and b % a:
-            raise DomainError(
-                f"f(0) = {Fraction(-b, a)} is neither an integer nor infinite; "
-                "the neutral element would not expand to itself"
-            )
-        self._infinite_at_zero = not a
-        # the adjugate of f_inv, signed so that the first nonzero entry of
-        # its denominator is positive (cf's is (0, 1, 1, 0))
-        sign = 1 if (-g, a) > (0, 0) else -1
-        self._f_matrix = (sign * d, -sign * b, -sign * g, sign * a)
-
-    def f(self, y: Real) -> Union[Real, ExtendedInt]:
-        """``f(y)`` by the matrix that ``step`` runs; ``INF`` at 0 where
-        ``f(0)`` is infinite."""
-        return INF if self._infinite_at_zero and not y else apply_matrix(self._f_matrix, y)
-
-    def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
-        if self._infinite_at_zero and not y:
-            return INF, 0 * y
-        if isinstance(y, Interval):
-            v = y._mobius(*self._f_matrix)
-            d = v.floor()
-            return d, v._mobius(1, -d, 0, 1)
-        v = apply_matrix(self._f_matrix, y)
-        d = math.floor(v)
-        return d, v - d
-
-    def branch(self, c: ExtendedInt) -> Optional[Matrix]:
-        if c is INF and self._infinite_at_zero:
-            return None
-        if not isinstance(c, int):
-            raise DomainError(f"coefficient {c!r} is not an integer")
-        a, b, g, d = self.f_inv
-        return a, a * c + b, g, g * c + d
+    return _UnitIntervalSystem(name, _f_record(f_inv, None, None, "an integer"))
 
 
-class BaseSystem(FExpansionSystem):
+def BaseSystem(
+    base: int, digit_permutation: Optional[Sequence[int]] = None
+) -> _UnitIntervalSystem:
     """Positional expansion in an integer base ``b >= 2``: the f-expansion
     with ``f(x) = b*x``.
 
@@ -211,38 +265,19 @@ class BaseSystem(FExpansionSystem):
     expansion step keeps using the true digit; this breaks monotonicity of
     the coefficient map without touching convergents' values.
     """
-
-    def __init__(
-        self, base: int, digit_permutation: Optional[Sequence[int]] = None
-    ) -> None:
-        if base < 2:
-            raise DomainError(f"base must be >= 2, got {base}")
-        super().__init__(f"base{base}", f_inv=(1, 0, 0, base))
-        self.base = base
-        self._sigma = self._sigma_inv = list(range(base))
-        if digit_permutation is not None:
-            sigma = list(digit_permutation)
-            if sorted(sigma) != list(range(base)):
-                raise DomainError(
-                    f"digit_permutation must permute 0..{base - 1}, got {sigma}"
-                )
-            self._sigma = sigma
-            self._sigma_inv = [0] * base
-            for d, image in enumerate(sigma):
-                self._sigma_inv[image] = d
-            self.name = f"base{base}-shuffled"
-
-    def step(self, i: int, y: Any) -> Tuple[int, Any]:
-        d, rest = super().step(i, y)
-        return self._sigma[d], rest
-
-    def branch(self, c: int) -> Matrix:
-        if not isinstance(c, int) or not 0 <= c < self.base:
-            raise DomainError(f"coefficient {c!r} is not a base-{self.base} digit")
-        return super().branch(self._sigma_inv[c])
+    if base < 2:
+        raise DomainError(f"base must be >= 2, got {base}")
+    sigma = None
+    if digit_permutation is not None:
+        sigma = tuple(digit_permutation)
+        if sorted(sigma) != list(range(base)):
+            raise DomainError(f"digit_permutation must permute 0..{base - 1}, got {list(sigma)}")
+    name = f"base{base}" if sigma is None else f"base{base}-shuffled"
+    return _UnitIntervalSystem(
+        name, _f_record((1, 0, 0, base), 0, base, f"a base-{base} digit", sigma))
 
 
-class ContinuedFractionSystem(FExpansionSystem):
+def ContinuedFractionSystem() -> _UnitIntervalSystem:
     """Regular continued fractions on ``[0, 1)``: the f-expansion with
     ``f(x) = 1/x`` and ``f(0) = INF``.
 
@@ -251,69 +286,19 @@ class ContinuedFractionSystem(FExpansionSystem):
     ``INF`` largest.  The pair ``(1, neutral)`` is outside the image (its
     preimage would be 1), the single improperness this system has.
     """
-
-    def __init__(self) -> None:
-        super().__init__("cf", f_inv=(0, 1, 1, 0))
-
-    def branch(self, c: ExtendedInt) -> Optional[Matrix]:
-        if c is not INF and (not isinstance(c, int) or c < 1):
-            raise DomainError(f"coefficient {c!r} is not a partial quotient")
-        return super().branch(c)
+    return _UnitIntervalSystem("cf", _f_record((0, 1, 1, 0), 1, None, "a partial quotient"))
 
 
-class _UnitFractionSystem(_UnitIntervalSystem):
-    """Shared coefficient map of the Egyptian and Engel systems.
-
-    Both emit ``ceil(1/y)`` (which is >= 2 on ``(0, 1)``) and ``INF`` at the
-    neutral element, which expands to itself and is the only preimage of
-    ``(INF, 0)``.  A subclass supplies the branch ``_branch(c)``; the
-    remainder is its adjugate applied to ``y``.  ``ceil(1/y) == c`` exactly
-    when ``1/c <= y < 1/(c-1)``, so the cylinder's open top is ``1/(c-1)``.
-    Their coefficient spaces carry the *reversed* order — under it the
-    coefficient maps become monotone increasing and ``INF`` is smallest —
-    and their rational expansions strictly decrease numerators.
-    """
-
-    coefficient_order_kind = ORDER_REVERSED
-
-    def step(self, i: int, y: Any) -> Tuple[ExtendedInt, Any]:
-        if not y:
-            return INF, 0 * y
-        q = math.ceil(1 / y)
-        a, b, g, d = self._branch(q)
-        return q, apply_matrix((d, -b, -g, a), y)  # the adjugate of the branch
-
-    def project(self, i: int, y: Any) -> ExtendedInt:
-        # no remainder: ``y - 1/q`` carries the bits of ``q`` into the endpoints
-        return math.ceil(1 / y) if y else INF
-
-    def branch(self, c: ExtendedInt) -> Optional[Matrix]:
-        if c is INF:
-            return None
-        if not isinstance(c, int) or c < 2:
-            raise DomainError(f"coefficient {c!r} is not a unit-fraction index")
-        return self._branch(c)
-
-    def _top(self, c: int) -> int:
-        return c - 1
-
-
-class EgyptianSystem(_UnitFractionSystem):
+def EgyptianSystem() -> _UnitIntervalSystem:
     """Greedy unit-fraction (Egyptian) expansion: split off the largest unit
-    fraction ``1/c <= y`` and expand the difference."""
-
-    name = "egyptian"
-
-    def _branch(self, c: int) -> Matrix:
-        return c, 1, 0, c  # 1/c + t
+    fraction ``1/c <= y`` and expand the difference, by the branch
+    ``1/c + t``."""
+    return _UnitIntervalSystem("egyptian", _unit_fraction_record((0, 1, 0, 0), (1, 0, 0, 1)))
 
 
-class EngelSystem(_UnitFractionSystem):
-    """Engel series expansion: same coefficient map as the Egyptian system,
-    but the remainder is rescaled (``y*c - 1``), which forces the emitted
-    coefficients of any one element to be non-decreasing."""
-
-    name = "engel"
-
-    def _branch(self, c: int) -> Matrix:
-        return 1, 1, 0, c  # (1 + t)/c
+def EngelSystem() -> _UnitIntervalSystem:
+    """Engel series expansion: the Egyptian digit, with the remainder
+    rescaled to ``y*c - 1`` by the branch ``(1 + t)/c``, which makes the
+    emitted coefficients of any one element non-decreasing; its rational
+    expansions strictly decrease numerators."""
+    return _UnitIntervalSystem("engel", _unit_fraction_record((1, 1, 0, 0), (0, 0, 0, 1)))

@@ -131,6 +131,22 @@ def test_real_convergent_traces_are_pinned():
     assert digest == "599a1805e37ad27b98805af1220f82e04f16fd69caf4281d73dfe1e579de9d18"
 
 
+def test_real_cli_grid_is_pinned():
+    # 540 runs of the three code verbs over the five real systems, twelve
+    # inputs and three budgets (278 exit 0, 254 exhausted, 8 improper): the
+    # sha256 of their argv, exit codes, stdout and stderr, as JSON with
+    # sorted keys, pins every digit, convergent and order the real systems
+    # print here
+    verbs = (("expand", "--depth", "60"), ("convergent", "--order", "40"),
+             ("order", "--max", "30"))
+    exits, digest = pinned_runs(
+        [verb, "--system", system, "--input", text, "--bits", bits, flag, value]
+        for (verb, flag, value), system, text, bits in itertools.product(
+            verbs, REAL_SYSTEM_IDS, REAL_INPUTS, ("64", "256", "1024")))
+    assert exits == [0] * 278 + [3] * 254 + [4] * 8
+    assert digest == "334c5edde198d41b3cb2aa884ea428c36f4939031edbe3ce3d0396b2759ac3dc"
+
+
 POLY_TRACE_INPUTS = ("0", "5/3", "x^2", "1 + 2*x - x^3/3", "(x - 1)^4", "x^5/7 - x + 1/2",
                      "1/2 + x - x^2 + x^3 - x^4")
 SERIES_TRACE_INPUTS = {

@@ -256,6 +256,38 @@ def test_integer_backward_pass_is_the_reconstruct_chain(case):
         assert all(stage is None or type(stage) is Fraction for stage in got[2])
 
 
+def _outcome(fn):
+    """``fn()``, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# cylinder edges of the seven systems (1/k, and k/10, which holds k/2) and
+# enclosures of width 2^-k around them
+_edges = (st.integers(1, 40).map(lambda k: Fraction(1, k))
+          | st.integers(0, 10).map(lambda k: Fraction(k, 10)))
+_straddling = st.tuples(_edges, st.integers(1, 80)).map(
+    lambda ew: Interval(ew[0] - Fraction(1, 2 ** ew[1]), ew[0] + Fraction(1, 2 ** ew[1])))
+_real_inputs = st.one_of(unit_tails, unit_tails.map(Interval.exact), _straddling)
+
+
+@bounded
+@given(st.sampled_from(REAL_SYSTEMS + tuple(EXTRA_REAL_SYSTEMS)), _real_inputs)
+@example("cf", Interval(Fraction(-1, 8), Fraction(1, 8)))
+@example("egyptian", Interval(Fraction(7, 16), Fraction(9, 16)))
+@example("base10-shuffled", Interval(Fraction(3, 10) - Fraction(1, 2**40),
+                                     Fraction(3, 10) + Fraction(1, 2**40)))
+def test_project_is_the_coefficient_of_step(system_id, y):
+    # project reads the digit alone, and step the digit and its remainder:
+    # both give the same coefficient, or fail with the same error, on
+    # rationals, point enclosures and enclosures across a cylinder edge
+    system = (EXTRA_REAL_SYSTEMS[system_id][0]() if system_id in EXTRA_REAL_SYSTEMS
+              else build_system(system_id))
+    assert _outcome(lambda: system.project(0, y)) == _outcome(lambda: system.step(0, y)[0])
+
+
 #: the Newton systems and the step ``h`` of their interpolation nodes ``j*h``
 NEWTON_NODE_STEPS = {"newton-forward": 1, "newton-backward": -1, "newton-reflected": -1}
 

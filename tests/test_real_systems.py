@@ -241,14 +241,35 @@ def test_a_certified_stage_is_an_input_again() -> None:
             == convergence_report(cf, flat, 3).rows)
 
 
+# coefficients outside each alphabet, and the refusal that names them
+FOREIGN_COEFFICIENTS = [
+    ("base10", INF, "coefficient INF is not a base-10 digit"),
+    ("base10", 10, "coefficient 10 is not a base-10 digit"),
+    ("base10", -1, "coefficient -1 is not a base-10 digit"),
+    ("base10", F(1, 2), "coefficient Fraction(1, 2) is not a base-10 digit"),
+    ("base10-shuffled", INF, "coefficient INF is not a base-10 digit"),
+    ("base10-shuffled", 10, "coefficient 10 is not a base-10 digit"),
+    ("cf", 0, "coefficient 0 is not a partial quotient"),
+    ("cf", -3, "coefficient -3 is not a partial quotient"),
+    ("cf", F(3, 2), "coefficient Fraction(3, 2) is not a partial quotient"),
+    ("egyptian", 1, "coefficient 1 is not a unit-fraction index"),
+    ("egyptian", 0, "coefficient 0 is not a unit-fraction index"),
+    ("engel", 1, "coefficient 1 is not a unit-fraction index"),
+    ("engel", F(1, 2), "coefficient Fraction(1, 2) is not a unit-fraction index"),
+    ("neg-base2", INF, "coefficient INF is not an integer"),
+    ("neg-base2", F(1, 2), "coefficient Fraction(1, 2) is not an integer"),
+]
+
+
 def test_reconstruct_rejects_foreign_coefficients() -> None:
-    # the named systems raise on a coefficient outside their alphabet
-    for c in (10, -1, F(1, 2)):
-        with pytest.raises(DomainError):
-            BaseSystem(10).reconstruct(0, c, F(0))
-    for c in (0, -3, F(3, 2)):
-        with pytest.raises(DomainError):
-            ContinuedFractionSystem().reconstruct(0, c, F(0))
+    # each system refuses a coefficient outside its alphabet, naming it
+    for system_id, c, message in FOREIGN_COEFFICIENTS:
+        system = (FExpansionSystem("neg-base2", (-1, 0, 0, -2)) if system_id == "neg-base2"
+                  else build_system(system_id))
+        for tail in (F(0), Interval.exact(F(1, 3))):
+            with pytest.raises(DomainError) as info:
+                system.reconstruct(0, c, tail)
+            assert str(info.value) == message, (system_id, c)
 
 
 def test_interval_backend_matches_exact() -> None:
@@ -292,29 +313,17 @@ def test_interval_equality_is_certified_or_undecided() -> None:
 
 
 def test_code_inverts_once_per_level(monkeypatch) -> None:
-    # project and expand share 1/y and its floor or ceiling: one inversion
-    # (a reciprocal, or a Möbius map with a pole) and one rounding per
-    # emitted coefficient, not two per expanded level; and a level takes as
-    # many Möbius maps as its step spells, none more
+    # a level rounds its digit map's value once, and inverts once, by that
+    # map's pole (none for base b); it takes one Möbius map for the digit
+    # and one for each remainder before the last: 2n - 1 maps for n digits
     calls = {"inversions": 0, "maps": 0, "floor": 0, "ceil": 0}
-    inside = []  # a reciprocal in progress, whose own Möbius map is not counted again
-    reciprocal, mobius = Interval.reciprocal, Interval._mobius
-
-    def counted_reciprocal(self):
-        calls["inversions"] += 1
-        inside.append(self)
-        try:
-            return reciprocal(self)
-        finally:
-            inside.pop()
+    mobius = Interval._mobius
 
     def counted_mobius(self, a, b, g, d):
-        if not inside:
-            calls["maps"] += 1
-            calls["inversions"] += bool(g)
+        calls["maps"] += 1
+        calls["inversions"] += bool(g)
         return mobius(self, a, b, g, d)
 
-    monkeypatch.setattr(Interval, "reciprocal", counted_reciprocal)
     monkeypatch.setattr(Interval, "_mobius", counted_mobius)
     for name in ("floor", "ceil"):
         method = getattr(Interval, name)
@@ -324,27 +333,21 @@ def test_code_inverts_once_per_level(monkeypatch) -> None:
             return _method(self)
 
         monkeypatch.setattr(Interval, name, counted)
-    # cf: f's matrix (0, 1, 1, 0) and the fractional part, two maps a level;
-    # Egyptian and Engel: 1/y, and one map for each remainder before the last
-    for system, text, n, rounding, maps in (
-        (ContinuedFractionSystem(), "sqrt(2)-1", 20, "floor", 40),
-        (EgyptianSystem(), "sqrt(1/2)", 5, "ceil", 4),
-        (EngelSystem(), "e-2", 20, "ceil", 19),
+    for system_id, text, n, rounding in (
+        ("base10", "pi-3", 30, "floor"),
+        ("base10-shuffled", "pi-3", 30, "floor"),
+        ("cf", "sqrt(2)-1", 20, "floor"),
+        ("egyptian", "sqrt(1/2)", 5, "ceil"),
+        ("engel", "e-2", 20, "ceil"),
     ):
+        system = build_system(system_id)
         y = parse_expression(text, "real", bits=256)
         for name in calls:
             calls[name] = 0
-        code = coefficient_code(system, y, n)
-        assert len(code) == n
-        assert calls["inversions"] == calls[rounding] == n
-        assert calls["maps"] == maps
-    # base-b digits share b*y and its floor: one floor and two maps per digit
-    for system in (BaseSystem(10), build_system("base10-shuffled")):
-        y = parse_expression("pi-3", "real", bits=256)
-        for name in calls:
-            calls[name] = 0
-        assert len(coefficient_code(system, y, 30)) == 30
-        assert (calls["floor"], calls["inversions"], calls["maps"]) == (30, 0, 60)
+        assert len(coefficient_code(system, y, n)) == n
+        inversions = 0 if system_id.startswith("base") else n
+        assert (calls[rounding], calls["inversions"]) == (n, inversions), system_id
+        assert calls["maps"] == 2 * n - 1, system_id
 
 
 @pytest.mark.parametrize("system_id, text, depths", [
