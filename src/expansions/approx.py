@@ -21,11 +21,17 @@ The transformed germ is an index map of the germ ``y``: its coefficient ``j``
 is ``w_j * y[j + d]`` from ``j = s`` on and zero below, with ``d = 1`` and
 ``w_j = j + 1`` for ``D`` and ``KD``, ``d = 0`` and ``w_j = 1`` for ``K``, and
 ``s = 0`` for ``D``, ``s = 1`` for ``K`` and ``KD`` (whose ``b`` is
-``y[1]``).  So a level reads ``(c, m)`` off ``y`` directly, reads its
-normalized germ through one index map of ``y``
-(:meth:`~expansions.series.PowerSeries.index_map`) and rebuilds through one
-index map of the inverse nonlinearity's result: a level builds one lazy
-stream each way besides its kernel.
+``y[1]``).  So a level reads ``(c, m)`` off ``y`` directly, testing the
+integers of a stream's row and building a ``Fraction`` for ``c`` and ``b``
+alone.  It reads its normalized germ through one index map of ``y``
+(:meth:`~expansions.series.PowerSeries.index_map`), coefficient ``k`` being
+``w_{k+m} y[k + m + d] / c``, and rebuilds through one index map of the
+inverse nonlinearity's result ``u``, coefficient ``k > 0`` being
+``c u[k - 1 - m] / k`` after ``D`` (plus ``b`` at ``k = 1``) and
+``c u[k - m]`` after ``K``.  Each is an integer scaling of a numerator and
+the row's one denominator, with the sign of ``c`` in the numerator, so a
+level builds one lazy stream each way besides its kernel and no
+``Fraction`` passes between them.
 
 A transformed germ that is identically zero has multiplicity ``INF`` and
 marks the neutral branch; a *truncated* germ whose known coefficients are all
@@ -37,12 +43,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .coefficients import ASCoef, INF, ExtendedInt, is_infinite
 from .core import ORDER_NONE, ExpansionSystem
 from .errors import DomainError, TruncationInconclusive
-from .series import PowerSeries, require_germ
+from .series import PowerSeries, first_nonzero, require_germ
 
 TRANSFORM_D = "D"
 TRANSFORM_K = "K"
@@ -113,22 +119,20 @@ class ASConfig:
         return a
 
 
-def _leading(
-    values: Iterable[Fraction], start: int, known: int, exact: bool
-) -> tuple[ExtendedInt, Fraction]:
-    """Index and value of the first nonzero of ``values``, which are the
-    coefficients ``start, start + 1, ...`` of a series with ``known`` stored
-    coefficients; ``(INF, 0)`` when there is none and the series is exact.
+def _leading(series: PowerSeries, start: int, known: int) -> ExtendedInt:
+    """Index of the first nonzero coefficient of ``series`` from ``start``
+    on, which it reads as one of ``known`` stored coefficients; ``INF`` when
+    there is none and the series is exact.
 
     Raises:
         TruncationInconclusive: for a truncated series with no nonzero stored
             coefficient — it may or may not be zero.
     """
-    for k, c in enumerate(values, start):
-        if c:
-            return k, c
-    if exact:
-        return INF, Fraction(0)
+    k = first_nonzero(series.coeffs, start)
+    if k is not None:
+        return k
+    if series.exact:
+        return INF
     raise TruncationInconclusive(
         f"all {known} known coefficients vanish; multiplicity cannot be certified"
     )
@@ -137,8 +141,7 @@ def _leading(
 def multiplicity(series: PowerSeries) -> ExtendedInt:
     """Index of the first nonzero coefficient; ``INF`` for the exact zero
     series (see :func:`_leading`)."""
-    cs = series.coeffs
-    return _leading(cs, 0, len(cs), series.exact)[0]
+    return _leading(series, 0, len(series.coeffs))
 
 
 class ApproximationSystem(ExpansionSystem):
@@ -195,27 +198,31 @@ class ApproximationSystem(ExpansionSystem):
 
     def _transformed(self, y: PowerSeries) -> ASCoef:
         """The level's coefficient of ``y``: multiplicity and leading
-        coefficient of the transformed germ, scanned off ``y`` directly."""
+        coefficient of the transformed germ, scanned off ``y`` directly; the
+        first nonzero ``y[k]``, ``k >= s + d``, gives ``m = k - d`` and
+        ``c = w_m * y[k]``."""
         d, s = self._shape()
-        cs = y.coeffs
-        known = len(cs) - d
+        known = len(y.coeffs) - d
         if known < 1 and not y.exact:
             raise TruncationInconclusive(
                 "differentiating an order-0 germ leaves no known coefficients"
             )
-        values = ((j + 1) * cs[j + 1] if d else cs[j] for j in range(s, known))
-        m, c = _leading(values, s, known, y.exact)
+        k = _leading(y, s + d, known)
         b = y.coefficient(1) if self.config.transform == TRANSFORM_KD else None
-        return ASCoef(c=c, m=m, b=b)
+        if is_infinite(k):
+            return ASCoef(c=Fraction(0), m=INF, b=b)
+        return ASCoef(c=k * y.coeffs[k] if d else y.coeffs[k], m=k - d, b=b)
 
     def check_coefficient(self, c: Any) -> Optional[Fraction]:
         """The derivative term ``b`` of ``c``; :class:`DomainError` unless
         ``c`` is an :class:`ASCoef` whose ``b`` is set exactly when the
-        transform is ``KD``."""
+        transform is ``KD``, with rational ``c`` and ``b``."""
         transform = self.config.transform
         if not isinstance(c, ASCoef) or (c.b is None) == (transform == TRANSFORM_KD):
             need = "with" if transform == TRANSFORM_KD else "without"
             raise DomainError(f"{transform} systems need ASCoef {need} b, got {c!r}")
+        if not all(isinstance(v, (int, Fraction)) for v in (c.c, c.b) if v is not None):
+            raise DomainError(f"ASCoef c and b must be rational, got {c!r}")
         return c.b
 
     # -- system maps ----------------------------------------------------------
@@ -229,10 +236,13 @@ class ApproximationSystem(ExpansionSystem):
         m, c = coefficient.m, coefficient.c
         if is_infinite(m):
             return coefficient, self.neutral(i + 1)
-        # coefficient k of the normalized germ is w_{k+m} * y[k + m + d] / c
+        # coefficient k of the normalized germ is w_{k+m} * y[k + m + d] / c,
+        # and a / c = q a / p for c = p/q with p > 0, the sign of c in q
         d = self._shape()[0]
         shift = m + d
-        weighted = (lambda k, a: (k + shift) * a / c) if d else (lambda k, a: a / c)
+        p, q = (c.numerator, c.denominator) if c > 0 else (-c.numerator, -c.denominator)
+        weighted = ((lambda k, n, den: ((k + shift) * q * n, p * den)) if d
+                    else (lambda k, n, den: (q * n, p * den)))
         normalized = y.index_map(len(y.coeffs) - shift, shift, weighted)
         if cfg.nonlinearity == NL_POWER:
             return coefficient, normalized.power(cfg.alpha(i), cfg.order)
@@ -259,16 +269,21 @@ class ApproximationSystem(ExpansionSystem):
         else:
             u = tail.exp(cfg.order)
         # the level's value is conv + c (x - center)^m u for K, and conv plus
-        # the integral of c (x - center)^m u + b for D and KD
-        lead, shift = c.c, c.m + d
+        # the integral of c (x - center)^m u + b for D and KD, with c = lp/lq
+        # and b = bp/bq
+        shift, head = c.m + d, conv.numerator
+        lp, lq = c.c.numerator, c.c.denominator
         if not d:
             return u.index_map(len(u.coeffs) + shift, -shift,
-                               lambda k, a: lead * a if k else conv)
+                               lambda k, n, den: (lp * n, lq * den) if k else (head, 1))
+        bp, bq = b.numerator, b.denominator
 
-        def value(k: int, a: Fraction) -> Fraction:
+        def value(k: int, n: int, den: int) -> tuple[int, int]:
             if not k:
-                return conv
-            return (lead * a + b) / k if k == 1 else lead * a / k
+                return head, 1
+            if k == 1:
+                return lp * n * bq + bp * lq * den, lq * den * bq
+            return lp * n, lq * den * k
 
         return u.index_map(len(u.coeffs) + shift, -shift, value)
 

@@ -10,9 +10,9 @@ private record (:class:`_Record`), which declares:
   an f-expansion ``f_inv(c + t)`` (Rényi 1957);
 * the digit map, a fixed Möbius map of ``y`` under floor (``f``, the signed
   adjugate of ``f_inv``) or ceiling (``1/y`` for Egyptian and Engel);
-* the alphabet, the open top ``1/(k0 + k1*c)`` of the cylinder of ``c``, an
-  optional relabelling ``σ`` of the emitted digits and the coefficient
-  order.
+* the alphabet (for an f-expansion, ``floor(f([0, 1)))``), the open top
+  ``1/(k0 + k1*c)`` of the cylinder of ``c``, an optional relabelling ``σ``
+  of the emitted digits and the coefficient order.
 
 The rest is derived.  The neutral 0 projects to ``INF`` where the digit map
 has a pole at 0.  A step keeps one remainder: ``v - c`` of the digit map's
@@ -79,7 +79,8 @@ class _UnitIntervalSystem(ExpansionSystem):
 
     ``project`` reads the digit alone and ``step`` the digit and its
     remainder; ``reconstruct`` admits ``branch(c)`` of the tail when
-    ``k*y < 1``, where ``1/k`` is the open top of the cylinder of ``c``.
+    ``0 <= y`` and ``k*y < 1``, where ``1/k`` is the open top of the
+    cylinder of ``c``.
     """
 
     kind = "real"
@@ -151,18 +152,25 @@ class _UnitIntervalSystem(ExpansionSystem):
         return self._sigma_inv[c] if self._sigma_inv else c
 
     def reconstruct(self, i: int, c: ExtendedInt, tail: Any) -> Optional[Any]:
-        # the branch image, admitted when k*y < 1; on an enclosure the pole,
-        # the admission and the neutral's zero test are certified
+        # the branch image, admitted when 0 <= y and k*y < 1; on an enclosure
+        # the pole, the admission and the neutral's zero test are certified
+        if not isinstance(tail, Interval):
+            pair = self._preimage(c, tail.numerator, tail.denominator)
+            return None if pair is None else Fraction(*pair)
         digit = self._digit_of(c)
         if digit is None:
             return None if tail else 0 * tail
-        image = apply_matrix(self.branch(digit), tail)
+        try:
+            image = tail._mobius(*self.branch(digit))
+        except ZeroDivisionError:  # an exact tail at the branch's pole
+            return None
         k0, k1 = self._record.top
-        return image if (k0 + k1 * digit) * image < 1 else None
+        return image if not image < 0 and (k0 + k1 * digit) * image < 1 else None
 
     def _preimage(self, c: ExtendedInt, p: int, q: int) -> Optional[Tuple[int, int]]:
         """Integers ``(num, den)``, ``den > 0``, of the admitted preimage of
-        ``(c, p/q)``, unreduced, or ``None`` where ``reconstruct`` refuses."""
+        ``(c, p/q)``, unreduced, or ``None`` where ``reconstruct`` refuses:
+        outside ``[0, 1/k)``, or at the branch's pole (``den = 0``)."""
         digit = self._digit_of(c)
         if digit is None:
             return None if p else (0, 1)
@@ -171,7 +179,7 @@ class _UnitIntervalSystem(ExpansionSystem):
         if den < 0:  # a matrix with negative entries, e.g. -f_inv
             num, den = -num, -den
         k0, k1 = self._record.top
-        return (num, den) if (k0 + k1 * digit) * num < den else None
+        return (num, den) if 0 <= num and (k0 + k1 * digit) * num < den else None
 
     def backward_pass(self, coeffs: Sequence[ExtendedInt]) -> ConvergentTrace:
         """The backward pass on unreduced integer pairs ``(p, q)`` from the
@@ -201,16 +209,29 @@ class _UnitIntervalSystem(ExpansionSystem):
         return not (a - b)
 
 
+def _f_alphabet(f: Matrix) -> Tuple[Optional[int], Optional[int]]:
+    """``(lo, hi)`` with ``lo <= c < hi`` exactly the digits ``floor(f(y))``
+    of ``y`` in ``[0, 1)``, ``None`` where unbounded: ``f`` has no pole
+    inside ``(0, 1)``, so it is monotone there and ``f([0, 1))`` runs from
+    ``f(0)``, an integer or infinite at a pole, to ``f(1)`` open."""
+    A, B, G, D = f
+    end = None if G + D == 0 else Fraction(A + B, G + D)  # f(1), None at a pole
+    start = None if D == 0 else B // D  # f(0), an integer
+    if A * D > B * G:  # rising: [f(0), f(1))
+        return start, None if end is None else math.ceil(end)
+    return None if end is None else math.floor(end), None if start is None else start + 1
+
+
 def _f_record(
-    f_inv: Matrix, lo: Optional[int], hi: Optional[int], noun: str,
-    sigma: Optional[Tuple[int, ...]] = None,
+    f_inv: Matrix, noun: str, sigma: Optional[Tuple[int, ...]] = None,
 ) -> _Record:
     """The f-expansion of ``f_inv = (a, b, g, d)``: the branch
     ``f_inv(c + t)``, the digit ``floor(f(y))`` with ``f`` the adjugate of
     ``f_inv``, signed so that the first nonzero entry of its denominator is
-    positive (cf's is ``(0, 1, 1, 0)``), and the open top 1.  The neutral
-    element projects to ``f(0) = -b/a``, which must be an integer or
-    infinite (``a = 0``)."""
+    positive (cf's is ``(0, 1, 1, 0)``), the alphabet ``floor(f([0, 1)))``
+    and the open top 1.  The neutral element projects to ``f(0) = -b/a``,
+    which must be an integer or infinite (``a = 0``), and ``f`` must have no
+    pole inside ``(0, 1)``."""
     a, b, g, d = f_inv
     if a * d == b * g:
         raise DomainError(f"f_inv = {f_inv} is singular, so f has no integer matrix")
@@ -221,7 +242,10 @@ def _f_record(
         )
     sign = 1 if (-g, a) > (0, 0) else -1
     f = (sign * d, -sign * b, -sign * g, sign * a)
-    return _Record(f_inv, (0, a, 0, g), f, False, lo, hi, noun, (1, 0), ORDER_STANDARD, sigma)
+    if 0 < a * g < g * g:  # the denominator a - g*y of f vanishes at y = a/g
+        raise DomainError(f"f has a pole at {Fraction(a, g)} inside (0, 1), so it is not monotone")
+    return _Record(f_inv, (0, a, 0, g), f, False, *_f_alphabet(f), noun, (1, 0),
+                   ORDER_STANDARD, sigma)
 
 
 def _unit_fraction_record(m0: Matrix, m1: Matrix) -> _Record:
@@ -247,7 +271,7 @@ def FExpansionSystem(name: str, f_inv: Matrix) -> _UnitIntervalSystem:
         f_inv: the integer matrix ``(a, b, g, d)`` of the inverse of ``f``,
             ``w -> (a*w + b) / (g*w + d)``; a singular one is refused.
     """
-    return _UnitIntervalSystem(name, _f_record(f_inv, None, None, "an integer"))
+    return _UnitIntervalSystem(name, _f_record(f_inv, f"a digit of {name}"))
 
 
 def BaseSystem(
@@ -274,7 +298,7 @@ def BaseSystem(
             raise DomainError(f"digit_permutation must permute 0..{base - 1}, got {list(sigma)}")
     name = f"base{base}" if sigma is None else f"base{base}-shuffled"
     return _UnitIntervalSystem(
-        name, _f_record((1, 0, 0, base), 0, base, f"a base-{base} digit", sigma))
+        name, _f_record((1, 0, 0, base), f"a base-{base} digit", sigma))
 
 
 def ContinuedFractionSystem() -> _UnitIntervalSystem:
@@ -286,7 +310,7 @@ def ContinuedFractionSystem() -> _UnitIntervalSystem:
     ``INF`` largest.  The pair ``(1, neutral)`` is outside the image (its
     preimage would be 1), the single improperness this system has.
     """
-    return _UnitIntervalSystem("cf", _f_record((0, 1, 1, 0), 1, None, "a partial quotient"))
+    return _UnitIntervalSystem("cf", _f_record((0, 1, 1, 0), "a partial quotient"))
 
 
 def EgyptianSystem() -> _UnitIntervalSystem:

@@ -21,33 +21,38 @@ An exact series stores a tuple.  A truncated result of the analytic kernels
 and of the linear operations stores a lazy stream instead, in the manner of
 McIlroy's "Power series, power serious": its length, the known order plus
 one, is fixed when it is built, and each coefficient is computed on its
-first read and kept.  Its coefficient ``k`` is ``rule(k, views)``, where
-``views[i]`` is the coefficient list of source ``i``: a source stream's memo
-list or a source tuple.  Every check that can fail runs when the series is
+first read and kept.  A stream keeps its coefficients as one integer row,
+numerators over one positive denominator (:class:`_Row`, the layout of
+FLINT's ``fmpq_poly``), and a ``Fraction`` is built when a coefficient is
+read through ``coeffs``, so ``==``, ``hash`` and ``str`` see the reduced
+values.  Its coefficient ``k`` is ``rule(k, views)``, which returns integers
+``(num, den)``, ``den > 0``: ``views[i]`` is the row of source ``i``, a
+source stream's own row or the row that :func:`integer_numerators` scales a
+source tuple to once.  Every check that can fail runs when the series is
 built, so a coefficient read never raises.
 
-Each linear operation is one coefficient rule, run by ``index_map``
-(``scale``, unary ``-``, ``differentiate``, ``integrate``, ``reflect``) or
-``_combine`` (``+``, ``-``) into a stripped tuple on exact inputs and into one
-stream otherwise; only the exact slices of ``shift_down`` and ``shift_up``,
-the polynomial systems' Taylor steps, skip the rule call per coefficient.
+Each linear operation is one integer rule, run by ``index_map`` (``scale``,
+unary ``-``, ``differentiate``, ``integrate``, ``reflect``) or ``_combine``
+(``+``, ``-``) into a stripped tuple on exact inputs and into one stream
+otherwise; only the exact slices of ``shift_down`` and ``shift_up``, the
+polynomial systems' Taylor steps, skip the rule call per coefficient.
 
 The analytic kernels (``power``, ``log``, ``exp``) are online coefficient
 recurrences driven by the derivative identities: coefficient ``m`` of the
-result reads only coefficients ``0..m`` of the input.  Each takes an explicit
-output order when the input is exact, because their results are in general
-not polynomial.
+result reads only coefficients ``0..m`` of the input, on the integers of the
+input's row and of the result's own.  Each takes an explicit output order
+when the input is exact, because their results are in general not
+polynomial.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, TruncationInconclusive
 
@@ -72,7 +77,10 @@ def power_by_squaring(base: Any, k: int, unit: Any) -> Any:
 def integer_numerators(cs: Sequence[Fraction]) -> Tuple[List[int], int]:
     """``(nums, den)`` with ``cs[k] == nums[k] / den``, ``den`` being the lcm
     of the denominators of ``cs`` (1 for an empty ``cs``)."""
-    den = math.lcm(*(c.denominator for c in cs))
+    # a list, not a generator: CPython resizes a tuple built from a generator
+    # and parks it on the free list of its final size, which only a direct
+    # allocation of that size drains, so each call would hold memory
+    den = math.lcm(*[c.denominator for c in cs])
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
@@ -100,30 +108,62 @@ def taylor_shift_int(cs: List[int], a: int) -> List[int]:
     return cs
 
 
-#: the coefficient lists of a stream's sources, and its coefficient rule
-_Views = List[Sequence[Fraction]]
-_Rule = Callable[[int, _Views], Fraction]
+class _Row:
+    """Rational sequence as integers over one positive denominator:
+    value ``j`` is ``ints[j] / den``.
 
-
-class _Stream(abc.Sequence):
-    """Coefficients of a truncated series, computed in order on first read
-    and kept.
-
-    Coefficient ``k`` is ``rule(k, views)``.  Each view is the coefficient
-    list of one source: a source stream's memo list, or a tuple.
-    ``_sources`` pairs each source stream that was partly read when this one
-    was built with its offset: coefficient ``k`` reads that source up to
-    coefficient ``k + offset``.  A read past the memo walks down to the short
-    sources with an explicit stack, so a chain of any depth reads alike, and
-    extends a stream only once all its sources are long enough, so that its
-    rule indexes memoised coefficients only.  A complete stream drops its
-    rule, its views and its sources.
+    A row starts at its first value and ``push`` appends each later one,
+    reduced by one gcd and rescaling the row when its denominator does not
+    divide ``den``; so ``den`` is exactly the lcm of the reduced denominators
+    the row holds, and sizes cannot creep along a chain of streams.
     """
 
-    __slots__ = ("_memo", "_rule", "_views", "_len", "_sources")
+    __slots__ = ("ints", "den")
 
-    def __init__(self, length: int, rule: _Rule, views: _Views, sources: list) -> None:
-        self._memo: List[Fraction] = []
+    def __init__(self, ints: List[int], den: int) -> None:
+        self.ints = ints
+        self.den = den
+
+    def start(self, num: int, den: int) -> None:
+        g = math.gcd(num, den)
+        self.ints, self.den = [num // g], den // g
+
+    def push(self, num: int, den: int) -> None:
+        g = math.gcd(num, den)
+        if g != 1:
+            num, den = num // g, den // g
+        if self.den % den:
+            factor = den // math.gcd(self.den, den)
+            self.den *= factor
+            self.ints = [c * factor for c in self.ints]
+        self.ints.append(num * (self.den // den))
+
+
+#: the rows of a stream's sources, and its coefficient rule
+_Views = List[_Row]
+_Rule = Callable[[int, _Views], Tuple[int, int]]
+
+
+class _Stream:
+    """Coefficients of a truncated series, computed in order on first read
+    and kept in one integer row; a ``Fraction`` is built when read.
+
+    Coefficient ``k`` is ``rule(k, views)``, a pair ``(num, den)``.  Each
+    view is the row of one source: a source stream's own row, or a tuple's.
+    ``_sources`` pairs each source stream that was partly read when this one
+    was built with its offset: coefficient ``k`` reads that source up to
+    coefficient ``k + offset``.  A read past the row walks down to the short
+    sources with an explicit stack, so a chain of any depth reads alike, and
+    extends a stream only once all its sources are long enough, so that its
+    rule indexes computed integers only.  A complete stream drops its rule,
+    its views and its sources.
+    """
+
+    __slots__ = ("_row", "_rule", "_views", "_len", "_sources")
+
+    def __init__(self, length: int, rule: _Rule, views: _Views, sources: list,
+                 row: _Row) -> None:
+        self._row = row
         self._rule: Optional[_Rule] = rule
         self._views: Optional[_Views] = views
         self._len = length
@@ -132,37 +172,48 @@ class _Stream(abc.Sequence):
     @property
     def computed(self) -> int:
         """Number of coefficients computed so far."""
-        return len(self._memo)
+        return len(self._row.ints)
 
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, k: Any) -> Any:
-        if isinstance(k, slice):
-            return tuple(self[j] for j in range(*k.indices(self._len)))
-        if k < 0:
-            k += self._len
-        memo = self._memo
-        if k < len(memo):
-            return memo[k]
-        if not 0 <= k < self._len:
-            raise IndexError("coefficient index out of range")
-        s, n, above = self, k + 1, []
+    def _fill(self, n: int) -> None:
+        """Compute the first ``n`` coefficients, sources first."""
+        s, above = self, []
         while True:
             for src, offset in s._sources:
-                if len(src._memo) < n + offset:
+                if len(src._row.ints) < n + offset:
                     above.append((s, n))
                     s, n = src, n + offset
                     break
             else:
-                s_memo, rule, views = s._memo, s._rule, s._views
-                while len(s_memo) < n:
-                    s_memo.append(rule(len(s_memo), views))
-                if len(s_memo) == s._len:
+                row, rule, views = s._row, s._rule, s._views
+                k = len(row.ints)
+                if not k:
+                    row.start(*rule(0, views))
+                    k = 1
+                for k in range(k, n):
+                    row.push(*rule(k, views))
+                if n == s._len:
                     s._rule, s._views, s._sources = None, None, []
                 if not above:
-                    return memo[k]
+                    return
                 s, n = above.pop()
+
+    def __getitem__(self, k: Any) -> Any:
+        if isinstance(k, slice):
+            return tuple([self[j] for j in range(*k.indices(self._len))])  # see integer_numerators
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("coefficient index out of range")
+        row = self._row
+        if k >= len(row.ints):
+            self._fill(k + 1)
+        return Fraction(row.ints[k], row.den)
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return map(self.__getitem__, range(self._len))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (tuple, _Stream)):
@@ -176,29 +227,19 @@ class _Stream(abc.Sequence):
         return repr(tuple(self))
 
 
-class _Row:
-    """Rational sequence kept as integers over its running denominator lcm
-    (``ints[j] = value_j * lcm``).
-
-    The analytic kernels accumulate their recurrence rows over this common
-    denominator, which costs one gcd per coefficient instead of one per
-    inner-loop addition.
-    """
-
-    __slots__ = ("ints", "lcm")
-
-    def __init__(self, seed: int) -> None:
-        self.ints = [seed]
-        self.lcm = 1
-
-    def push(self, value: Fraction) -> Fraction:
-        d = value.denominator
-        if self.lcm % d:
-            factor = d // math.gcd(self.lcm, d)
-            self.lcm *= factor
-            self.ints = [c * factor for c in self.ints]
-        self.ints.append(value.numerator * (self.lcm // d))
-        return value
+def first_nonzero(cs: Sequence[Fraction], start: int) -> Optional[int]:
+    """Index of the first nonzero of the coefficients ``cs`` from ``start``
+    on, or ``None``; a stream computes only up to that index and tests the
+    integers of its row."""
+    if not isinstance(cs, _Stream):
+        return next((k for k in range(start, len(cs)) if cs[k]), None)
+    row = cs._row
+    for k in range(start, len(cs)):
+        if k >= len(row.ints):
+            cs._fill(k + 1)
+        if row.ints[k]:
+            return k
+    return None
 
 
 @dataclass(frozen=True)
@@ -288,7 +329,7 @@ class PowerSeries:
         """
         if self.exact:
             return not self.coeffs
-        return all(c == 0 for c in self.coeffs)
+        return first_nonzero(self.coeffs, 0) is None
 
     # equality/hashing ignore the exactness flag: an exact polynomial and its
     # faithful truncation to the same stored coefficients compare equal
@@ -327,23 +368,29 @@ class PowerSeries:
         return min(ka, kb)
 
     def _stream(
-        self, length: int, rule: _Rule, *sources: Tuple["PowerSeries", int]
+        self, length: int, rule: _Rule, *sources: Tuple["PowerSeries", int],
+        row: Optional[_Row] = None,
     ) -> "PowerSeries":
         """Truncated series of ``length`` coefficients, coefficient ``k`` being
-        ``rule(k, views)``, which reads source ``i``, a ``(series, offset)``
-        pair of ``sources``, up to ``k + offset`` in ``views[i]``: a stream's
-        memo list, filled by the walk before the rule runs (``_Stream``), or a
-        tuple, padded with zeros here when it is shorter."""
+        the integers ``rule(k, views)``, which reads source ``i``, a
+        ``(series, offset)`` pair of ``sources``, up to ``k + offset`` in the
+        row ``views[i]``: a stream's own row, filled by the walk before the
+        rule runs (``_Stream``), or a tuple's, scaled once here and padded
+        with zeros when it is shorter.  The stream keeps its coefficients in
+        ``row``, a new empty row unless a kernel's rule reads it."""
         views, pairs = [], []
         for src, offset in sources:
             cs, need = src.coeffs, length + offset
             if isinstance(cs, _Stream):
-                views.append(cs._memo)
+                views.append(cs._row)
                 if cs._rule is not None:
                     pairs.append((cs, offset))
             else:
-                views.append(cs if len(cs) >= need else [*cs, *[_ZERO] * (need - len(cs))])
-        return PowerSeries(self.center, _Stream(length, rule, views, pairs), exact=False)
+                nums, den = integer_numerators(cs)
+                nums += [0] * (need - len(nums))
+                views.append(_Row(nums, den))
+        return PowerSeries(self.center, _Stream(length, rule, views, pairs, row or _Row([], 1)),
+                           exact=False)
 
     # -- ring operations -------------------------------------------------------
 
@@ -358,7 +405,12 @@ class PowerSeries:
         if known is None:
             return PowerSeries._stripped(self.center, [
                 op(a, b) for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)])
-        return self._stream(known + 1, lambda k, v: op(v[0][k], v[1][k]), (self, 0), (other, 0))
+
+        def rule(k: int, views: _Views) -> Tuple[int, int]:
+            a, b = views
+            return op(a.ints[k] * b.den, b.ints[k] * a.den), a.den * b.den
+
+        return self._stream(known + 1, rule, (self, 0), (other, 0))
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         return self._combine(other, operator.add)
@@ -371,7 +423,8 @@ class PowerSeries:
 
     def scale(self, factor: object) -> "PowerSeries":
         factor = Fraction(factor)
-        return self.index_map(len(self.coeffs), 0, lambda k, a: factor * a)
+        p, q = factor.numerator, factor.denominator
+        return self.index_map(len(self.coeffs), 0, lambda k, n, d: (p * n, q * d))
 
     def __mul__(self, other: object) -> "PowerSeries":
         if isinstance(other, (int, Fraction)):
@@ -411,7 +464,7 @@ class PowerSeries:
             raise TruncationInconclusive(
                 "shifting down an order-0 germ leaves no known coefficients"
             )
-        return self._stream(len(cs) - 1, lambda k, v: v[0][k + 1], (self, 1))
+        return self._stream(len(cs) - 1, lambda k, v: (v[0].ints[k + 1], v[0].den), (self, 1))
 
     def shift_up(self, constant: object = 0) -> "PowerSeries":
         """Multiply by ``(x - center)`` and prepend a constant term."""
@@ -419,24 +472,30 @@ class PowerSeries:
         cs = self.coeffs
         if self.exact:
             return PowerSeries._stripped(self.center, [constant, *cs])
-        return self._stream(len(cs) + 1, lambda k, v: v[0][k - 1] if k else constant, (self, -1))
+        p, q = constant.numerator, constant.denominator
+        return self._stream(
+            len(cs) + 1, lambda k, v: (v[0].ints[k - 1], v[0].den) if k else (p, q), (self, -1))
 
     def index_map(
-        self, length: int, offset: int, f: Callable[[int, Fraction], Fraction]
+        self, length: int, offset: int, f: Callable[[int, int, int], Tuple[int, int]]
     ) -> "PowerSeries":
-        """The series whose coefficient ``k < length`` is ``f(k, a)``, ``a``
-        being coefficient ``k + offset`` of this one, or zero below index 0
-        and past the end of an exact series: a stripped tuple when this series
-        is exact, one stream when it is truncated (``length + offset`` must
-        not pass its length)."""
+        """The series whose coefficient ``k < length`` is ``f(k, num, den)``,
+        the integers (denominator positive) of an integer scaling of
+        ``num / den`` (``den > 0``), coefficient ``k + offset`` of this one or
+        zero below index 0 and past the end of an exact series: a stripped
+        tuple when this series is exact, each ``Fraction`` built once at the
+        end, and one stream when it is truncated (``length + offset`` must not
+        pass its length)."""
         cs = self.coeffs
         if self.exact:
-            n = len(cs)
+            nums, den = integer_numerators(cs)
+            n = len(nums)
             return PowerSeries._stripped(self.center, [
-                f(k, cs[k + offset] if 0 <= k + offset < n else _ZERO) for k in range(length)])
+                Fraction(*f(k, nums[k + offset] if 0 <= k + offset < n else 0, den))
+                for k in range(length)])
         return self._stream(
-            length, lambda k, v: f(k, v[0][k + offset] if k + offset >= 0 else _ZERO),
-            (self, offset))
+            length, lambda k, v: f(k, v[0].ints[k + offset], v[0].den) if k + offset >= 0
+            else f(k, 0, 1), (self, offset))
 
     # -- calculus -----------------------------------------------------------------
 
@@ -446,11 +505,13 @@ class PowerSeries:
             raise TruncationInconclusive(
                 "differentiating an order-0 germ leaves no known coefficients"
             )
-        return self.index_map(len(cs) - 1, 1, lambda k, a: (k + 1) * a)
+        return self.index_map(len(cs) - 1, 1, lambda k, n, d: ((k + 1) * n, d))
 
     def integrate(self, constant: object = 0) -> "PowerSeries":
         constant = Fraction(constant)
-        return self.index_map(len(self.coeffs) + 1, -1, lambda k, a: a / k if k else constant)
+        p, q = constant.numerator, constant.denominator
+        return self.index_map(len(self.coeffs) + 1, -1,
+                              lambda k, n, d: (n, d * k) if k else (p, q))
 
     # -- polynomial evaluation and substitution ----------------------------------
 
@@ -484,7 +545,7 @@ class PowerSeries:
 
     def reflect(self) -> "PowerSeries":
         """The series ``-p(-x)``, which is centered at ``-center``."""
-        out = self.index_map(len(self.coeffs), 0, lambda k, a: a if k % 2 else -a)
+        out = self.index_map(len(self.coeffs), 0, lambda k, n, d: (n if k % 2 else -n, d))
         return PowerSeries(-self.center, out.coeffs, self.exact)
 
     # -- analytic kernels -----------------------------------------------------------
@@ -507,13 +568,13 @@ class PowerSeries:
         ap1 = alpha + 1
         A, a = ap1.numerator, ap1.denominator
 
-        def step(m: int, inp: _Row, row: _Row) -> Fraction:
+        def step(m: int, inp: _Row, row: _Row) -> Tuple[int, int]:
             H, P = inp.ints, row.ints
             acc = 0
             for k in range(1, m + 1):
                 if H[k] and P[m - k]:
                     acc += (A * k - a * m) * H[k] * P[m - k]
-            return Fraction(acc, m * a * inp.lcm * row.lcm)
+            return acc, m * a * inp.den * row.den
 
         return self._kernel(order, 1, step)
 
@@ -524,13 +585,13 @@ class PowerSeries:
                 f"log kernel needs constant term 1, got {self.coefficient(0)}"
             )
 
-        def step(m: int, inp: _Row, row: _Row) -> Fraction:
+        def step(m: int, inp: _Row, row: _Row) -> Tuple[int, int]:
             H, P = inp.ints, row.ints
             acc = 0
             for k in range(1, m):
                 if P[k] and H[m - k]:
                     acc += k * P[k] * H[m - k]
-            return Fraction(H[m] * m * row.lcm - acc, m * inp.lcm * row.lcm)
+            return H[m] * m * row.den - acc, m * inp.den * row.den
 
         return self._kernel(order, 0, step)
 
@@ -541,36 +602,35 @@ class PowerSeries:
                 f"exp kernel needs constant term 0, got {self.coefficient(0)}"
             )
 
-        def step(m: int, inp: _Row, row: _Row) -> Fraction:
+        def step(m: int, inp: _Row, row: _Row) -> Tuple[int, int]:
             F, P = inp.ints, row.ints
             acc = 0
             for k in range(1, m + 1):
                 if F[k] and P[m - k]:
                     acc += k * F[k] * P[m - k]
-            return Fraction(acc, m * inp.lcm * row.lcm)
+            return acc, m * inp.den * row.den
 
         return self._kernel(order, 1, step)
 
     def _kernel(
-        self, order: Optional[int], seed: int, step: Callable[[int, _Row, _Row], Fraction]
+        self, order: Optional[int], seed: int,
+        step: Callable[[int, _Row, _Row], Tuple[int, int]],
     ) -> "PowerSeries":
-        """Online kernel to ``order``, at most the known order: coefficient ``m``
-        is ``step(m, input row, output row)``, with ``h_m`` pushed onto the
-        input row (seeded with 0, since no kernel reads ``h_0``) just before."""
+        """Online kernel to ``order``, at most the known order: coefficient
+        ``m > 0`` is ``step(m, input row, own row)``, which reads the input's
+        row up to ``h_m`` (no kernel reads ``h_0``) and its own stream's row,
+        and coefficient 0 is ``seed``."""
         n = self.known_order
         if order is not None:
             n = order if n is None else min(order, n)
         elif n is None:
             raise DomainError("an exact series needs an explicit output order here")
-        inp, row = _Row(0), _Row(seed)
+        row = _Row([], 1)
 
-        def rule(m: int, views: _Views) -> Fraction:
-            if not m:
-                return Fraction(seed)
-            inp.push(views[0][m])
-            return row.push(step(m, inp, row))
+        def rule(m: int, views: _Views) -> Tuple[int, int]:
+            return step(m, views[0], row) if m else (seed, 1)
 
-        return self._stream(n + 1, rule, (self, 0))
+        return self._stream(n + 1, rule, (self, 0), row=row)
 
     def divide(self, other: "PowerSeries", order: Optional[int] = None) -> "PowerSeries":
         """Divide by a series with nonzero constant term."""

@@ -2,6 +2,8 @@
 power and log/exp nonlinearities, multiplicity bookkeeping, and coefficient
 cycle detection."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -27,6 +29,7 @@ from expansions import (
     convergent,
     detect_cycle,
     order_of,
+    render_value,
     roundtrip_check,
     sample_element,
     trajectory,
@@ -272,6 +275,10 @@ def test_reconstruct_edge_branches() -> None:
     assert d.reconstruct(0, ASCoef(c=F(1), m=INF), one) is None
     assert d.reconstruct(0, ASCoef(c=F(0), m=INF),
                          PowerSeries.exact_poly(0, [1, 1])) is None
+    # A coefficient that is not rational is refused, not run as a float.
+    for bad in (ASCoef(c=0.5, m=1), ASCoef(c="1/2", m=1)):
+        with pytest.raises(DomainError, match="must be rational"):
+            k.reconstruct(0, bad, one)
 
 
 def test_a_neutral_stage_ends_the_code() -> None:
@@ -442,3 +449,26 @@ def test_a_level_builds_one_stream_each_way_besides_its_kernel(monkeypatch):
     built.clear()
     trace = convergent_from_code(system, code)
     assert trace.proper and len(built) <= 2 * 4
+
+
+def test_germ_codes_at_depth_4_and_order_64_are_pinned():
+    # the seven as-* systems on registry samples Random(0..9) at depth 4 and
+    # ASConfig's default order 64: the code, the convergent's first 8
+    # coefficients and the recode, rendered; the sha256 of the records, as
+    # JSON with sorted keys, pins every coefficient those levels compute
+    records = []
+    for sid in (s for s in system_ids() if s.startswith("as-")):
+        system = build_system(sid)
+        for seed in range(10):
+            code = coefficient_code(system, sample_element(sid, random.Random(seed)), 4)
+            trace = convergent_from_code(system, code)
+            record = {"system": sid, "seed": seed, "proper": trace.proper,
+                      "code": [render_value(c) for c in code]}
+            if trace.proper:
+                record["head"] = [render_value(c) for c in trace.value.coeffs[:8]]
+                record["recode"] = [render_value(c)
+                                    for c in coefficient_code(system, trace.value, 4)]
+            records.append(record)
+    assert sum(r["proper"] for r in records) == 70
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "9fadc59c2b354b05cdb4c9de06d5f2890fc3e4273145fa81e95c8d53d6f65a9b"

@@ -3,6 +3,7 @@ kept, a lazy series behaves like its fully computed twin, only what a caller
 reads gets computed, deep chains stay inside the recursion limit, and inputs
 come fully computed."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -108,6 +109,9 @@ def test_lazy_series_equals_and_hashes_like_its_computed_twin(coeffs, exact_twin
     assert lazy == twin and twin == lazy
     assert hash(lazy) == hash(twin)
     assert lazy.coeffs == tuple(values) and lazy.coeffs[1:3] == tuple(values[1:3])
+    assert lazy.coeffs[-1] == values[-1]
+    with pytest.raises(IndexError):
+        lazy.coeffs[-len(values) - 1]
     assert str(lazy) == str(twin) and repr(lazy) == repr(twin)
     if exact_twin and values[-1] != 0:
         exact = PowerSeries.exact_poly(0, values)
@@ -221,7 +225,8 @@ def test_inputs_come_fully_computed(monkeypatch):
     # so a repeated operation on the same input repeats all of its work
     pushes = []
     push = series_module._Row.push
-    monkeypatch.setattr(series_module._Row, "push", lambda row, v: pushes.append(1) or push(row, v))
+    monkeypatch.setattr(series_module._Row, "push",
+                        lambda row, num, den: pushes.append(1) or push(row, num, den))
     system = build_system("as-d-power-half")
     y = parse_expression("sqrt(1/(1 - x))", "series", order=24)
     counts = []
@@ -245,7 +250,8 @@ def test_deep_chain_computes_only_what_the_code_reads(monkeypatch):
     y = PowerSeries.truncated(0, [1] * (order + 1))
     pushes = []
     push = series_module._Row.push
-    monkeypatch.setattr(series_module._Row, "push", lambda row, v: pushes.append(1) or push(row, v))
+    monkeypatch.setattr(series_module._Row, "push",
+                        lambda row, num, den: pushes.append(1) or push(row, num, den))
     assert len(coefficient_code(system, y, depth)) == depth
     assert len(pushes) <= 22350
 
@@ -332,3 +338,39 @@ def test_long_chains_read_in_any_order_match_their_computed_twin(ops, coeffs, rn
     finally:
         series_module._Stream.__getitem__ = getitem
     assert misses == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(CHAIN_OPS + ("rescale", "integrate_differentiate")),
+                min_size=1, max_size=40),
+       st.lists(rationals, min_size=2, max_size=7), st.randoms(use_true_random=False))
+def test_row_denominators_do_not_creep(ops, coeffs, rnd):
+    # each stream's row holds integers over the lcm of the reduced
+    # denominators of the coefficients it has computed, so scaling by 2/3
+    # and back, or integrating and differentiating, leaves no extra factor
+    built = []
+    init = series_module._Stream.__init__
+
+    def record(stream, *args):
+        built.append(stream)
+        init(stream, *args)
+
+    series_module._Stream.__init__ = record
+    try:
+        g = PowerSeries.truncated(0, coeffs)
+        for op in ops:
+            if op == "rescale":
+                g = g.scale(F(2, 3)).scale(F(3, 2))
+            elif op == "integrate_differentiate":
+                g = g.integrate(F(1, 5)).differentiate()
+            else:
+                g = chain_step(g, op)
+            if rnd.random() < 0.3:
+                g.coefficient(rnd.randrange(len(g.coeffs)))
+        list(g.coeffs)
+    finally:
+        series_module._Stream.__init__ = init
+    for stream in built:
+        row = stream._row
+        assert len(row.ints) == stream.computed
+        assert row.den == math.lcm(*(F(n, row.den).denominator for n in row.ints))

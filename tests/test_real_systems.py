@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from expansions import (
     INF,
@@ -27,6 +29,7 @@ from expansions import (
     roundtrip_check,
     trajectory,
 )
+from expansions.realsys import apply_matrix
 from expansions.registry import build_system
 
 F = Fraction
@@ -217,10 +220,12 @@ def test_engel_golden_identity_membership() -> None:
     ((2, 4, 1, 2), "f_inv = (2, 4, 1, 2) is singular, so f has no integer matrix"),
     ((2, 1, 0, 1), "f(0) = -1/2 is neither an integer nor infinite; "
                    "the neutral element would not expand to itself"),
+    ((1, 1, 2, 0), "f has a pole at 1/2 inside (0, 1), so it is not monotone"),
 ])
 def test_f_expansion_refuses_an_f_inv_with_no_step(f_inv, message) -> None:
     # f is the adjugate of f_inv, so a singular f_inv has no step, and the
-    # neutral element must project to f(0) = -b/a, an integer or infinite
+    # neutral element must project to f(0) = -b/a, an integer or infinite,
+    # and f must have no pole inside (0, 1)
     with pytest.raises(DomainError) as info:
         FExpansionSystem("bad", f_inv)
     assert str(info.value) == message
@@ -256,20 +261,75 @@ FOREIGN_COEFFICIENTS = [
     ("egyptian", 0, "coefficient 0 is not a unit-fraction index"),
     ("engel", 1, "coefficient 1 is not a unit-fraction index"),
     ("engel", F(1, 2), "coefficient Fraction(1, 2) is not a unit-fraction index"),
-    ("neg-base2", INF, "coefficient INF is not an integer"),
-    ("neg-base2", F(1, 2), "coefficient Fraction(1, 2) is not an integer"),
+    # a generic f-expansion's alphabet is floor(f([0, 1)))
+    ("neg-base2", INF, "coefficient INF is not a digit of neg-base2"),
+    ("neg-base2", F(1, 2), "coefficient Fraction(1, 2) is not a digit of neg-base2"),
+    ("neg-base2", -1, "coefficient -1 is not a digit of neg-base2"),
+    ("neg-base2", 2, "coefficient 2 is not a digit of neg-base2"),
+    ("b2", -1, "coefficient -1 is not a digit of b2"),
+    ("neg-cf", 0, "coefficient 0 is not a digit of neg-cf"),
+    ("neg-cf", -1, "coefficient -1 is not a digit of neg-cf"),
 ]
+GENERIC_F_EXPANSIONS = {"neg-base2": (-1, 0, 0, -2), "b2": (1, 0, 0, 2), "neg-cf": (0, -1, -1, 0)}
 
 
 def test_reconstruct_rejects_foreign_coefficients() -> None:
     # each system refuses a coefficient outside its alphabet, naming it
     for system_id, c, message in FOREIGN_COEFFICIENTS:
-        system = (FExpansionSystem("neg-base2", (-1, 0, 0, -2)) if system_id == "neg-base2"
-                  else build_system(system_id))
+        system = (FExpansionSystem(system_id, GENERIC_F_EXPANSIONS[system_id])
+                  if system_id in GENERIC_F_EXPANSIONS else build_system(system_id))
         for tail in (F(0), Interval.exact(F(1, 3))):
             with pytest.raises(DomainError) as info:
                 system.reconstruct(0, c, tail)
             assert str(info.value) == message, (system_id, c)
+
+
+def test_generic_f_expansions_refuse_foreign_codes() -> None:
+    # digits outside floor(f([0, 1))) are refused, not run through f_inv
+    for name, f_inv, code in (("neg-base2", (-1, 0, 0, -2), [-1]), ("neg-cf", (0, -1, -1, 0), [0]),
+                              ("b2", (1, 0, 0, 2), [1, -1])):
+        with pytest.raises(DomainError):
+            convergent_from_code(FExpansionSystem(name, f_inv), code)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[st.integers(-3, 3)] * 4),
+       st.lists(st.fractions(0, 1, max_denominator=9).filter(lambda t: t < 1), min_size=1,
+                max_size=4))
+@example(f_inv=(-1, 0, 0, 2), ts=[F(1, 2)])  # f = -2y falls: digit 0 is the neutral's
+@example(f_inv=(1, 0, -2, 1), ts=[F(1, 2), F(2, 3)])  # f_inv's pole in digit 0's cylinder
+def test_a_generic_f_expansion_admits_exactly_the_preimages_in_the_unit_interval(f_inv, ts):
+    # any f with no pole inside (0, 1) is accepted; each y in [0, 1) emits a
+    # digit of the derived alphabet, a foreign digit is refused, and a
+    # digit's branch image of a tail t is admitted exactly when it lies in
+    # [0, 1), where it steps back to (c, t), on a Fraction and on an exact
+    # enclosure alike
+    a, b, g, d = f_inv
+    assume(a * d != b * g and (not a or b % a == 0))
+    if 0 < a * g < g * g:  # f's pole a/g
+        with pytest.raises(DomainError):
+            FExpansionSystem("f", f_inv)
+        return
+    system = FExpansionSystem("f", f_inv)
+    lo, hi = system._record.lo, system._record.hi
+    for y in ts:
+        digit = system.project(0, y)
+        assert digit is INF or (lo is None or lo <= digit) and (hi is None or digit < hi)
+    for c in range(-5, 6):
+        if lo is not None and c < lo or hi is not None and c >= hi:
+            with pytest.raises(DomainError):
+                system.reconstruct(0, c, ts[0])
+            continue
+        p, q, r, s_ = system.branch(c)
+        for t in ts:
+            image = system.reconstruct(0, c, t)
+            boxed = system.reconstruct(0, c, Interval.exact(t))
+            assert boxed == (None if image is None else Interval.exact(image))
+            raw = None if r * t + s_ == 0 else apply_matrix((p, q, r, s_), t)
+            if raw is None or not 0 <= raw < 1:
+                assert image is None, (c, t, raw)
+            else:
+                assert image == raw and system.step(0, image) == (c, t)
 
 
 def test_interval_backend_matches_exact() -> None:
