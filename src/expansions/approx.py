@@ -243,7 +243,7 @@ class ApproximationSystem(ExpansionSystem):
         p, q = (c.numerator, c.denominator) if c > 0 else (-c.numerator, -c.denominator)
         weighted = ((lambda k, n, den: ((k + shift) * q * n, p * den)) if d
                     else (lambda k, n, den: (q * n, p * den)))
-        normalized = y.index_map(len(y.coeffs) - shift, shift, weighted)
+        normalized = y.index_map(shift, weighted)
         if cfg.nonlinearity == NL_POWER:
             return coefficient, normalized.power(cfg.alpha(i), cfg.order)
         return coefficient, normalized.log(cfg.order)
@@ -274,8 +274,7 @@ class ApproximationSystem(ExpansionSystem):
         shift, head = c.m + d, conv.numerator
         lp, lq = c.c.numerator, c.c.denominator
         if not d:
-            return u.index_map(len(u.coeffs) + shift, -shift,
-                               lambda k, n, den: (lp * n, lq * den) if k else (head, 1))
+            return u.index_map(-shift, lambda k, n, den: (lp * n, lq * den) if k else (head, 1))
         bp, bq = b.numerator, b.denominator
 
         def value(k: int, n: int, den: int) -> tuple[int, int]:
@@ -285,7 +284,7 @@ class ApproximationSystem(ExpansionSystem):
                 return lp * n * bq + bp * lq * den, lq * den * bq
             return lp * n, lq * den * k
 
-        return u.index_map(len(u.coeffs) + shift, -shift, value)
+        return u.index_map(-shift, value)
 
 
 def detect_cycle(values: Sequence[Any], max_period: int) -> Optional[int]:

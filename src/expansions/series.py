@@ -18,24 +18,28 @@ integers in the one kernel :func:`taylor_shift_int`, over the numerators that
 and the Newton step build each ``Fraction`` once at the end.
 
 An exact series stores a tuple.  A truncated result of the analytic kernels
-and of the linear operations stores a lazy stream instead, in the manner of
-McIlroy's "Power series, power serious": its length, the known order plus
-one, is fixed when it is built, and each coefficient is computed on its
+and of the ring and linear operations stores a lazy stream instead, in the
+manner of McIlroy's "Power series, power serious": its length, the known order
+plus one, is fixed when it is built, and each coefficient is computed on its
 first read and kept.  A stream keeps its coefficients as one integer row,
-numerators over one positive denominator (:class:`_Row`, the layout of
-FLINT's ``fmpq_poly``), and a ``Fraction`` is built when a coefficient is
-read through ``coeffs``, so ``==``, ``hash`` and ``str`` see the reduced
-values.  Its coefficient ``k`` is ``rule(k, views)``, which returns integers
-``(num, den)``, ``den > 0``: ``views[i]`` is the row of source ``i``, a
-source stream's own row or the row that :func:`integer_numerators` scales a
-source tuple to once.  Every check that can fail runs when the series is
-built, so a coefficient read never raises.
+numerators over one positive denominator (:class:`_Row`, the layout of FLINT's
+``fmpq_poly``), and a ``Fraction`` is built when a coefficient is read through
+``coeffs``, so ``==``, ``hash`` and ``str`` see the reduced values.  Its
+coefficient ``k`` is ``rule(k, views)``, which returns integers
+``(num, den)``, ``den > 0``: ``views[i]`` is the row of source ``i``, a source
+stream's own row or the row that :func:`integer_numerators` scales a source
+tuple to once.  Every check that can fail runs when the series is built, so a
+coefficient read never raises.
 
-Each linear operation is one integer rule, run by ``index_map`` (``scale``,
-unary ``-``, ``differentiate``, ``integrate``, ``reflect``) or ``_combine``
-(``+``, ``-``) into a stripped tuple on exact inputs and into one stream
-otherwise; only the exact slices of ``shift_down`` and ``shift_up``, the
-polynomial systems' Taylor steps, skip the rule call per coefficient.
+Every ring and linear operation is one integer rule, built by ``_stream``,
+which alone chooses the result's form: when every source is exact it runs the
+rule at once into a stripped tuple, and otherwise it builds one stream.  The
+rules are ``index_map``'s (``scale``, unary ``-``, ``differentiate``,
+``integrate``, ``reflect``), ``_combine``'s (``+``, ``-``) and the Cauchy
+product's (``*``), which skips zero terms, so a truncated product and
+``divide`` stay lazy and an exact product runs on integers.  Only the exact
+slices of ``shift_down`` and ``shift_up``, the polynomial systems' Taylor
+steps, skip the rule call per coefficient.
 
 The analytic kernels (``power``, ``log``, ``exp``) are online coefficient
 recurrences driven by the derivative identities: coefficient ``m`` of the
@@ -51,7 +55,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, TruncationInconclusive
@@ -286,7 +289,7 @@ class PowerSeries:
 
     @staticmethod
     def truncated(center: object, coeffs: object) -> "PowerSeries":
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple([Fraction(c) for c in coeffs])  # see integer_numerators
         return PowerSeries(Fraction(center), cs, exact=False)
 
     @staticmethod
@@ -356,39 +359,34 @@ class PowerSeries:
                 f"series centers differ: {self.center} vs {other.center}"
             )
 
-    @staticmethod
-    def _merge_known(
-        a: "PowerSeries", b: "PowerSeries"
-    ) -> Optional[int]:
-        ka, kb = a.known_order, b.known_order
-        if ka is None:
-            return kb
-        if kb is None:
-            return ka
-        return min(ka, kb)
-
     def _stream(
         self, length: int, rule: _Rule, *sources: Tuple["PowerSeries", int],
         row: Optional[_Row] = None,
     ) -> "PowerSeries":
-        """Truncated series of ``length`` coefficients, coefficient ``k`` being
-        the integers ``rule(k, views)``, which reads source ``i``, a
+        """Series of ``length`` coefficients, coefficient ``k`` being the
+        integers ``rule(k, views)``, which reads source ``i``, a
         ``(series, offset)`` pair of ``sources``, up to ``k + offset`` in the
         row ``views[i]``: a stream's own row, filled by the walk before the
         rule runs (``_Stream``), or a tuple's, scaled once here and padded
-        with zeros when it is shorter.  The stream keeps its coefficients in
-        ``row``, a new empty row unless a kernel's rule reads it."""
-        views, pairs = [], []
+        with zeros when it is shorter.  When every source is exact and no
+        ``row`` is given, the rule runs here for each ``k`` and the result is
+        a stripped exact tuple; otherwise it is one stream, which keeps its
+        coefficients in ``row``, a new empty row unless a kernel's rule reads
+        it."""
+        views, pairs, exact = [], [], row is None
         for src, offset in sources:
-            cs, need = src.coeffs, length + offset
+            cs, exact = src.coeffs, exact and src.exact
             if isinstance(cs, _Stream):
                 views.append(cs._row)
                 if cs._rule is not None:
                     pairs.append((cs, offset))
             else:
                 nums, den = integer_numerators(cs)
-                nums += [0] * (need - len(nums))
+                nums += [0] * (length + offset - len(nums))
                 views.append(_Row(nums, den))
+        if exact:
+            return PowerSeries._stripped(
+                self.center, [Fraction(*rule(k, views)) for k in range(length)])
         return PowerSeries(self.center, _Stream(length, rule, views, pairs, row or _Row([], 1)),
                            exact=False)
 
@@ -398,19 +396,18 @@ class PowerSeries:
         self, other: "PowerSeries", op: Callable[[Fraction, Fraction], Fraction]
     ) -> "PowerSeries":
         """The series whose coefficient ``k`` is ``op(a_k, b_k)``, with zero
-        past the end of an exact operand: a stripped tuple when both are
-        exact, one stream to the smaller known order otherwise."""
+        past the end of an exact operand, to the longer length when both are
+        exact and to the shorter truncated operand's length otherwise."""
         self._require_same_center(other)
-        known = self._merge_known(self, other)
-        if known is None:
-            return PowerSeries._stripped(self.center, [
-                op(a, b) for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO)])
+        la, lb = len(self.coeffs), len(other.coeffs)
+        n = max(la, lb) if self.exact and other.exact else min(
+            lb if self.exact else la, la if other.exact else lb)
 
         def rule(k: int, views: _Views) -> Tuple[int, int]:
             a, b = views
             return op(a.ints[k] * b.den, b.ints[k] * a.den), a.den * b.den
 
-        return self._stream(known + 1, rule, (self, 0), (other, 0))
+        return self._stream(n, rule, (self, 0), (other, 0))
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         return self._combine(other, operator.add)
@@ -424,7 +421,7 @@ class PowerSeries:
     def scale(self, factor: object) -> "PowerSeries":
         factor = Fraction(factor)
         p, q = factor.numerator, factor.denominator
-        return self.index_map(len(self.coeffs), 0, lambda k, n, d: (p * n, q * d))
+        return self.index_map(0, lambda k, n, d: (p * n, q * d))
 
     def __mul__(self, other: object) -> "PowerSeries":
         if isinstance(other, (int, Fraction)):
@@ -432,24 +429,21 @@ class PowerSeries:
         if not isinstance(other, PowerSeries):
             return NotImplemented
         self._require_same_center(other)
-        known = self._merge_known(self, other)
-        if known is None:
-            if not self.coeffs or not other.coeffs:
-                return PowerSeries.zero(self.center)
-            size = len(self.coeffs) + len(other.coeffs) - 1
-        else:
-            size = known + 1
-        out = [_ZERO] * size
-        for i, a in enumerate(self.coeffs):
-            if i >= size:
-                break
-            for j, b in enumerate(other.coeffs):
-                if i + j >= size:
-                    break
-                out[i + j] += a * b
-        if known is None:
-            return PowerSeries._stripped(self.center, out)
-        return PowerSeries(self.center, tuple(out), exact=False)
+        # the length rule of _combine, but an exact product has la + lb - 1
+        la, lb = len(self.coeffs), len(other.coeffs)
+        n = la + lb - 1 if self.exact and other.exact else min(
+            lb if self.exact else la, la if other.exact else lb)
+
+        def rule(k: int, views: _Views) -> Tuple[int, int]:
+            a, b = views
+            A, B = a.ints, b.ints
+            acc = 0
+            for i in range(k + 1):
+                if A[i] and B[k - i]:
+                    acc += A[i] * B[k - i]
+            return acc, a.den * b.den
+
+        return self._stream(n, rule, (self, 0), (other, 0))
 
     __rmul__ = __mul__
 
@@ -477,24 +471,18 @@ class PowerSeries:
             len(cs) + 1, lambda k, v: (v[0].ints[k - 1], v[0].den) if k else (p, q), (self, -1))
 
     def index_map(
-        self, length: int, offset: int, f: Callable[[int, int, int], Tuple[int, int]]
+        self, offset: int, f: Callable[[int, int, int], Tuple[int, int]]
     ) -> "PowerSeries":
-        """The series whose coefficient ``k < length`` is ``f(k, num, den)``,
-        the integers (denominator positive) of an integer scaling of
-        ``num / den`` (``den > 0``), coefficient ``k + offset`` of this one or
-        zero below index 0 and past the end of an exact series: a stripped
-        tuple when this series is exact, each ``Fraction`` built once at the
-        end, and one stream when it is truncated (``length + offset`` must not
-        pass its length)."""
-        cs = self.coeffs
-        if self.exact:
-            nums, den = integer_numerators(cs)
-            n = len(nums)
-            return PowerSeries._stripped(self.center, [
-                Fraction(*f(k, nums[k + offset] if 0 <= k + offset < n else 0, den))
-                for k in range(length)])
+        """The series of ``len(coeffs) - offset`` coefficients whose
+        coefficient ``k`` is ``f(k, num, den)``, the integers (denominator
+        positive) of an integer scaling of ``num / den`` (``den > 0``),
+        coefficient ``k + offset`` of this one or zero below index 0: one
+        integer rule, which ``_stream`` runs at once into a stripped tuple
+        when this series is exact and into one stream when it is
+        truncated."""
         return self._stream(
-            length, lambda k, v: f(k, v[0].ints[k + offset], v[0].den) if k + offset >= 0
+            len(self.coeffs) - offset,
+            lambda k, v: f(k, v[0].ints[k + offset], v[0].den) if k + offset >= 0
             else f(k, 0, 1), (self, offset))
 
     # -- calculus -----------------------------------------------------------------
@@ -505,13 +493,12 @@ class PowerSeries:
             raise TruncationInconclusive(
                 "differentiating an order-0 germ leaves no known coefficients"
             )
-        return self.index_map(len(cs) - 1, 1, lambda k, n, d: ((k + 1) * n, d))
+        return self.index_map(1, lambda k, n, d: ((k + 1) * n, d))
 
     def integrate(self, constant: object = 0) -> "PowerSeries":
         constant = Fraction(constant)
         p, q = constant.numerator, constant.denominator
-        return self.index_map(len(self.coeffs) + 1, -1,
-                              lambda k, n, d: (n, d * k) if k else (p, q))
+        return self.index_map(-1, lambda k, n, d: (n, d * k) if k else (p, q))
 
     # -- polynomial evaluation and substitution ----------------------------------
 
@@ -545,7 +532,7 @@ class PowerSeries:
 
     def reflect(self) -> "PowerSeries":
         """The series ``-p(-x)``, which is centered at ``-center``."""
-        out = self.index_map(len(self.coeffs), 0, lambda k, n, d: (n if k % 2 else -n, d))
+        out = self.index_map(0, lambda k, n, d: (n if k % 2 else -n, d))
         return PowerSeries(-self.center, out.coeffs, self.exact)
 
     # -- analytic kernels -----------------------------------------------------------

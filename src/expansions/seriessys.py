@@ -157,7 +157,7 @@ class _NewtonBase(ExpansionSystem):
                 c = Fraction(c)
                 terms.append((c.numerator, c.denominator * math.factorial(k),
                               _factorial_basis(k, self.h, self.s * self.h)))
-        den = math.lcm(*(q for _, q, _ in terms))
+        den = math.lcm(*[q for _, q, _ in terms])  # a list: see series.integer_numerators
         out = [0] * len(code)
         for p, q, row in terms:
             w = p * (den // q)

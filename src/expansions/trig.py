@@ -19,10 +19,9 @@ class TrigPolynomial:
 
     @staticmethod
     def of(amplitudes: Dict[int, ComplexRational]) -> "TrigPolynomial":
-        items = tuple(
-            (k, a) for k, a in sorted(amplitudes.items()) if not a.is_zero()
-        )
-        return TrigPolynomial(items)
+        # lists, not generators: see series.integer_numerators
+        return TrigPolynomial(tuple([(k, a) for k, a in sorted(amplitudes.items())
+                                     if not a.is_zero()]))
 
     @staticmethod
     def zero() -> "TrigPolynomial":
@@ -51,7 +50,7 @@ class TrigPolynomial:
         return TrigPolynomial.of(acc)
 
     def __neg__(self) -> "TrigPolynomial":
-        return TrigPolynomial(tuple((k, -a) for k, a in self.terms))
+        return TrigPolynomial(tuple([(k, -a) for k, a in self.terms]))
 
     def __sub__(self, other: "TrigPolynomial") -> "TrigPolynomial":
         return self + (-other)
@@ -69,7 +68,7 @@ class TrigPolynomial:
 
     def without_modes(self, *modes: int) -> "TrigPolynomial":
         drop = set(modes)
-        return TrigPolynomial(tuple((k, a) for k, a in self.terms if k not in drop))
+        return TrigPolynomial(tuple([(k, a) for k, a in self.terms if k not in drop]))
 
     def __str__(self) -> str:
         if not self.terms:

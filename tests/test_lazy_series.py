@@ -124,14 +124,27 @@ def test_linear_operations_stay_lazy_on_truncated_series():
     g = PowerSeries.truncated(0, [1, 2, 3, 4]).power(F(1, 3))
     ops = [
         g + g, g - PowerSeries.constant(0, 1), g.scale(3), g.shift_down(),
-        g.shift_up(5), g.differentiate(), g.integrate(2),
+        g.shift_up(5), g.differentiate(), g.integrate(2), g * g,
     ]
     assert g.coeffs.computed == 0
     for out in ops:
         assert not out.exact and out.coeffs.computed == 0
     assert g.shift_up(5).coefficient(0) == 5 and g.coeffs.computed == 0
+    # divide reads the constant term it divides by, and builds its quotient
+    quotient = g.divide(g)
+    assert not quotient.exact and quotient.coeffs.computed == 0
+    assert g.coeffs.computed == 1
     assert g.integrate(2).coefficient(2) == g.coefficient(1) / 2
     assert g.coeffs.computed == 2
+
+    # coefficient k of a product of two kernel streams reads coefficients
+    # 0..k of each factor
+    for k in range(6):
+        a = PowerSeries.truncated(0, [1, 2, 3, 4, 5, 6, 7, 8]).power(F(1, 3))
+        b = PowerSeries.truncated(0, [0, 1, -1, 2, F(1, 2), 3]).exp()
+        value = (a * b).coefficient(k)
+        assert a.coeffs.computed <= k + 1 and b.coeffs.computed <= k + 1
+        assert value == sum(a.coefficient(i) * b.coefficient(k - i) for i in range(k + 1))
 
 
 @bounded
@@ -148,6 +161,7 @@ def test_exact_and_truncated_twins_agree_on_linear_operations(cs, ds, center, fa
         "add": lambda a, b: a + b, "sub": lambda a, b: a - b,
         "differentiate": lambda a, b: a.differentiate(),
         "integrate": lambda a, b: a.integrate(factor), "reflect": lambda a, b: a.reflect(),
+        "mul": lambda a, b: a * b,
     }
     outs = {name: (op(p, q), op(g, h)) for name, op in ops.items()}
     assert outs["neg"][1].coeffs.computed == 0 and outs["reflect"][1].coeffs.computed == 0
@@ -240,10 +254,10 @@ def test_inputs_come_fully_computed(monkeypatch):
 
 
 def test_deep_chain_computes_only_what_the_code_reads(monkeypatch):
-    # the probe above: the germ of level i is read up to coefficient 150 - i
-    # and its power kernel pushes two values per coefficient, so the code
-    # needs 2 * (1 + ... + 149) pushes; computing each germ in full would
-    # cost 82 350
+    # the probe above: the germ of level i is read up to coefficient 150 - i,
+    # and each coefficient past the first makes one push in the index map's
+    # row and one in the power kernel's, so the code needs 2 * (1 + ... + 149)
+    # pushes; computing each germ in full would cost 82 350
     order, depth = 400, 150
     system = ApproximationSystem(ASConfig(
         transform="K", nonlinearity="power", alphas=constant_alpha(1), order=order))
