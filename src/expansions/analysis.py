@@ -25,6 +25,7 @@ from .certified import Interval
 from .coefficients import ASCoef, ComplexRational, _Infinity
 from .core import (
     ORDER_NONE,
+    ORDER_REVERSED,
     ExpansionSystem,
     OrderResult,
     coefficient_code,
@@ -71,12 +72,14 @@ def render_value(value: Any, approx_digits: Optional[int] = None) -> str:
         hi = _decimal_str(value.hi, digits, ROUND_CEILING)
         return f"[{lo},{hi}]"
     if isinstance(value, ComplexRational):
-        if approx_digits is not None:
-            re = _decimal_str(value.re, approx_digits, ROUND_HALF_EVEN)
-            im = _decimal_str(value.im, approx_digits, ROUND_HALF_EVEN)
-            sign = "+" if not im.startswith("-") else ""
-            return f"{re}{sign}{im} i"
-        return str(value)
+        if approx_digits is None:
+            return str(value)
+        re = _decimal_str(value.re, approx_digits, ROUND_HALF_EVEN)
+        if not value.im:  # a zero imaginary part is dropped, as str() does
+            return re
+        im = _decimal_str(value.im, approx_digits, ROUND_HALF_EVEN)
+        sign = "+" if not im.startswith("-") else ""
+        return f"{re}{sign}{im} i"
     if isinstance(value, ASCoef):
         parts = [render_value(value.c, approx_digits), render_value(value.m, approx_digits)]
         if value.b is not None:
@@ -136,7 +139,7 @@ def _coeff_head_distance(
     probe_depth = len(mine)
     theirs = coefficient_code(system, approximant, probe_depth)
     for k in range(probe_depth):
-        if not system.coefficients_equal(k, mine[k], theirs[k]):
+        if mine[k] != theirs[k]:
             return Fraction(1, 2 ** k)
     return Fraction(0)
 
@@ -239,6 +242,7 @@ def monotonicity_check(
         raise UnsupportedInContext(
             f"{system.name} has unordered coefficients; monotonicity undefined"
         )
+    reversed_order = system.coefficient_order_kind == ORDER_REVERSED
     up: List[Optional[str]] = [None] * depth
     down: List[Optional[str]] = [None] * depth
     counts = [0] * depth
@@ -248,14 +252,13 @@ def monotonicity_check(
         a, b = y_small, y_large
         for i in range(depth):
             ca, cb = system.project(i, a), system.project(i, b)
-            cmp_c = system.compare_coefficients(i, ca, cb)
             counts[i] += 1
-            if cmp_c != 0:
+            if ca != cb:
                 tag = f"pair {idx} level {i}: P({a}) = {ca} vs P({b}) = {cb}"
-                if cmp_c < 0 and up[i] is None:
-                    up[i] = tag
-                if cmp_c > 0 and down[i] is None:
-                    down[i] = tag
+                if (ca < cb) != reversed_order:
+                    up[i] = up[i] or tag
+                else:
+                    down[i] = down[i] or tag
                 break
             ea, eb = system.expand(i, a), system.expand(i, b)
             if system.elements_equal(i + 1, ea, eb):
@@ -318,7 +321,7 @@ def separation_check(
         code_b = coefficient_code(system, y_prime, depth)
         first = None
         for i in range(depth):
-            if not system.coefficients_equal(i, code_a[i], code_b[i]):
+            if code_a[i] != code_b[i]:
                 first = i
                 break
         rows.append(SeparationRow(pair_index=idx, first_level=first))

@@ -45,10 +45,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
-from .coefficients import ASCoef, INF, ExtendedInt, is_infinite
+from .coefficients import ASCoef, INF, is_infinite
 from .core import ORDER_NONE, ExpansionSystem
 from .errors import DomainError, TruncationInconclusive
-from .series import PowerSeries, first_nonzero, require_germ
+from .series import PowerSeries, certified_first_nonzero, require_germ
 
 TRANSFORM_D = "D"
 TRANSFORM_K = "K"
@@ -119,31 +119,6 @@ class ASConfig:
         return a
 
 
-def _leading(series: PowerSeries, start: int, known: int) -> ExtendedInt:
-    """Index of the first nonzero coefficient of ``series`` from ``start``
-    on, which it reads as one of ``known`` stored coefficients; ``INF`` when
-    there is none and the series is exact.
-
-    Raises:
-        TruncationInconclusive: for a truncated series with no nonzero stored
-            coefficient — it may or may not be zero.
-    """
-    k = first_nonzero(series.coeffs, start)
-    if k is not None:
-        return k
-    if series.exact:
-        return INF
-    raise TruncationInconclusive(
-        f"all {known} known coefficients vanish; multiplicity cannot be certified"
-    )
-
-
-def multiplicity(series: PowerSeries) -> ExtendedInt:
-    """Index of the first nonzero coefficient; ``INF`` for the exact zero
-    series (see :func:`_leading`)."""
-    return _leading(series, 0, len(series.coeffs))
-
-
 class ApproximationSystem(ExpansionSystem):
     """Expansion system defined by an :class:`ASConfig` (see module docs)."""
 
@@ -178,16 +153,11 @@ class ApproximationSystem(ExpansionSystem):
             )
 
     def is_neutral(self, i: int, y: PowerSeries) -> bool:
-        nu = self.neutral(i)
-        rest = y - nu
-        if not rest.is_zero():
+        if y.coefficient(0) != self.config.constant_term:
             return False
-        if not rest.exact:
-            raise TruncationInconclusive(
-                "a truncated germ matching the neutral element on all known "
-                "coefficients cannot be certified neutral"
-            )
-        return True
+        message = ("a truncated germ matching the neutral element on all known "
+                   "coefficients cannot be certified neutral")
+        return certified_first_nonzero(y, 1, message) is None
 
     # -- transform ----------------------------------------------------------
 
@@ -207,9 +177,10 @@ class ApproximationSystem(ExpansionSystem):
             raise TruncationInconclusive(
                 "differentiating an order-0 germ leaves no known coefficients"
             )
-        k = _leading(y, s + d, known)
+        message = f"all {known} known coefficients vanish; multiplicity cannot be certified"
+        k = certified_first_nonzero(y, s + d, message)
         b = y.coefficient(1) if self.config.transform == TRANSFORM_KD else None
-        if is_infinite(k):
+        if k is None:
             return ASCoef(c=Fraction(0), m=INF, b=b)
         return ASCoef(c=k * y.coeffs[k] if d else y.coeffs[k], m=k - d, b=b)
 

@@ -204,9 +204,9 @@ def _cmd_report(args: argparse.Namespace, system: ExpansionSystem, y: Any) -> in
 
 _BUILTIN_MORPHISMS: Dict[str, Callable[[], Morphism]] = {
     "newton-reflection": newton_reflection_morphism,
-    "decimal-shift": lambda: decimal_shift_morphism()[1],
-    "cf-shift": lambda: cf_shift_morphism()[1],
-    "as-d-shift": lambda: as_d_shift_morphism(build_system("as-d-power-half"))[1],
+    "decimal-shift": decimal_shift_morphism,
+    "cf-shift": cf_shift_morphism,
+    "as-d-shift": lambda: as_d_shift_morphism(build_system("as-d-power-half")),
 }
 
 

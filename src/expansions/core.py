@@ -19,12 +19,7 @@ from collections import abc
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from .errors import (
-    DomainError,
-    PrecisionExhausted,
-    TruncationInconclusive,
-    UnsupportedInContext,
-)
+from .errors import DomainError, PrecisionExhausted, TruncationInconclusive
 
 #: Possible values of :attr:`ExpansionSystem.coefficient_order_kind`.
 ORDER_STANDARD = "standard"
@@ -35,10 +30,12 @@ ORDER_NONE = "unordered"
 class ExpansionSystem:
     """Base class for graded expansion systems.
 
-    Subclasses implement the per-level maps.  Elements are plain values
-    (``Fraction``, :class:`~expansions.certified.Interval`, series,
-    polynomials, ...); the system knows how to compare them and which
-    coefficient order, if any, its coefficient spaces carry.
+    Subclasses implement ``neutral``, ``validate``, ``project``, ``expand``
+    and ``reconstruct``, and may override the generic ``step``,
+    ``backward_pass``, ``is_neutral`` and ``elements_equal``.  Elements are
+    plain values (``Fraction``, :class:`~expansions.certified.Interval`,
+    series, polynomials, ...); coefficients compare with ``==``, and
+    ``coefficient_order_kind`` names their order, if any.
 
     Attributes:
         name: short identifier used in reports and the CLI registry.
@@ -96,26 +93,6 @@ class ExpansionSystem:
 
     def elements_equal(self, i: int, a: Any, b: Any) -> bool:
         return a == b
-
-    def coefficients_equal(self, i: int, a: Any, b: Any) -> bool:
-        return a == b
-
-    def compare_coefficients(self, i: int, a: Any, b: Any) -> int:
-        """Return -1/0/+1 per the declared order on the level-``i`` coefficients.
-
-        Raises:
-            UnsupportedInContext: if the coefficient space is unordered.
-        """
-        if self.coefficient_order_kind == ORDER_NONE:
-            raise UnsupportedInContext(
-                f"coefficients of {self.name} carry no declared order"
-            )
-        if a == b:
-            return 0
-        less = a < b
-        if self.coefficient_order_kind == ORDER_REVERSED:
-            less = not less
-        return -1 if less else 1
 
 
 @dataclass(frozen=True)
@@ -285,9 +262,7 @@ def head_coincidence(system: ExpansionSystem, y: Any, n: int) -> bool:
     if not trace.proper:
         return True
     recode = coefficient_code(system, trace.value, n)
-    return all(
-        system.coefficients_equal(i, a, b) for i, (a, b) in enumerate(zip(code, recode))
-    )
+    return all(a == b for a, b in zip(code, recode))
 
 
 def roundtrip_check(system: ExpansionSystem, y: Any, n: int) -> bool:

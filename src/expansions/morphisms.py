@@ -11,11 +11,12 @@ defining equations sample-wise (it is a checker, not a prover):
 and, for a morphism that claims bijectivity, that its inverses undo the maps
 on every stage and on every projected coefficient.
 
-:func:`shift_isomorphism` builds the canonical isomorphic system obtained by
+:func:`shift_isomorphism` builds the canonical isomorphism obtained by
 splitting each expansion step as ``E_i = E2_i . E1_i`` with ``E1_i`` a
-bijection: the target runs "half a step ahead" of the source and keeps the
-identical coefficient code.  The decimal and continued-fraction shifts come
-from the matrix ``f`` of the f-expansion: ``E1 = f``, ``E2`` the fractional part.
+bijection: one :class:`Morphism` whose target, a :class:`ShiftedSystem`, runs
+"half a step ahead" of the source and keeps the identical coefficient code.
+The decimal and continued-fraction shifts come from the matrix ``f`` of the
+f-expansion: ``E1 = f``, ``E2`` the fractional part.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _violations(
                 yield "expansion", i, s_idx, f"map(E_{i} y) = {lhs} != E'_{i}(map y) = {rhs}"
             lhs_c = morphism.map_coeff(i, src.project(i, stages[i]))
             rhs_c = tgt.project(i, morphism.map_element(i, stages[i]))
-            if not tgt.coefficients_equal(i, lhs_c, rhs_c):
+            if lhs_c != rhs_c:
                 yield "coefficient", i, s_idx, f"map(P_{i} y) = {lhs_c} != P'_{i}(map y) = {rhs_c}"
         if not morphism.claims_bijective:
             continue
@@ -114,7 +115,7 @@ def _violations(
                 continue  # coefficients are read below depth, as above
             coeff = src.project(i, stage)
             back_c = morphism.inv_coeff(i, morphism.map_coeff(i, coeff))
-            if not src.coefficients_equal(i, back_c, coeff):
+            if back_c != coeff:
                 detail = f"inverse(map P_{i} y) = {back_c} != P_{i} y = {coeff}"
                 yield "inverse", i, s_idx, detail
 
@@ -185,12 +186,6 @@ class ShiftedSystem(ExpansionSystem):
             i, self._e1_inv(i, a), self._e1_inv(i, b)
         )
 
-    def coefficients_equal(self, i: int, a: Any, b: Any) -> bool:
-        return self.source.coefficients_equal(i, a, b)
-
-    def compare_coefficients(self, i: int, a: Any, b: Any) -> int:
-        return self.source.compare_coefficients(i, a, b)
-
 
 def shift_isomorphism(
     source: ExpansionSystem,
@@ -198,25 +193,24 @@ def shift_isomorphism(
     e1_inv: LevelMap,
     e2: LevelMap,
     name: str,
-) -> Tuple[ShiftedSystem, Morphism]:
+) -> Morphism:
     """Split ``E_i = E2_i . E1_i`` (``E1`` bijective) into an isomorphic
     system whose elements are the half-expanded ones.
 
-    Returns the target system together with the isomorphism (element map
-    ``E1_i``, identity on coefficients).  :func:`verify_homomorphism` checks
-    the supplied inverse on every stage of its samples.
+    Returns the isomorphism (element map ``E1_i``, identity on
+    coefficients); its ``target`` is the :class:`ShiftedSystem`.
+    :func:`verify_homomorphism` checks the supplied inverse on every stage of
+    its samples.
     """
-    target = ShiftedSystem(source, e1, e1_inv, e2, name)
-    morphism = Morphism(
+    return Morphism(
         name=name,
         source=source,
-        target=target,
+        target=ShiftedSystem(source, e1, e1_inv, e2, name),
         map_element=e1,
         map_coeff=lambda i, c: c,
         inv_element=e1_inv,
         inv_coeff=lambda i, c: c,
     )
-    return target, morphism
 
 
 # -- built-in morphisms ------------------------------------------------------
@@ -236,9 +230,7 @@ def newton_reflection_morphism() -> Morphism:
     )
 
 
-def _f_shift_morphism(
-    source: _UnitIntervalSystem, name: str
-) -> Tuple[ShiftedSystem, Morphism]:
+def _f_shift_morphism(source: _UnitIntervalSystem, name: str) -> Morphism:
     """Shift of an f-expansion: ``E1 = f``, the digit map its step runs,
     moves elements to ``f([0, 1))``, where the coefficient is the integer
     part and ``E2`` the fractional part.  The inverse of ``E1`` applies
@@ -258,20 +250,20 @@ def _f_shift_morphism(
     return shift_isomorphism(source, e1, e1_inv, e2, name)
 
 
-def decimal_shift_morphism() -> Tuple[ShiftedSystem, Morphism]:
+def decimal_shift_morphism() -> Morphism:
     """Shift of the decimal system: ``E1(y) = 10 y`` moves elements to
     ``[0, 10)`` where the digit is the integer part."""
     return _f_shift_morphism(BaseSystem(10), "decimal-shift")
 
 
-def cf_shift_morphism() -> Tuple[ShiftedSystem, Morphism]:
+def cf_shift_morphism() -> Morphism:
     """Shift of the continued fraction system: ``E1(y) = 1/y`` (with the
     neutral element going to the added point ``INF``) moves elements to
     ``(1, inf]``, where the partial quotient is the integer part."""
     return _f_shift_morphism(ContinuedFractionSystem(), "cf-shift")
 
 
-def as_d_shift_morphism(system: ApproximationSystem) -> Tuple[ShiftedSystem, Morphism]:
+def as_d_shift_morphism(system: ApproximationSystem) -> Morphism:
     """Shift of a ``D``-transform approximation system: ``E1`` is the
     derivative (bijective because the constant term is pinned), so target
     elements are the transformed germs and the projection reads their leading
@@ -294,7 +286,4 @@ def as_d_shift_morphism(system: ApproximationSystem) -> Tuple[ShiftedSystem, Mor
         # and apply the nonlinearity, then differentiate again happens in E1.
         return system.expand(i, y.integrate(conv))
 
-    target, morphism = shift_isomorphism(
-        system, e1, e1_inv, e2, name=f"{system.name}-d-shift"
-    )
-    return target, morphism
+    return shift_isomorphism(system, e1, e1_inv, e2, name=f"{system.name}-d-shift")

@@ -200,9 +200,6 @@ class _UnitIntervalSystem(ExpansionSystem):
         stages = LazyStages(n + 1, stage, Fraction(*pair))
         return ConvergentTrace(n=n, stages=stages, improper_at=None)
 
-    def is_neutral(self, i: int, y: Any) -> bool:
-        return not y
-
     def elements_equal(self, i: int, a: Any, b: Any) -> bool:
         """Certified equality: enclosures decide it only as equal points or
         as disjoint sets, and raise ``PrecisionExhausted`` otherwise."""

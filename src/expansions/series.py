@@ -245,6 +245,17 @@ def first_nonzero(cs: Sequence[Fraction], start: int) -> Optional[int]:
     return None
 
 
+def certified_first_nonzero(series: "PowerSeries", start: int, message: str) -> Optional[int]:
+    """Index of the first nonzero known coefficient of ``series`` from
+    ``start`` on, ``None`` only for an exact series: a truncated series with
+    none raises :class:`TruncationInconclusive` with ``message``, as it may
+    or may not vanish there."""
+    k = first_nonzero(series.coeffs, start)
+    if k is None and not series.exact:
+        raise TruncationInconclusive(message)
+    return k
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     """Series ``sum coeffs[k] * (x - center)**k``, exact or truncated.

@@ -25,9 +25,15 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from .coefficients import ComplexRational
 from .core import ORDER_NONE, ORDER_STANDARD, ConvergentTrace, ExpansionSystem, LazyStages
-from .errors import DomainError, TruncationInconclusive
+from .errors import DomainError
 from .polynomials import sup_norm_le, sup_norm_le_int
-from .series import PowerSeries, integer_numerators, require_germ, taylor_shift_int
+from .series import (
+    PowerSeries,
+    certified_first_nonzero,
+    integer_numerators,
+    require_germ,
+    taylor_shift_int,
+)
 from .trig import TrigPolynomial
 
 _ZERO = Fraction(0)
@@ -66,13 +72,8 @@ class TaylorSystem(ExpansionSystem):
         return tail.shift_up(c)
 
     def is_neutral(self, i: int, y: PowerSeries) -> bool:
-        if not y.is_zero():
-            return False
-        if not y.exact:
-            raise TruncationInconclusive(
-                "an all-zero truncated germ cannot be certified neutral"
-            )
-        return True
+        message = "an all-zero truncated germ cannot be certified neutral"
+        return certified_first_nonzero(y, 0, message) is None
 
 
 def _validate_polynomial(y: Any) -> None:

@@ -197,16 +197,16 @@ def test_criterion_10_head_coincidence_all_systems():
                     continue
                 recode = coefficient_code(system, trace.value, n)
                 for i, (a, b) in enumerate(zip(code[:n], recode)):
-                    assert system.coefficients_equal(i, a, b), (system_id, n, i)
+                    assert a == b, (system_id, n, i)
     _ok(10, f"codes of convergents repeat the head on {len(system_ids())} systems x 50 samples")
 
 
 def test_criterion_11_builtin_homomorphisms():
     cases = [
         ("newton-forward", newton_reflection_morphism()),
-        ("base10", decimal_shift_morphism()[1]),
-        ("cf", cf_shift_morphism()[1]),
-        ("as-d-power-half", as_d_shift_morphism(build_system("as-d-power-half"))[1]),
+        ("base10", decimal_shift_morphism()),
+        ("cf", cf_shift_morphism()),
+        ("as-d-power-half", as_d_shift_morphism(build_system("as-d-power-half"))),
     ]
     for source_id, morphism in cases:
         rng = random.Random(f"hom-{source_id}")

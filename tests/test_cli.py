@@ -649,6 +649,12 @@ def test_trig_polynomial_divided_by_a_constant(text, words):
     assert (code, out, err) == (0, words + "\n", "")
 
 
+def test_approx_drops_a_zero_imaginary_part_as_the_exact_output_does():
+    argv = ("expand", "--system", "fourier", "--input", "E(1)/3 + i*E(-1)/7", "--depth", "2")
+    assert run_cli(*argv) == (0, "(0,0) (0+1/7 i,1/3)\n", "")
+    assert run_cli(*argv, "--approx", "3") == (0, "(0,0) (0+0.143 i,0.333)\n", "")
+
+
 def test_exit_codes_sqrt_of_enclosure():
     near_zero = "sqrt(sqrt(2)-141421356237/100000000000)"
     code, out, err = run_cli(

@@ -1,7 +1,8 @@
 """The package's ``__all__`` lists exactly the public names its
 ``__init__.py`` binds, so a name that a fold removes cannot stay exported and
 a new import cannot stay unlisted; and the package imports the standard
-library and itself only, as its empty ``dependencies`` list promises."""
+library and itself only, as its empty ``dependencies`` list promises; and no
+module but ``__init__.py`` imports a name it never uses."""
 
 import ast
 import sys
@@ -44,3 +45,23 @@ def test_the_package_imports_the_standard_library_and_itself_only():
                         if m.split(".")[0] not in {"__future__", "expansions",
                                                     *sys.stdlib_module_names}]
     assert foreign == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export; every other module reads what it
+    # binds, annotations included (each module postpones them, unquoted)
+    unused = []
+    for path in sorted(Path(expansions.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno}: {name}" for name in bound if name not in read]
+    assert unused == []

@@ -188,6 +188,21 @@ def test_polynomial_context_rejects_unknown_names():
         parse_expression("pi", "polynomial")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x^-1", "negative powers are not polynomials"),
+    ("1/(1+x)", "polynomial division only by constants"),
+    ("x/0", "division by zero"),
+])
+def test_polynomial_context_refuses_what_is_not_a_polynomial(text, message):
+    with pytest.raises(DomainError, match=message):
+        parse_expression(text, "polynomial")
+
+
+def test_series_context_negative_power_is_the_reciprocal_power():
+    assert parse_expression("(1+x)^-2", "series") == parse_expression("1/(1+x)^2", "series")
+    assert parse_expression("(1+x)^-2", "series", order=3).coeffs == (1, -2, 3, -4)
+
+
 def test_trig_context_mode_algebra():
     t = parse_expression("E(1)*E(-1) + E(2)^2", "trig")
     assert isinstance(t, TrigPolynomial)

@@ -29,6 +29,7 @@ from expansions import (
     convergent,
     decimal_shift_morphism,
     newton_reflection_morphism,
+    order_of,
     sample_element,
     shift_isomorphism,
     translate_convergent,
@@ -68,11 +69,11 @@ def test_builtin_morphisms_verify() -> None:
     report = verify_homomorphism(newton_reflection_morphism(),
                                  polynomial_samples(603, 8), 5)
     assert report.ok
-    _, decimal = decimal_shift_morphism()
+    decimal = decimal_shift_morphism()
     assert verify_homomorphism(decimal, rational_samples(604, 8), 5).ok
-    _, cf = cf_shift_morphism()
+    cf = cf_shift_morphism()
     assert verify_homomorphism(cf, rational_samples(605, 8), 5).ok
-    _, dshift = as_d_shift_morphism(build_system("as-d-power-half"))
+    dshift = as_d_shift_morphism(build_system("as-d-power-half"))
     germs = [sample_element("as-d-power-half", rng) for _ in range(4)]
     assert verify_homomorphism(dshift, germs, 3).ok
 
@@ -187,7 +188,7 @@ def test_translate_convergent() -> None:
         assert via.improper_at == direct.improper_at
         assert via.value == direct.value
 
-    shifted, decimal = decimal_shift_morphism()
+    decimal = decimal_shift_morphism()
     for y in rational_samples(609, 6):
         trace = translate_convergent(decimal, 10 * y, 4)
         assert trace.improper_at is None
@@ -205,15 +206,37 @@ def test_translate_convergent() -> None:
 
 
 def test_shifted_system_keeps_the_code() -> None:
-    shifted, decimal = decimal_shift_morphism()
+    shifted = decimal_shift_morphism().target
     for y in rational_samples(610, 8):
         assert coefficient_code(shifted, 10 * y, 5) == \
             coefficient_code(BaseSystem(10), y, 5)
-    cf_shifted, cf_morph = cf_shift_morphism()
-    src = cf_morph.source
+    cf_morph = cf_shift_morphism()
+    cf_shifted, src = cf_morph.target, cf_morph.source
     for y in rational_samples(611, 8):
         lifted = cf_morph.map_element(0, y)
         assert coefficient_code(cf_shifted, lifted, 5) == coefficient_code(src, y, 5)
+
+
+@pytest.mark.parametrize("make", [decimal_shift_morphism, cf_shift_morphism])
+def test_shifted_convergents_and_orders_are_e1_of_the_sources(make) -> None:
+    # the shifted system's backward pass (its reconstruct) and its neutrality
+    # test agree with the source's through E1, improper convergents included
+    morphism = make()
+    src, tgt, e1 = morphism.source, morphism.target, morphism.map_element
+    improper = finite = 0
+    for y in rational_samples(612, 8) + [F(0), F(1, 2), F(3, 8), F(7, 25)]:
+        lifted = e1(0, y)
+        for n in range(6):
+            mine, theirs = convergent(tgt, lifted, n), convergent(src, y, n)
+            assert mine.improper_at == theirs.improper_at
+            improper += mine.improper_at is not None
+            assert list(mine.stages) == [
+                None if stage is None else e1(k, stage) for k, stage in enumerate(theirs.stages)
+            ]
+        order = order_of(tgt, lifted, 5)
+        assert order == order_of(src, y, 5)
+        finite += order.finite
+    assert finite and (improper or make is decimal_shift_morphism)
 
 
 #: the f-expansion shifts: the two built-in specs, and base 2 and cf with
@@ -241,7 +264,7 @@ def test_f_shift_e1_is_the_systems_own_step(spec, q, form) -> None:
     # E1 of an f-expansion shift is the map its step runs: the integer part
     # plus the remainder of that step, INF at cf's 0, on a Fraction and on
     # an enclosure alike; and the shift verifies as a homomorphism
-    _, morphism = F_SHIFTS[spec]()
+    morphism = F_SHIFTS[spec]()
     y = {"fraction": q, "point": Interval.exact(q),
          "enclosure": Interval(q, q + F(1, 2 ** 64))}[form]
     try:
@@ -258,7 +281,7 @@ def test_f_shift_e1_is_the_systems_own_step(spec, q, form) -> None:
 
 def test_shift_isomorphism_checks_inverse() -> None:
     # a split whose inverse does not undo E1 is refuted by the checker
-    _, broken = shift_isomorphism(
+    broken = shift_isomorphism(
         BaseSystem(10),
         e1=lambda i, y: 10 * y,
         e1_inv=lambda i, y: y / 7,

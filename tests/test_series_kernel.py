@@ -80,6 +80,8 @@ def test_shifts_and_calculus() -> None:
     assert p.shift_down().shift_up(5) == p
     assert p.differentiate().coeffs == (F(7), F(22))
     assert p.differentiate().integrate(5) == p
+    # evaluation at a nonzero center: 1 + 2 (x - 1) at x = 3
+    assert PowerSeries.exact_poly(1, [1, 2])(3) == 5
 
     t = PowerSeries.truncated(0, [5, 7, 11])
     assert t.shift_down().known_order == 1
